@@ -10,11 +10,11 @@ Times the hot paths of the repository and writes/compares baselines:
 * ``BENCH_sim.json`` — a 30 s closed-loop simulator run of the paper's
   test drone, and a 10-frame SLAM pipeline step.
 * ``BENCH_slam.json`` — global bundle adjustment on a converged MH01 map
-  (the Figure 17 backend workload), scalar oracle vs the vectorized
-  einsum/``np.add.at`` kernels.
+  (the Figure 17 backend workload), scalar oracle (:mod:`repro.oracles`)
+  vs the vectorized einsum/``np.add.at`` kernels.
 * ``BENCH_platform.json`` — the Figure 15 autopilot+SLAM co-run trace
-  through the microarchitecture simulator, per-access oracle vs the
-  batch trace engine.
+  through the microarchitecture simulator, per-access oracle
+  (:mod:`repro.oracles`) vs the batch trace engine.
 * ``BENCH_ensemble.json`` (``--suite ensemble`` only) — a 64-trial
   fault-free chaos campaign (30 s at 500 Hz), serial ``run_trial`` loop
   vs the vectorized :func:`repro.chaos.ensemble.run_trials_ensemble`
@@ -57,6 +57,7 @@ from harness import (
     write_baseline,
 )
 
+from repro import oracles
 from repro.chaos.campaign import CampaignConfig, TrialSpec
 from repro.chaos.ensemble import run_trials_ensemble
 from repro.chaos.runner import TrialResult, run_trial, verify_replay
@@ -201,10 +202,10 @@ def slam_ba_workloads(runs: int, warmup: int) -> List[TimingResult]:
     global_bundle_adjust(slam_map, sequence.camera)
 
     def scalar_ba() -> None:
-        global_bundle_adjust(slam_map, sequence.camera, engine="scalar")
+        oracles.global_bundle_adjust(slam_map, sequence.camera)
 
     def batch_ba() -> None:
-        global_bundle_adjust(slam_map, sequence.camera, engine="batch")
+        global_bundle_adjust(slam_map, sequence.camera)
 
     return [
         time_callable("scalar_ba_mh01", scalar_ba, warmup=warmup, runs=runs),
@@ -225,10 +226,10 @@ def platform_corun_workloads(runs: int, warmup: int) -> List[TimingResult]:
     )
 
     def scalar_corun() -> None:
-        InOrderCore().run_segments(segments, engine="scalar")
+        oracles.run_segments(InOrderCore(), segments)
 
     def batch_corun() -> None:
-        InOrderCore().run_segments(segments, engine="batch")
+        InOrderCore().run_segments(segments)
 
     return [
         time_callable("scalar_corun_fig15", scalar_corun,

@@ -317,6 +317,35 @@ def _check_engine(engine: str) -> None:
         )
 
 
+def _fly_campaign(
+    config: CampaignConfig,
+    runner_config: Optional[SweepRunnerConfig],
+    engine: str,
+    ensemble_width: int,
+    journal_path: Optional["os.PathLike[str] | str"] = None,
+) -> Tuple[List[TrialResult], Optional[ExecutionReport]]:
+    """Results in trial order (quarantined placeholders dropped) + report."""
+    _check_engine(engine)
+    specs = generate_campaign(config)
+    runner = ParallelSweepRunner(runner_config or SweepRunnerConfig(parallel=False))
+    if engine == "scalar":
+        items = [(spec, config) for spec in specs]
+        raw = runner.map(_run_trial_item, items, journal=journal_path)
+        results = [result for result in raw if isinstance(result, TrialResult)]
+        return results, runner.last_report
+    batches = runner.map(
+        _run_ensemble_item,
+        _ensemble_items(specs, config, ensemble_width),
+        journal=journal_path,
+    )
+    ordered: List[Optional[TrialResult]] = [None] * len(specs)
+    for batch in batches:
+        if isinstance(batch, list):
+            for index, result in batch:
+                ordered[index] = result
+    return [result for result in ordered if result is not None], runner.last_report
+
+
 def run_campaign(
     config: CampaignConfig,
     runner_config: Optional[SweepRunnerConfig] = None,
@@ -328,10 +357,10 @@ def run_campaign(
 
     Parallelism reuses :class:`repro.core.parallel.ParallelSweepRunner`'s
     deterministic chunking, so inline and parallel runs return identical
-    result lists.  A worker death surfaces as a structured
-    :class:`repro.exec.errors.WorkerCrashError` (via the runner) rather
-    than an opaque ``BrokenProcessPool``; for a campaign that must
-    *survive* such faults, use :func:`run_campaign_supervised`.
+    result lists.  Without a ``runner_config.policy`` it fails fast: a
+    trial's exception aborts it, and a worker death surfaces as a
+    structured :class:`repro.exec.errors.WorkerCrashError`; for a campaign
+    that must *survive* such faults, use :func:`run_campaign_supervised`.
 
     ``engine="ensemble"`` flies trials in vectorized groups of up to
     ``ensemble_width`` through :func:`repro.chaos.ensemble
@@ -340,23 +369,8 @@ def run_campaign(
     scalar engine (the contract :func:`verify_replay` checks), just
     faster.
     """
-    _check_engine(engine)
-    specs = generate_campaign(config)
-    runner = ParallelSweepRunner(
-        runner_config
-        if runner_config is not None
-        else SweepRunnerConfig(parallel=False)
-    )
-    if engine == "scalar":
-        return runner.map(_run_trial_item, [(spec, config) for spec in specs])
-    batches = runner.map(
-        _run_ensemble_item, _ensemble_items(specs, config, ensemble_width)
-    )
-    ordered: List[Optional[TrialResult]] = [None] * len(specs)
-    for batch in batches:
-        for index, result in batch:
-            ordered[index] = result
-    return [result for result in ordered if result is not None]
+    results, _ = _fly_campaign(config, runner_config, engine, ensemble_width)
+    return results
 
 
 @dataclass
@@ -396,38 +410,13 @@ def run_campaign_supervised(
     retry is quarantined together, and its trials are absent from
     :attr:`CampaignRun.results`.
     """
-    _check_engine(engine)
-    specs = generate_campaign(config)
-    base = (
-        runner_config
-        if runner_config is not None
-        else SweepRunnerConfig(parallel=False)
-    )
+    base = runner_config or SweepRunnerConfig(parallel=False)
     supervised_config = replace(
-        base, supervised=True, policy=policy if policy is not None else base.policy
+        base, policy=policy or base.policy or ExecutionPolicy()
     )
-    runner = ParallelSweepRunner(supervised_config)
-    if engine == "scalar":
-        raw = runner.map(
-            _run_trial_item,
-            [(spec, config) for spec in specs],
-            journal=journal_path,
-        )
-        results = [result for result in raw if isinstance(result, TrialResult)]
-    else:
-        raw = runner.map(
-            _run_ensemble_item,
-            _ensemble_items(specs, config, ensemble_width),
-            journal=journal_path,
-        )
-        ordered: List[Optional[TrialResult]] = [None] * len(specs)
-        for batch in raw:
-            if not isinstance(batch, list):
-                continue  # quarantined group placeholder
-            for index, result in batch:
-                ordered[index] = result
-        results = [result for result in ordered if result is not None]
-    report = runner.last_report
+    results, report = _fly_campaign(
+        config, supervised_config, engine, ensemble_width, journal_path
+    )
     quarantined = tuple(report.quarantined) if report is not None else ()
     return CampaignRun(
         results=results, quarantined=quarantined, execution=report

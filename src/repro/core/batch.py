@@ -418,15 +418,6 @@ def _required_kv(
 
 @pure
 @hot_path
-def _motor_set_weight_g(kv: np.ndarray, thrust_per_motor_g: np.ndarray) -> np.ndarray:
-    """Vectorized ``4 * motor_mass_g_for`` (x^0.75 as sqrt(x*sqrt(x)))."""
-    torque_proxy = thrust_per_motor_g / np.sqrt(kv)
-    mass_g = 4.2 * np.sqrt(torque_proxy * np.sqrt(torque_proxy))
-    return 4.0 * np.maximum(2.0, mass_g)
-
-
-@pure
-@hot_path
 def _per_motor_current_a(
     thrust_n: np.ndarray,
     induced_power_sqrt_term: np.ndarray,
@@ -441,15 +432,6 @@ def _per_motor_current_a(
     ideal_w = thrust_n * np.sqrt(thrust_n) / induced_power_sqrt_term
     power_w = ideal_w / (constants.FULL_THROTTLE_OVERALL_EFFICIENCY * 1.0)
     return power_w / voltage_v
-
-
-@pure
-@hot_path
-def _esc_set_weight_g(per_motor_current_a: np.ndarray, esc_class: EscClass) -> np.ndarray:
-    """Vectorized ``esc_set_weight_g`` (Figure 8a fit, floor at 4 g)."""
-    fit = FIG8A_WEIGHT_FITS[esc_class]
-    current_a = np.maximum(per_motor_current_a, 1.0)
-    return np.maximum(4.0, fit.slope * current_a + fit.intercept)
 
 
 @pure

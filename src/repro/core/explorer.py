@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.components.compute import ADVANCED_CHIP_POWER_W, BASIC_CHIP_POWER_W
 from repro.core.batch import capacity_cells_grid, evaluate_batch
-from repro.core.design import DesignEvaluation, DroneDesign
-from repro.core.equations import InfeasibleDesignError
+from repro.core.design import DesignEvaluation
 from repro.physics import constants
 
 #: Capacity sweep range from the paper's procedure (Section 3.2).
@@ -106,7 +105,6 @@ def sweep_wheelbase(
     payload_g: float = 0.0,
     twr: float = constants.MIN_FLYABLE_TWR,
     avionics_weight_g: Optional[float] = None,
-    engine: str = "batch",
 ) -> SweepResult:
     """Sweep battery capacity and cell count for one wheelbase (Fig 10a-c).
 
@@ -114,77 +112,46 @@ def sweep_wheelbase(
     with the wheelbase by default: a 450 mm build carries ~80 g of avionics
     (the paper's own drone, Figure 14) while a 100 mm build carries far less.
 
-    ``engine`` selects the evaluation backend: ``"batch"`` (default) runs
-    the vectorized engine (:mod:`repro.core.batch`); ``"scalar"`` keeps the
-    original one-design-at-a-time loop as the oracle.  The two are
-    bit-for-bit equal (pinned by ``tests/test_core_batch.py``).
+    The grid runs through the vectorized engine (:mod:`repro.core.batch`),
+    bit-for-bit equal to the one-design-at-a-time oracle
+    :func:`repro.oracles.sweep_wheelbase` (pinned by
+    ``tests/test_core_batch.py``).
     """
-    if engine not in ("batch", "scalar"):
-        raise ValueError(f"unknown sweep engine: {engine!r}")
     if avionics_weight_g is None:
         avionics_weight_g = min(120.0, max(10.0, 80.0 * wheelbase_mm / 450.0))
     result = SweepResult(wheelbase_mm=wheelbase_mm)
     cell_list = [int(c) for c in cell_counts]
     capacity_list = [float(c) for c in capacities_mah]
-    if engine == "batch":
-        if not cell_list or not capacity_list:
-            return result
-        batch = evaluate_batch(
-            wheelbase_mm,
-            compute_power_w=compute_power_w,
-            compute_weight_g=compute_weight_g,
-            sensors_power_w=sensors_power_w,
-            sensors_weight_g=sensors_weight_g,
-            payload_g=payload_g,
-            twr=twr,
-            avionics_weight_g=avionics_weight_g,
-            **capacity_cells_grid(tuple(cell_list), tuple(capacity_list)),
-        )
-        for index, (cells, capacity) in enumerate(
-            (c, cap) for c in cell_list for cap in capacity_list
-        ):
-            evaluation = batch.evaluation(index)
-            if evaluation is None:
-                result.infeasible.append(
-                    (cells, capacity, batch.failure_message(index))
-                )
-                continue
-            result.points.append(
-                SweepPoint(
-                    wheelbase_mm=wheelbase_mm,
-                    cells=cells,
-                    capacity_mah=capacity,
-                    evaluation=evaluation,
-                )
-            )
+    if not cell_list or not capacity_list:
         return result
-    for cells in cell_list:
-        for capacity in capacity_list:
-            design = DroneDesign(
+    batch = evaluate_batch(
+        wheelbase_mm,
+        compute_power_w=compute_power_w,
+        compute_weight_g=compute_weight_g,
+        sensors_power_w=sensors_power_w,
+        sensors_weight_g=sensors_weight_g,
+        payload_g=payload_g,
+        twr=twr,
+        avionics_weight_g=avionics_weight_g,
+        **capacity_cells_grid(tuple(cell_list), tuple(capacity_list)),
+    )
+    for index, (cells, capacity) in enumerate(
+        (c, cap) for c in cell_list for cap in capacity_list
+    ):
+        evaluation = batch.evaluation(index)
+        if evaluation is None:
+            result.infeasible.append(
+                (cells, capacity, batch.failure_message(index))
+            )
+            continue
+        result.points.append(
+            SweepPoint(
                 wheelbase_mm=wheelbase_mm,
-                battery_cells=cells,
-                battery_capacity_mah=capacity,
-                compute_power_w=compute_power_w,
-                compute_weight_g=compute_weight_g,
-                sensors_power_w=sensors_power_w,
-                sensors_weight_g=sensors_weight_g,
-                payload_g=payload_g,
-                twr=twr,
-                avionics_weight_g=avionics_weight_g,
+                cells=cells,
+                capacity_mah=capacity,
+                evaluation=evaluation,
             )
-            try:
-                evaluation = design.evaluate()
-            except InfeasibleDesignError as error:
-                result.infeasible.append((cells, capacity, str(error)))
-                continue
-            result.points.append(
-                SweepPoint(
-                    wheelbase_mm=wheelbase_mm,
-                    cells=cells,
-                    capacity_mah=capacity,
-                    evaluation=evaluation,
-                )
-            )
+        )
     return result
 
 

@@ -1,36 +1,29 @@
-"""Opt-in parallel runner for simulator-backed sweep workloads.
+"""Parallel runner for simulator-backed sweep workloads.
 
 The vectorized engine (:mod:`repro.core.batch`) makes the closed-form
 Equation 1-7 sweeps cheap enough that process parallelism would only add
 overhead.  Simulator-backed studies are different: each design point costs
-a full :class:`repro.sim.simulator.FlightSimulator` run (tens of thousands
-of physics ticks of pure-Python work), so fanning points out across worker
-processes wins near-linearly.
+a full :class:`repro.sim.simulator.FlightSimulator` run, so fanning points
+out across worker processes wins near-linearly.
 
-:class:`ParallelSweepRunner` wraps ``concurrent.futures.ProcessPoolExecutor``
-with the guarantees a reproduction repo needs:
+There is one execution path: :meth:`ParallelSweepRunner.map` always runs
+through :class:`repro.exec.supervised.SupervisedPool`; only the policy
+differs.  Without a ``policy`` or ``journal`` the map fails fast
+(:data:`FAIL_FAST`): the first failing item, in chunk order, aborts it
+with its own exception carrying ``sweep_item_index``, and a worker death
+raises :class:`repro.exec.errors.WorkerCrashError`.  With either, it is
+supervised — retries, hang detection, quarantine, degradation, and
+checkpoint/resume — and ``runner.last_report`` holds the
+:class:`repro.exec.report.ExecutionReport`.  Chunks are contiguous and
+depend only on input order, results come back in input order, and
+``parallel=False`` (or one worker) runs inline, as hermetic tests do.
 
-* **Deterministic chunking** — items are split into fixed-size contiguous
-  chunks ``[items[0:n], items[n:2n], ...]``; the split depends only on the
-  input order and :class:`SweepRunnerConfig`, never on worker scheduling.
-* **Deterministic ordering** — results always come back in input order, so
-  a parallel run is a drop-in substitute for the serial loop it replaces.
-* **Worker count from config** — ``SweepRunnerConfig.max_workers`` (default:
-  ``os.cpu_count()``); ``parallel=False`` runs everything inline in the
-  calling process, which is the mode tests use to stay hermetic.
-* **Attributed failures** — a chunk exception cancels all pending chunks,
-  shuts the executor down with ``cancel_futures=True``, and re-raises the
-  original exception with the failing item's global index attached as
-  ``sweep_item_index``; a worker death surfaces as a structured
-  :class:`repro.exec.errors.WorkerCrashError` instead of an opaque
-  ``BrokenProcessPool``.
-* **Supervised mode** — ``SweepRunnerConfig(supervised=True)`` (or passing
-  ``journal=`` to :meth:`ParallelSweepRunner.map`) routes execution
-  through :class:`repro.exec.supervised.SupervisedPool`: retries with
-  backoff, heartbeat hang detection, poison-item quarantine, graceful
-  degradation to inline execution, and checkpoint/resume.  The resulting
-  :class:`repro.exec.report.ExecutionReport` is exposed on
-  ``runner.last_report``.
+The numeric fast paths under the sweeps and studies have one path too: no
+public signature takes an ``engine=`` switch.  Their scalar oracles live
+in the private :mod:`repro.oracles`, and one harness
+(``tests/equivalence.py``) holds each fast path to its DESIGN.md
+§Performance tier: ``bitwise``, ``counter-exact`` (integers exact), or
+``allclose`` (integer decisions still exact).
 
 The mapped callable runs in worker processes, so it (and its arguments)
 must be picklable — define it at module level, not as a lambda or closure.
@@ -39,16 +32,17 @@ must be picklable — define it at module level, not as a lambda or closure.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, List, Optional, TypeVar, Union
 
-from repro.exec.errors import ChunkExecutionError, WorkerCrashError
 from repro.exec.policy import ExecutionPolicy
+from repro.exec.supervised import SupervisedPool, chunk_items  # chunk_items re-exported
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
+
+#: The policy of an unsupervised map: the first failing item aborts it.
+FAIL_FAST = ExecutionPolicy(max_attempts=1, quarantine=False)
 
 
 @dataclass(frozen=True)
@@ -58,10 +52,8 @@ class SweepRunnerConfig:
     max_workers: Optional[int] = None
     chunk_size: int = 4
     parallel: bool = True
-    #: Route execution through the supervised pool (retries, quarantine,
-    #: degradation) even when no checkpoint journal is attached.
-    supervised: bool = False
-    #: Supervision knobs; ``None`` uses :class:`ExecutionPolicy` defaults.
+    #: Supervision knobs (retries, quarantine, degradation); ``None`` fails
+    #: fast unless a journal is attached, which supervises with defaults.
     policy: Optional[ExecutionPolicy] = None
 
     def __post_init__(self) -> None:
@@ -78,35 +70,6 @@ class SweepRunnerConfig:
         if self.max_workers is not None:
             return self.max_workers
         return max(1, os.cpu_count() or 1)
-
-
-def _run_chunk(
-    fn: Callable[[_ItemT], _ResultT], chunk: Sequence[_ItemT]
-) -> List[_ResultT]:
-    """Evaluate one contiguous chunk in a worker process."""
-    return [fn(item) for item in chunk]
-
-
-def _run_chunk_span(
-    fn: Callable[[_ItemT], _ResultT],
-    chunk: Sequence[_ItemT],
-    base_index: int,
-) -> List[_ResultT]:
-    """Evaluate one chunk, attributing any failure to its global index."""
-    results: List[_ResultT] = []
-    for offset, item in enumerate(chunk):
-        try:
-            results.append(fn(item))
-        except Exception as exc:
-            raise ChunkExecutionError(base_index + offset, exc) from None
-    return results
-
-
-def chunk_items(items: Sequence[_ItemT], chunk_size: int) -> List[Sequence[_ItemT]]:
-    """Split ``items`` into contiguous chunks of at most ``chunk_size``."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return [items[start : start + chunk_size] for start in range(0, len(items), chunk_size)]
 
 
 class ParallelSweepRunner:
@@ -127,82 +90,28 @@ class ParallelSweepRunner:
     ) -> List[_ResultT]:
         """``[fn(item) for item in items]`` — possibly across processes.
 
-        Results are returned in input order.  An exception raised by ``fn``
-        for any item cancels the remaining chunks and propagates to the
-        caller with ``sweep_item_index`` attached, matching the serial
-        loop's behavior; callables that must survive infeasible points
-        should catch and encode their own errors — or run supervised
-        (``config.supervised=True`` or ``journal=``), where poison items
-        are quarantined as :class:`repro.exec.supervised.QuarantinedItem`
-        failure codes instead of aborting the sweep.
+        Results are returned in input order.  Without a policy or journal
+        an exception raised by ``fn`` aborts the map and propagates with
+        ``sweep_item_index`` attached, matching the serial loop; callables
+        that must survive infeasible points should catch and encode their
+        own errors — or run supervised (``config.policy`` or ``journal=``),
+        where poison items are quarantined as
+        :class:`repro.exec.supervised.QuarantinedItem` failure codes
+        instead of aborting the sweep.
         """
         self.last_report = None
         materialized = list(items)
         if not materialized:
             return []
-        if self.config.supervised or journal is not None:
-            return self._map_supervised(fn, materialized, journal)
-        workers = min(self.config.resolved_workers, len(materialized))
-        if not self.config.parallel or workers == 1:
-            return self._map_serial(fn, materialized)
-        chunks = chunk_items(materialized, self.config.chunk_size)
-        pool_workers = min(workers, len(chunks))
-        pool = ProcessPoolExecutor(max_workers=pool_workers)
-        try:
-            futures = [
-                pool.submit(
-                    _run_chunk_span, fn, chunk, cid * self.config.chunk_size
-                )
-                for cid, chunk in enumerate(chunks)
-            ]
-            chunk_results: List[List[_ResultT]] = []
-            for chunk_id, future in enumerate(futures):
-                try:
-                    chunk_results.append(future.result())
-                except ChunkExecutionError as exc:
-                    for pending in futures:
-                        pending.cancel()
-                    original = exc.original
-                    setattr(original, "sweep_item_index", exc.item_index)
-                    raise original from None
-                except BrokenProcessPool as exc:
-                    for pending in futures:
-                        pending.cancel()
-                    raise WorkerCrashError(
-                        chunk_id=chunk_id, workers=pool_workers, attempt=1
-                    ) from exc
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [result for chunk in chunk_results for result in chunk]
-
-    def _map_serial(
-        self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> List[_ResultT]:
-        """The inline fallback, with the same failure attribution."""
-        results: List[_ResultT] = []
-        for index, item in enumerate(items):
-            try:
-                results.append(fn(item))
-            except Exception as exc:
-                setattr(exc, "sweep_item_index", index)
-                raise
-        return results
-
-    def _map_supervised(
-        self,
-        fn: Callable[[_ItemT], _ResultT],
-        items: Sequence[_ItemT],
-        journal: Optional[Union[str, "os.PathLike[str]", Any]],
-    ) -> List[_ResultT]:
-        from repro.exec.supervised import SupervisedPool
-
+        supervised = self.config.policy is not None or journal is not None
         pool = SupervisedPool(
-            workers=min(self.config.resolved_workers, len(items)),
+            workers=min(self.config.resolved_workers, len(materialized)),
             chunk_size=self.config.chunk_size,
-            policy=self.config.policy,
+            policy=self.config.policy if supervised else FAIL_FAST,
             journal=journal,
             parallel=self.config.parallel,
         )
-        outcome = pool.map(fn, items)
-        self.last_report = outcome.report
+        outcome = pool.map(fn, materialized)
+        if supervised:
+            self.last_report = outcome.report
         return outcome.results

@@ -1,6 +1,6 @@
 """Fault-tolerant execution layer for sweeps and chaos campaigns.
 
-Wraps and supersedes the bare ``ProcessPoolExecutor`` under
+The one execution path under
 :class:`repro.core.parallel.ParallelSweepRunner`:
 
 * :mod:`repro.exec.supervised` — the :class:`SupervisedPool`: per-chunk

@@ -90,6 +90,12 @@ class QuarantinedItem:
     error_type: str
     error_message: str
 
+    @classmethod
+    def of(cls, record: QuarantineRecord) -> "QuarantinedItem":
+        """The failure code standing in for ``record``'s item."""
+        return cls(record.item_index, record.attempts, record.error_type,
+                   record.error_message)
+
 
 @dataclass
 class ExecutionOutcome:
@@ -127,9 +133,8 @@ def _run_span(
     return results
 
 
-def _chunk_spans(items: Sequence[Any], chunk_size: int) -> List[Sequence[Any]]:
-    """Contiguous chunks of at most ``chunk_size`` (local to avoid an
-    import cycle with :mod:`repro.core.parallel`, which delegates here)."""
+def chunk_items(items: Sequence[Any], chunk_size: int) -> List[Sequence[Any]]:
+    """Split ``items`` into contiguous chunks of at most ``chunk_size``."""
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     return [
@@ -186,7 +191,7 @@ class SupervisedPool:
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> ExecutionOutcome:
         materialized = list(items)
-        chunks = _chunk_spans(materialized, self.chunk_size)
+        chunks = chunk_items(materialized, self.chunk_size)
         report = ExecutionReport(
             chunks_total=len(chunks), final_workers=self.workers
         )
@@ -194,9 +199,10 @@ class SupervisedPool:
         if not materialized:
             return ExecutionOutcome([], report)
 
-        fingerprints = [fingerprint_value(list(chunk)) for chunk in chunks]
         results: Dict[int, List[Any]] = {}
+        fingerprints: List[str] = []  # only a journal binds chunks to inputs
         if self.journal is not None:
+            fingerprints = [fingerprint_value(list(chunk)) for chunk in chunks]
             entries = self.journal.start(self._header(fn, chunks, fingerprints))
             for chunk_id, entry in entries.items():
                 if (
@@ -329,6 +335,9 @@ class SupervisedPool:
                         poisoned.append((cid, exc))
                     else:
                         retry.append(cid)
+                # Ascending chunk order: without quarantine the first
+                # poisoned chunk's failure is raised, whatever finished first.
+                poisoned.sort(key=lambda failure: failure[0])
                 for cid, exc in poisoned:
                     self._resolve_poison(
                         fn, chunks, fingerprints, cid, attempts[cid], exc,
@@ -445,6 +454,11 @@ class SupervisedPool:
                         refund(cid)  # queued, never started: not charged
                 unresolved.clear()
                 break
+            if not policy.quarantine and unresolved:
+                fatal = [cid for cid, exc in failures
+                         if exc is not None and attempts[cid] >= policy.max_attempts]
+                if fatal and min(fatal) < min(unresolved.values()):
+                    break  # fail fast: no chunk still running can fail first
 
             # Hang detection is inherently a host-clock judgment: monotonic
             # for elapsed budgets, wall time to compare heartbeat mtimes.
@@ -507,7 +521,10 @@ class SupervisedPool:
         report: ExecutionReport,
     ) -> None:
         if not self.policy.quarantine:
-            raise exc
+            if isinstance(exc, ChunkExecutionError):  # the item's own error
+                setattr(exc.original, "sweep_item_index", exc.item_index)
+                exc = exc.original
+            raise exc from None
         report.record(
             ExecState.RETRYING,
             f"chunk {chunk_id} exhausted {chunk_attempts} attempt(s): "
@@ -543,13 +560,7 @@ class SupervisedPool:
             record = self._quarantine_record(
                 base_index, chunk_id, chunk_attempts + 1, payload
             )
-            sentinel = QuarantinedItem(
-                item_index=record.item_index,
-                attempts=record.attempts,
-                error_type=record.error_type,
-                error_message=record.error_message,
-            )
-            return [sentinel], [record]
+            return [QuarantinedItem.of(record)], [record]
         mid = len(span) // 2
         left_values, left_records = self._bisect(
             fn, span[:mid], base_index, chunk_id, chunk_attempts, report
@@ -642,11 +653,14 @@ class SupervisedPool:
             values: List[Any] = []
             records: List[QuarantineRecord] = []
             for offset, item in enumerate(chunks[chunk_id]):
-                failure: Optional[BaseException] = None
-                for attempt in range(1, policy.max_attempts + 1):
-                    if attempt > 1:
-                        report.retries += 1
-                        time.sleep(policy.backoff_s(attempt - 1))
+                try:
+                    values.append(fn(item))
+                    continue  # the fault-free case pays for one try only
+                except Exception as exc:
+                    failure: Optional[BaseException] = exc
+                for attempt in range(2, policy.max_attempts + 1):
+                    report.retries += 1
+                    time.sleep(policy.backoff_s(attempt - 1))
                     try:
                         values.append(fn(item))
                         failure = None
@@ -655,6 +669,7 @@ class SupervisedPool:
                         failure = exc
                 if failure is not None:
                     if not policy.quarantine:
+                        setattr(failure, "sweep_item_index", base_index + offset)
                         raise failure
                     record = self._quarantine_record(
                         base_index + offset,
@@ -663,14 +678,7 @@ class SupervisedPool:
                         failure,
                     )
                     records.append(record)
-                    values.append(
-                        QuarantinedItem(
-                            item_index=record.item_index,
-                            attempts=record.attempts,
-                            error_type=record.error_type,
-                            error_message=record.error_message,
-                        )
-                    )
+                    values.append(QuarantinedItem.of(record))
             self._complete(
                 chunk_id, values, records, fingerprints, results, report
             )

@@ -123,41 +123,38 @@ class InOrderCore:
         self.tlb.stats.reset()
         self.predictor.stats.reset()
 
-    def run_trace(
-        self, context: str, trace: Trace, engine: str = "batch"
-    ) -> PerfCounters:
+    def run_trace(self, context: str, trace: Trace) -> PerfCounters:
         """Execute a whole trace under one context; returns its counters."""
-        return self.run_segments([(context, trace)], engine=engine)[context]
+        return self.run_segments([(context, trace)])[context]
 
     def run_segments(
-        self, segments: List[Tuple[str, Trace]], engine: str = "batch"
+        self, segments: List[Tuple[str, Trace]]
     ) -> Dict[str, PerfCounters]:
         """Execute scheduled segments (from :func:`workload.interleave`).
 
-        ``engine="batch"`` dispatches to :mod:`repro.platforms.trace_engine`
-        (vectorized decode + ordered-structure LRU kernels, counter-exact
-        against the scalar path); ``engine="scalar"`` keeps the
-        per-access oracle.  Unsupported structure geometries and traces
-        with negative addresses run scalar transparently.
+        Runs :mod:`repro.platforms.trace_engine`, counter-exact against the
+        per-access oracle :func:`repro.oracles.run_segments`; unsupported
+        geometries and negative addresses fall back to the per-access loop.
         """
-        if engine not in ("batch", "scalar"):
-            raise ValueError(f"unknown engine: {engine!r}")
         if not segments:
             raise ValueError("no segments to execute")
-        if engine == "batch":
-            from repro.platforms import trace_engine
+        from repro.platforms import trace_engine
 
-            if trace_engine.supports_batch(self):
-                counters = trace_engine.run_segments_batch(self, segments)
-                if counters is not None:
-                    return counters
+        if trace_engine.supports_batch(self):
+            counters = trace_engine.run_segments_batch(self, segments)
+            if counters is not None:
+                return counters
         for context, trace in segments:
             self._switch_to(context)
             self._execute_segment_scalar(context, trace)
         return self.counters
 
     def _execute_segment_scalar(self, context: str, trace: Trace) -> None:
-        """The per-access oracle: one segment through the scalar structures."""
+        """The per-access loop: one segment through the scalar structures.
+
+        Both the fallback of :meth:`run_segments` and the oracle the batch
+        trace engine is checked against.
+        """
         penalties = self.penalties
         counter = self.counters[context]
         llc_before = self.llc.stats.accesses

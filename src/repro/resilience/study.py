@@ -19,6 +19,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
+from repro.exec.policy import ExecutionPolicy
 from repro.faults.perception import (
     PerceptionFaultInjector,
     PerceptionScenario,
@@ -195,7 +196,7 @@ def degradation_study(
         )
     if runner is None:
         runner = ParallelSweepRunner(
-            SweepRunnerConfig(parallel=False, supervised=True)
+            SweepRunnerConfig(parallel=False, policy=ExecutionPolicy())
         )
     pairs = runner.map(
         _scenario_pair, [scenario.name for scenario in matrix], journal=journal

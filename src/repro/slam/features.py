@@ -40,27 +40,19 @@ class FeatureSet:
 
 @dataclass
 class OrbExtractor:
-    """Budgeted, grid-bucketed feature selection.
-
-    ``engine`` selects the bucketing implementation: ``"batch"`` (vectorized
-    argsort/lexsort round-robin) or ``"scalar"`` (the per-keypoint dict
-    oracle).  Both return the identical keep set.
-    """
+    """Budgeted, grid-bucketed feature selection (vectorized round-robin)."""
 
     max_features: int = 400
     grid_cols: int = 8
     grid_rows: int = 6
     image_width: float = 752.0
     image_height: float = 480.0
-    engine: str = "batch"
 
     def __post_init__(self) -> None:
         if self.max_features <= 0:
             raise ValueError(f"max_features must be positive: {self.max_features}")
         if self.grid_cols <= 0 or self.grid_rows <= 0:
             raise ValueError("grid dimensions must be positive")
-        if self.engine not in ("batch", "scalar"):
-            raise ValueError(f"unknown engine: {self.engine!r}")
 
     def extract(self, frame: Frame) -> FeatureSet:
         """Select up to ``max_features`` keypoints with spatial spread."""
@@ -74,24 +66,22 @@ class OrbExtractor:
                 operations=OPS_PER_FRAME_BASE,
             )
         if count <= self.max_features:
-            keep = np.arange(count)
-        else:
-            keep = self._bucketed_selection(frame.keypoints_px)
-        operations = OPS_PER_FRAME_BASE + OPS_PER_KEYPOINT * int(keep.size)
-        return FeatureSet(
-            frame_index=frame.index,
-            landmark_ids=frame.landmark_ids[keep],
-            keypoints_px=frame.keypoints_px[keep],
-            descriptors=frame.descriptors[keep],
-            operations=operations,
-        )
+            return _select(frame, np.arange(count))
+        return _select(frame, self._bucketed_selection(frame.keypoints_px))
 
     def _bucketed_selection(self, keypoints_px: np.ndarray) -> np.ndarray:
-        """Round-robin across grid cells so features cover the image."""
+        """Round-robin across grid cells so features cover the image.
+
+        Ranking keypoints by (within-cell rank, cell) reproduces the bucket
+        walk of :func:`repro.oracles.orb_extract`, so both keep one set.
+        """
+        from repro.slam.kernels import bucketed_ranks
+
         cells = self._grid_cells(keypoints_px)
-        if self.engine == "batch":
-            return self._bucketed_selection_batch(cells)
-        return self._bucketed_selection_scalar(cells)
+        order, depth = bucketed_ranks(cells)
+        round_robin = np.lexsort((cells[order], depth))
+        selected = order[round_robin[: self.max_features]]
+        return np.sort(selected).astype(int)
 
     def _grid_cells(self, keypoints_px: np.ndarray) -> np.ndarray:
         cols = np.clip(
@@ -106,40 +96,16 @@ class OrbExtractor:
         )
         return rows * self.grid_cols + cols
 
-    def _bucketed_selection_batch(self, cells: np.ndarray) -> np.ndarray:
-        """Vectorized round-robin: rank keypoints (depth, cell) and cut.
 
-        The scalar walk visits buckets depth 0 across ascending cells, then
-        depth 1, ... — i.e. keypoints ordered lexicographically by
-        (within-cell rank, cell).  ``lexsort`` reproduces that order, so the
-        first ``max_features`` entries are the identical keep set.
-        """
-        from repro.slam.kernels import bucketed_ranks
-
-        order, depth = bucketed_ranks(cells)
-        round_robin = np.lexsort((cells[order], depth))
-        selected = order[round_robin[: self.max_features]]
-        return np.sort(selected).astype(int)
-
-    def _bucketed_selection_scalar(self, cells: np.ndarray) -> np.ndarray:
-        order = np.argsort(cells, kind="stable")
-        buckets = {}
-        for idx in order:
-            buckets.setdefault(int(cells[idx]), []).append(int(idx))
-        selected = []
-        depth = 0
-        while len(selected) < self.max_features:
-            progressed = False
-            for cell_indices in buckets.values():
-                if depth < len(cell_indices):
-                    selected.append(cell_indices[depth])
-                    progressed = True
-                    if len(selected) >= self.max_features:
-                        break
-            if not progressed:
-                break
-            depth += 1
-        return np.asarray(sorted(selected), dtype=int)
+def _select(frame: Frame, keep: np.ndarray) -> FeatureSet:
+    """The features at indices ``keep`` of ``frame``, with their cost."""
+    return FeatureSet(
+        frame_index=frame.index,
+        landmark_ids=frame.landmark_ids[keep],
+        keypoints_px=frame.keypoints_px[keep],
+        descriptors=frame.descriptors[keep],
+        operations=OPS_PER_FRAME_BASE + OPS_PER_KEYPOINT * int(keep.size),
+    )
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
@@ -150,25 +116,18 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def hamming_distance_matrix(
-    descriptors_a: np.ndarray, descriptors_b: np.ndarray, engine: str = "batch"
+    descriptors_a: np.ndarray, descriptors_b: np.ndarray
 ) -> Tuple[np.ndarray, int]:
     """All-pairs Hamming distances plus the operation count.
 
     Returns (distances [A, B] uint16, ops).  This is the brute-force matcher
-    kernel; FPGA front ends pipeline exactly this computation.  The default
-    ``"batch"`` engine uses the packed popcount-LUT kernel; ``"scalar"``
-    keeps the unpackbits oracle.  Both are bit-for-bit identical.
+    kernel; FPGA front ends pipeline exactly this computation.  It runs the
+    packed popcount-LUT kernel, bit-for-bit equal to the unpackbits oracle.
     """
     if descriptors_a.ndim != 2 or descriptors_b.ndim != 2:
         raise ValueError("descriptor arrays must be 2-D")
-    if engine == "batch":
-        from repro.slam.kernels import hamming_matrix
+    from repro.slam.kernels import hamming_matrix
 
-        distances = hamming_matrix(descriptors_a, descriptors_b)
-    elif engine == "scalar":
-        xor = np.bitwise_xor(descriptors_a[:, None, :], descriptors_b[None, :, :])
-        distances = np.unpackbits(xor, axis=2).sum(axis=2).astype(np.uint16)
-    else:
-        raise ValueError(f"unknown engine: {engine!r}")
+    distances = hamming_matrix(descriptors_a, descriptors_b)
     operations = int(descriptors_a.shape[0] * descriptors_b.shape[0] * 256)
     return distances, operations

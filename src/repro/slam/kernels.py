@@ -1,8 +1,10 @@
 """Vectorized SLAM numeric kernels (the batch engine of the perception stack).
 
-The scalar SLAM modules (:mod:`features`, :mod:`matching`, :mod:`tracking`,
-:mod:`bundle_adjustment`) loop per descriptor pair or per observation; these
-kernels evaluate the same arithmetic over stacked NumPy arrays.  They are the
+The scalar oracles of the SLAM stage functions (:mod:`repro.oracles`) loop
+per descriptor pair or per observation; these kernels, which the stage
+functions in :mod:`features`, :mod:`matching`, :mod:`tracking`, and
+:mod:`bundle_adjustment` run, evaluate the same arithmetic over stacked
+NumPy arrays.  They are the
 perception-side analogue of :mod:`repro.core.batch` and follow the same
 equivalence discipline:
 
@@ -62,13 +64,6 @@ def hamming_matrix(descriptors_a: np.ndarray, descriptors_b: np.ndarray) -> np.n
     """
     xor = np.bitwise_xor(descriptors_a[:, None, :], descriptors_b[None, :, :])
     return _POPCOUNT[xor].sum(axis=2).astype(np.uint16)
-
-
-@pure
-def hamming_rows(descriptors: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Hamming distance of each descriptor row against one query descriptor."""
-    xor = np.bitwise_xor(descriptors, query[None, :])
-    return _POPCOUNT[xor].sum(axis=1)
 
 
 @pure

@@ -32,49 +32,18 @@ class MatchResult:
         return len(self.matches)
 
 
-def match_features(a: FeatureSet, b: FeatureSet, engine: str = "batch") -> MatchResult:
+def match_features(a: FeatureSet, b: FeatureSet) -> MatchResult:
     """Brute-force Hamming matching with ratio and cross checks.
 
-    ``engine="batch"`` vectorizes best/second-best selection and the cross
-    check; ``engine="scalar"`` is the per-row oracle.  All decisions are on
-    integer distances, so the engines agree bit-for-bit.
+    Best/second-best selection and the cross check are vectorized and
+    mirror the per-row walk of :func:`repro.oracles.match_features`
+    decision-for-decision: ``argmin`` picks the same first-minimum
+    candidate, ``partition`` the same second-best, and the cross check
+    compares the same column argmins, all on integer distances.
     """
-    if engine not in ("batch", "scalar"):
-        raise ValueError(f"unknown engine: {engine!r}")
     if a.count == 0 or b.count == 0:
         return MatchResult(matches=[], operations=0)
-    distances, operations = hamming_distance_matrix(
-        a.descriptors, b.descriptors, engine=engine
-    )
-    if engine == "batch":
-        matches = _accept_mutual_matches(distances)
-        return MatchResult(matches=matches, operations=operations)
-    best_b = np.argmin(distances, axis=1)
-    matches = []
-    for index_a, index_b in enumerate(best_b):
-        row = distances[index_a]
-        best = int(row[index_b])
-        if best > MAX_MATCH_DISTANCE:
-            continue
-        # Ratio test against the second-best candidate.
-        if row.size > 1:
-            second = int(np.partition(row, 1)[1])
-            if second > 0 and best > RATIO_TEST * second:
-                continue
-        # Mutual consistency: b's best must point back to a.
-        if int(np.argmin(distances[:, index_b])) != index_a:
-            continue
-        matches.append(Match(index_a=index_a, index_b=int(index_b), distance=best))
-    return MatchResult(matches=matches, operations=operations)
-
-
-def _accept_mutual_matches(distances: np.ndarray) -> List[Match]:
-    """Vectorized distance/ratio/cross-check acceptance over a distance matrix.
-
-    Mirrors the scalar loop decision-for-decision: ``argmin`` picks the same
-    first-minimum candidate, ``partition`` the same second-best, and the
-    cross check compares the same column argmins.
-    """
+    distances, operations = hamming_distance_matrix(a.descriptors, b.descriptors)
     rows = np.arange(distances.shape[0])
     best_b = np.argmin(distances, axis=1)
     best = distances[rows, best_b].astype(np.int64)
@@ -84,51 +53,38 @@ def _accept_mutual_matches(distances: np.ndarray) -> List[Match]:
         accept &= ~((second > 0) & (best > RATIO_TEST * second))
     col_best = np.argmin(distances, axis=0)
     accept &= col_best[best_b] == rows
-    return [
+    matches = [
         Match(index_a=int(i), index_b=int(best_b[i]), distance=int(best[i]))
         for i in np.nonzero(accept)[0]
     ]
+    return MatchResult(matches=matches, operations=operations)
 
 
 def match_against_map(
     features: FeatureSet,
     map_descriptors: np.ndarray,
     map_landmark_ids: np.ndarray,
-    engine: str = "batch",
 ) -> MatchResult:
     """Match a frame's features against stored map-point descriptors."""
-    if engine not in ("batch", "scalar"):
-        raise ValueError(f"unknown engine: {engine!r}")
     if map_descriptors.shape[0] != map_landmark_ids.shape[0]:
         raise ValueError("map descriptors and ids must align")
     if features.count == 0 or map_descriptors.shape[0] == 0:
         return MatchResult(matches=[], operations=0)
     distances, operations = hamming_distance_matrix(
-        features.descriptors, map_descriptors, engine=engine
+        features.descriptors, map_descriptors
     )
     best_map = np.argmin(distances, axis=1)
-    if engine == "batch":
-        rows = np.arange(distances.shape[0])
-        best = distances[rows, best_map].astype(np.int64)
-        accept = best <= MAX_MATCH_DISTANCE
-        matches = [
-            Match(
-                index_a=int(i),
-                index_b=int(map_landmark_ids[best_map[i]]),
-                distance=int(best[i]),
-            )
-            for i in np.nonzero(accept)[0]
-        ]
-        return MatchResult(matches=matches, operations=operations)
-    matches = []
-    for index_f, index_m in enumerate(best_map):
-        best = int(distances[index_f, index_m])
-        if best > MAX_MATCH_DISTANCE:
-            continue
-        matches.append(
-            Match(index_a=index_f, index_b=int(map_landmark_ids[index_m]),
-                  distance=best)
+    rows = np.arange(distances.shape[0])
+    best = distances[rows, best_map].astype(np.int64)
+    accept = best <= MAX_MATCH_DISTANCE
+    matches = [
+        Match(
+            index_a=int(i),
+            index_b=int(map_landmark_ids[best_map[i]]),
+            distance=int(best[i]),
         )
+        for i in np.nonzero(accept)[0]
+    ]
     return MatchResult(matches=matches, operations=operations)
 
 
@@ -138,7 +94,6 @@ def match_by_projection(
     pose,
     camera,
     radius_px: float = 18.0,
-    engine: str = "batch",
 ) -> MatchResult:
     """Projection-guided matching — ORB-SLAM's tracking-time strategy.
 
@@ -150,78 +105,22 @@ def match_by_projection(
     ``map_points`` is an iterable of :class:`repro.slam.map.MapPoint`;
     ``pose`` is (position_m, yaw_rad).  Matches carry the *map point id* in
     ``index_b``.
-    """
-    from repro.slam.features import hamming_distance
-    from repro.slam.tracking import camera_point
-
-    if engine not in ("batch", "scalar"):
-        raise ValueError(f"unknown engine: {engine!r}")
-    if radius_px <= 0:
-        raise ValueError(f"search radius must be positive, got {radius_px}")
-    position, yaw = pose
-    matches: List[Match] = []
-    operations = 0
-    if features.count == 0:
-        return MatchResult(matches=[], operations=0)
-    if engine == "batch":
-        return _match_by_projection_batch(
-            features, list(map_points), position, yaw, camera, radius_px
-        )
-    keypoints = features.keypoints_px
-    taken = set()
-    for point in map_points:
-        cam = camera_point(point.position_m, position, yaw)
-        if cam[2] < 0.2:
-            continue
-        u, v = camera.project(cam)
-        operations += 20
-        if not camera.in_view(u, v):
-            continue
-        deltas = keypoints - np.array([u, v])
-        nearby = np.where((np.abs(deltas[:, 0]) <= radius_px)
-                          & (np.abs(deltas[:, 1]) <= radius_px))[0]
-        operations += 2 * keypoints.shape[0]
-        best_index = -1
-        best_distance = MAX_MATCH_DISTANCE + 1
-        for index in nearby:
-            if int(index) in taken:
-                continue
-            distance = hamming_distance(
-                features.descriptors[index], point.descriptor
-            )
-            operations += 256
-            if distance < best_distance:
-                best_distance = distance
-                best_index = int(index)
-        if best_index >= 0 and best_distance <= MAX_MATCH_DISTANCE:
-            taken.add(best_index)
-            matches.append(
-                Match(index_a=best_index, index_b=point.point_id,
-                      distance=best_distance)
-            )
-    return MatchResult(matches=matches, operations=operations)
-
-
-def _match_by_projection_batch(
-    features: FeatureSet,
-    map_points: List,
-    position,
-    yaw: float,
-    camera,
-    radius_px: float,
-) -> MatchResult:
-    """Vectorized projection-guided matching.
 
     Projections, visibility tests, and Hamming distances are batched; the
     greedy taken-set walk stays a Python loop over the in-view points (its
-    sequential semantics are what make the scalar matcher's output order
-    deterministic).  Decisions replicate the scalar loop bit-for-bit: the
-    same candidate windows, the same first-minimum tie-break, the same
-    operation count.
+    sequential semantics are what make the output order deterministic).
+    Decisions replicate the scalar oracle
+    (:func:`repro.oracles.match_by_projection`) bit-for-bit: the same
+    candidate windows, the same first-minimum tie-break, the same operation
+    count.
     """
     from repro.slam.kernels import camera_points, hamming_matrix, project_points
 
-    if not map_points:
+    if radius_px <= 0:
+        raise ValueError(f"search radius must be positive, got {radius_px}")
+    position, yaw = pose
+    map_points = list(map_points)
+    if features.count == 0 or not map_points:
         return MatchResult(matches=[], operations=0)
     positions = np.stack([point.position_m for point in map_points])
     cam = camera_points(positions, position, yaw)

@@ -1,7 +1,10 @@
 """API-surface tests: every public export is importable and the documented
 entry points behave as the README promises."""
 
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -21,7 +24,34 @@ PACKAGES = (
     "repro.resilience",
     "repro.reference",
     "repro.report",
+    "repro.chaos",
+    "repro.exec",
+    "repro.analysis",
 )
+
+#: Packages whose fast paths run without an engine switch.
+ONE_ENGINE_PACKAGES = ("repro.slam", "repro.platforms", "repro.core")
+
+
+def _public_callables(package_name):
+    """(qualified name, callable) for every public function, class,
+    method, and constructor defined in ``package_name``'s modules."""
+    package = importlib.import_module(package_name)
+    modules = [package] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(package.__path__, package_name + ".")
+    ]
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
 
 
 class TestExports:
@@ -49,6 +79,29 @@ class TestExports:
     def test_packages_documented(self, package):
         module = importlib.import_module(package)
         assert module.__doc__, f"{package} lacks a module docstring"
+
+    @pytest.mark.parametrize("package", ONE_ENGINE_PACKAGES)
+    def test_no_public_engine_switch(self, package):
+        """Scalar oracles live in ``repro.oracles``, not behind a keyword."""
+        offenders = []
+        for name, obj in _public_callables(package):
+            try:
+                parameters = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            fields = (
+                [f.name for f in dataclasses.fields(obj)]
+                if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                else []
+            )
+            if "engine" in parameters or "engine" in fields:
+                offenders.append(name)
+        assert offenders == []
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_oracles_not_exported(self, package):
+        module = importlib.import_module(package)
+        assert "oracles" not in getattr(module, "__all__", [])
 
 
 class TestReadmeQuickstart:

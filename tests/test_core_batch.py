@@ -3,7 +3,8 @@
 The batched engine (`repro.core.batch`) must be *bit-for-bit* equal to the
 scalar oracle (`DroneDesign.evaluate`) — same values on feasible points,
 same infeasibility messages on the rest.  These tests pin that contract
-property-style over randomized designs and through the sweep API, plus the
+(the ``bitwise`` tier of :mod:`tests.equivalence`) property-style over
+randomized designs and through the sweep API, plus the
 two behavioural fixes that rode along: the frontier bucket boundary and the
 ``best_configuration`` tie-break.
 """
@@ -19,14 +20,20 @@ from repro.core.batch import (
     evaluate_batch,
     evaluate_grid,
 )
-from repro.core.design import DesignEvaluation, DroneDesign
-from repro.core.equations import InfeasibleDesignError, WeightBreakdown
+from repro.core.design import DesignEvaluation
+from repro.core.equations import WeightBreakdown
 from repro.core.explorer import (
     SweepPoint,
     _lowest_power_frontier,
     computation_footprint,
     sweep_all_wheelbases,
     sweep_wheelbase,
+)
+from tests.equivalence import (
+    EVALUATE_BATCH,
+    SWEEP_WHEELBASE,
+    assert_tier,
+    evaluate_designs_batch,
 )
 
 
@@ -53,48 +60,21 @@ def _random_designs(count: int, seed: int):
     return designs
 
 
-def _batch_of(designs):
-    keys = [k for k in designs[0] if k != "battery_cells"]
-    return evaluate_batch(
-        np.array([d["wheelbase_mm"] for d in designs]),
-        np.array([d["battery_cells"] for d in designs], dtype=np.int64),
-        np.array([d["battery_capacity_mah"] for d in designs]),
-        **{
-            k: np.array([d[k] for d in designs])
-            for k in keys
-            if k not in ("wheelbase_mm", "battery_capacity_mah")
-        },
-    )
-
-
 class TestScalarBatchEquivalence:
     """Property-style: random designs agree bit-for-bit with the oracle."""
 
     def test_values_and_infeasible_sets_match(self):
         designs = _random_designs(400, seed=20210419)
-        batch = _batch_of(designs)
-        scalar_infeasible = set()
-        batch_infeasible = set()
-        for index, params in enumerate(designs):
-            design = DroneDesign(**params)
-            try:
-                evaluation = design.evaluate()
-            except InfeasibleDesignError as error:
-                scalar_infeasible.add(index)
-                assert batch.failure_message(index) == str(error)
-            else:
-                point = batch.evaluation(index)
-                assert point is not None, f"lane {index} feasible only in scalar"
-                assert point.as_dict() == evaluation.as_dict()
-            if not bool(batch.feasible[index]):
-                batch_infeasible.add(index)
-        assert scalar_infeasible == batch_infeasible
-        assert batch.feasible_count == len(designs) - len(scalar_infeasible)
+        lanes, _ = EVALUATE_BATCH.check(designs)
+        infeasible = sum(isinstance(lane, str) for lane in lanes)
+        assert evaluate_designs_batch(designs).feasible_count == (
+            len(designs) - infeasible
+        )
 
     def test_repeat_call_hits_caches_and_matches(self):
         designs = _random_designs(60, seed=7)
-        first = _batch_of(designs)
-        second = _batch_of(designs)
+        first = evaluate_designs_batch(designs)
+        second = evaluate_designs_batch(designs)
         for index in range(len(designs)):
             a, b = first.evaluation(index), second.evaluation(index)
             if a is None:
@@ -104,11 +84,10 @@ class TestScalarBatchEquivalence:
                 assert a.as_dict() == b.as_dict()
 
     def test_single_lane_matches_scalar(self):
-        batch = evaluate_batch(450.0, 3, 3000.0)
-        scalar = DroneDesign(
-            wheelbase_mm=450.0, battery_cells=3, battery_capacity_mah=3000.0
-        ).evaluate()
-        assert batch.evaluation(0).as_dict() == scalar.as_dict()
+        EVALUATE_BATCH.check(
+            [dict(wheelbase_mm=450.0, battery_cells=3,
+                  battery_capacity_mah=3000.0)]
+        )
 
 
 class TestSweepEngineEquality:
@@ -116,40 +95,30 @@ class TestSweepEngineEquality:
 
     @pytest.mark.parametrize("wheelbase_mm", [100.0, 450.0, 800.0])
     def test_sweep_wheelbase_engines_agree(self, wheelbase_mm):
-        batched = sweep_wheelbase(wheelbase_mm, engine="batch")
-        scalar = sweep_wheelbase(wheelbase_mm, engine="scalar")
-        assert len(batched.points) == len(scalar.points)
-        for b, s in zip(batched.points, scalar.points):
-            assert (b.wheelbase_mm, b.cells, b.capacity_mah) == (
-                s.wheelbase_mm,
-                s.cells,
-                s.capacity_mah,
-            )
-            assert b.evaluation.as_dict() == s.evaluation.as_dict()
-        assert batched.infeasible == scalar.infeasible
+        SWEEP_WHEELBASE.check(wheelbase_mm)
 
-    def test_sweep_all_wheelbases_passes_engine_through(self):
-        batched = sweep_all_wheelbases(wheelbases_mm=(450.0,), engine="batch")
-        scalar = sweep_all_wheelbases(wheelbases_mm=(450.0,), engine="scalar")
-        assert batched.keys() == scalar.keys()
-        b, s = batched[450.0], scalar[450.0]
-        assert [p.evaluation.as_dict() for p in b.points] == [
-            p.evaluation.as_dict() for p in s.points
-        ]
+    def test_sweep_all_wheelbases_matches_oracle(self):
+        _, oracle = SWEEP_WHEELBASE.lift(
+            lambda sweep: lambda wheelbases_mm: {
+                wb: sweep(wb) for wb in wheelbases_mm
+            }
+        ).check((450.0,))
+        assert_tier(sweep_all_wheelbases(wheelbases_mm=(450.0,)), oracle,
+                    SWEEP_WHEELBASE.tier)
 
     def test_computation_footprint_identical_across_engines(self):
-        batched = computation_footprint(sweep_wheelbase(450.0, engine="batch"))
-        scalar = computation_footprint(sweep_wheelbase(450.0, engine="scalar"))
-        assert batched.keys() == scalar.keys()
-        for chip_power in batched:
-            assert batched[chip_power] == scalar[chip_power]
+        SWEEP_WHEELBASE.lift(
+            lambda sweep: lambda wheelbase_mm: computation_footprint(
+                sweep(wheelbase_mm)
+            )
+        ).check(450.0)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep engine"):
-            sweep_wheelbase(450.0, engine="numpy")
+        with pytest.raises(TypeError, match="engine"):
+            sweep_wheelbase(450.0, engine="scalar")
 
     def test_empty_grid_returns_empty_result(self):
-        result = sweep_wheelbase(450.0, cell_counts=[], engine="batch")
+        result = sweep_wheelbase(450.0, cell_counts=[])
         assert result.points == []
         assert result.infeasible == []
 

@@ -137,6 +137,20 @@ class TestInlineSupervision:
         with pytest.raises(WorkerFault):
             SupervisedPool(parallel=False, policy=policy).map(faulty, ITEMS)
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_quarantine_disabled_raises_item_exception_in_both_modes(
+        self, parallel
+    ):
+        """Without quarantine, inline and process execution both raise the
+        item's own exception with its global index attached."""
+        policy = ExecutionPolicy(max_attempts=1, quarantine=False, **FAST)
+        pool = SupervisedPool(
+            workers=2, chunk_size=2, policy=policy, parallel=parallel
+        )
+        with pytest.raises(ValueError, match="three") as excinfo:
+            pool.map(_raise_on_three, [1, 2, 3, 4, 5])
+        assert excinfo.value.sweep_item_index == 2
+
     def test_seeded_flaky_fault_is_reproducible(self, tmp_path):
         spec = WorkerFaultSpec(FAULT_FLAKY, probability=0.5)
         first_dir = tmp_path / "a"
@@ -426,6 +440,13 @@ def _raise_on_three(value: int) -> int:
     return value
 
 
+def _fail_zero_sleep_rest(value: int) -> int:
+    if value == 0:
+        raise ValueError("zero fails at once")
+    time.sleep(3.0)
+    return value
+
+
 class TestBareRunnerAttribution:
     def test_serial_failure_carries_item_index(self):
         runner = ParallelSweepRunner(SweepRunnerConfig(parallel=False))
@@ -441,6 +462,16 @@ class TestBareRunnerAttribution:
             runner.map(_raise_on_three, [1, 2, 3, 4])
         assert excinfo.value.sweep_item_index == 2
 
+    def test_parallel_failure_does_not_wait_for_later_chunks(self):
+        runner = ParallelSweepRunner(
+            SweepRunnerConfig(max_workers=2, chunk_size=1)
+        )
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="zero") as excinfo:
+            runner.map(_fail_zero_sleep_rest, [0, 1])
+        assert time.monotonic() - started < 2.0
+        assert excinfo.value.sweep_item_index == 0
+
     def test_worker_death_wrapped_in_worker_crash_error(self):
         runner = ParallelSweepRunner(
             SweepRunnerConfig(max_workers=2, chunk_size=2)
@@ -453,7 +484,9 @@ class TestBareRunnerAttribution:
 
     def test_supervised_config_routes_through_pool(self):
         runner = ParallelSweepRunner(
-            SweepRunnerConfig(parallel=False, supervised=True, chunk_size=4)
+            SweepRunnerConfig(
+                parallel=False, policy=ExecutionPolicy(), chunk_size=4
+            )
         )
         assert runner.map(_times_ten, ITEMS) == SERIAL
         assert runner.last_report is not None

@@ -1,8 +1,8 @@
-"""Tests for the opt-in parallel sweep runner and the keyed caches.
+"""Tests for the parallel sweep runner and the keyed caches.
 
 The runner's contract is determinism: chunking depends only on input order
-and config, results come back in input order, and the inline fallback is a
-plain serial loop.  The parallel path is forced with ``max_workers=2`` so
+and config, results come back in input order, and the inline mode matches
+a plain serial loop.  The parallel path is forced with ``max_workers=2`` so
 the tests exercise real worker processes even on single-CPU runners.
 """
 
@@ -18,6 +18,8 @@ from repro.core.parallel import (
     chunk_items,
 )
 from repro.core.tradeoffs import catalog_fits, clear_fit_cache
+from repro.exec.policy import ExecutionPolicy
+from repro.exec.supervised import QuarantinedItem
 
 
 def _square(value: int) -> int:
@@ -56,7 +58,6 @@ class TestConfig:
 
     def test_supervision_off_by_default(self):
         config = SweepRunnerConfig()
-        assert config.supervised is False
         assert config.policy is None
 
 
@@ -117,16 +118,29 @@ class TestRunnerParallel:
 
 
 class TestRunnerSupervised:
-    """``supervised=True`` routes through the fault-tolerant layer."""
+    """A ``policy`` turns on retries, quarantine, and the report."""
 
     def test_results_match_serial(self):
         runner = ParallelSweepRunner(
-            SweepRunnerConfig(parallel=False, supervised=True, chunk_size=2)
+            SweepRunnerConfig(
+                parallel=False, policy=ExecutionPolicy(), chunk_size=2
+            )
         )
         values = list(range(7))
         assert runner.map(_square, values) == [v * v for v in values]
         assert runner.last_report is not None
         assert runner.last_report.chunks_completed == 4
+
+    def test_policy_quarantines_poison_item(self):
+        policy = ExecutionPolicy(max_attempts=1, backoff_base_s=0.0)
+        runner = ParallelSweepRunner(
+            SweepRunnerConfig(parallel=False, policy=policy, chunk_size=2)
+        )
+        results = runner.map(_raise_on_three, [1, 2, 3, 4])
+        assert results[:2] == [1, 2] and results[3] == 4
+        assert isinstance(results[2], QuarantinedItem)
+        assert results[2].item_index == 2
+        assert [record.item_index for record in runner.last_report.quarantined] == [2]
 
     def test_last_report_reset_between_maps(self):
         runner = ParallelSweepRunner(SweepRunnerConfig(parallel=False))

@@ -1,16 +1,18 @@
-"""Scalar <-> batch equivalence for the trace-engine microarchitecture path.
+"""Fast path <-> scalar oracle equivalence for the trace-engine core model.
 
 The batch engine (:mod:`repro.platforms.trace_engine`) must be
-*counter-exact*: every integer perf counter and structure statistic agrees
-bit-for-bit with the per-access scalar oracle, and cycles agree bit-for-bit
-whenever ``base_cpi`` is integral (integer-valued float sums below 2**53 are
-exact in any accumulation order).  Microarchitectural state written back
-after a batch run must be indistinguishable to any subsequent scalar run.
+*counter-exact* (the tier :mod:`tests.equivalence` checks): every integer
+perf counter and structure statistic agrees bit-for-bit with the
+per-access scalar oracle, and cycles agree bit-for-bit whenever
+``base_cpi`` is integral (integer-valued float sums below 2**53 are exact
+in any accumulation order).  Microarchitectural state written back after
+a batch run must be indistinguishable to any subsequent scalar run.
 """
 
 import numpy as np
 import pytest
 
+from repro import oracles
 from repro.platforms import trace_engine
 from repro.platforms.branch import GsharePredictor
 from repro.platforms.cache import SetAssociativeCache
@@ -23,6 +25,7 @@ from repro.platforms.workload import (
     interleave,
     slam_trace,
 )
+from tests.equivalence import RUN_SEGMENTS, RUN_TRACE, structure_stats
 
 
 def random_trace(rng, length, name="rand", address_span=1 << 22,
@@ -55,43 +58,9 @@ def make_core(l1_kib=4, llc_kib=64, l1_assoc=2, llc_assoc=4, prefetch=True,
     )
 
 
-COUNTER_FIELDS = ("instructions", "llc_accesses", "llc_misses", "branches",
-                  "branch_misses", "tlb_accesses", "tlb_misses")
-
-
-def assert_counters_equal(batch, scalar, cycles_exact=True):
-    assert set(batch) == set(scalar)
-    for context in batch:
-        b, s = batch[context], scalar[context]
-        for field in COUNTER_FIELDS:
-            assert getattr(b, field) == getattr(s, field), (context, field)
-        if cycles_exact:
-            assert b.cycles == s.cycles, context
-        else:
-            assert b.cycles == pytest.approx(s.cycles, rel=1e-12)
-
-
-def assert_structures_equal(core_a, core_b):
-    for name in ("l1", "llc"):
-        sa = getattr(core_a, name).stats
-        sb = getattr(core_b, name).stats
-        assert (sa.accesses, sa.misses) == (sb.accesses, sb.misses), name
-    assert (core_a.tlb.stats.accesses, core_a.tlb.stats.misses) == \
-           (core_b.tlb.stats.accesses, core_b.tlb.stats.misses)
-    assert (core_a.predictor.stats.branches,
-            core_a.predictor.stats.mispredictions) == \
-           (core_b.predictor.stats.branches,
-            core_b.predictor.stats.mispredictions)
-
-
-def run_both(make, segments, cycles_exact=True):
-    """Run identical segments through fresh scalar and batch cores."""
-    core_scalar, core_batch = make(), make()
-    scalar = core_scalar.run_segments(list(segments), engine="scalar")
-    batch = core_batch.run_segments(list(segments), engine="batch")
-    assert_counters_equal(batch, scalar, cycles_exact=cycles_exact)
-    assert_structures_equal(core_batch, core_scalar)
-    return core_batch, core_scalar
+def run_both(make, segments):
+    """Run identical segments through the fast path and the oracle."""
+    RUN_SEGMENTS.check(make(), list(segments))
 
 
 class TestCoRunEquivalence:
@@ -103,21 +72,16 @@ class TestCoRunEquivalence:
 
     def test_single_context_exact(self):
         trace = slam_trace(30_000, seed=3)
-        core_scalar, core_batch = make_core(), make_core()
-        scalar = core_scalar.run_trace("slam", trace, engine="scalar")
-        batch = core_batch.run_trace("slam", trace, engine="batch")
-        for field in COUNTER_FIELDS:
-            assert getattr(batch, field) == getattr(scalar, field)
-        assert batch.cycles == scalar.cycles
+        RUN_TRACE.check(make_core(), "slam", trace)
 
     def test_fractional_base_cpi_close(self):
         # Non-integral base CPI accumulates in a different order in the
-        # batch path, so cycles are approx-equal rather than bit-equal.
+        # batch path, so cycles are isclose rather than bit-equal (the
+        # counter-exact tier's rule for non-integral floats).
         auto = autopilot_trace(8_000, seed=5)
         slam = slam_trace(16_000, seed=8)
         segments = interleave(auto, slam, 1_000, 2_000)
-        run_both(lambda: make_core(base_cpi=1.3), segments,
-                 cycles_exact=False)
+        run_both(lambda: make_core(base_cpi=1.3), segments)
 
 
 class TestRandomizedConfigs:
@@ -144,6 +108,21 @@ class TestRandomizedConfigs:
         run_both(make_core, interleave(a, b, 500, 900))
 
 
+def then_probe(context, probe):
+    """Lift a side to: warm the core with it, then probe with the oracle."""
+
+    def lift(run_warm):
+        def run(core, *warm_args):
+            run_warm(core, *warm_args)
+            counters = oracles.run_segments(core, [(context, probe)])
+            return {"counters": counters[context],
+                    "structures": structure_stats(core)}
+
+        return run
+
+    return lift
+
+
 class TestStateWriteback:
     def test_batch_then_scalar_continuation(self):
         """State written back after a batch run must be bit-equivalent:
@@ -151,37 +130,23 @@ class TestStateWriteback:
         rng = np.random.default_rng(23)
         warm = random_trace(rng, 10_000, name="warm")
         probe = random_trace(rng, 5_000, name="probe")
-        core_batch, core_scalar = make_core(), make_core()
-        core_batch.run_trace("ctx", warm, engine="batch")
-        core_scalar.run_trace("ctx", warm, engine="scalar")
-        after_batch = core_batch.run_trace("ctx", probe, engine="scalar")
-        after_scalar = core_scalar.run_trace("ctx", probe, engine="scalar")
-        for field in COUNTER_FIELDS:
-            assert getattr(after_batch, field) == getattr(after_scalar, field)
-        assert after_batch.cycles == after_scalar.cycles
-        assert_structures_equal(core_batch, core_scalar)
+        RUN_TRACE.lift(then_probe("ctx", probe)).check(make_core(), "ctx", warm)
 
     def test_context_switch_flush_continuation(self):
         rng = np.random.default_rng(29)
         a = random_trace(rng, 3_000, name="A")
         b = random_trace(rng, 3_000, name="B")
-        core_batch, core_scalar = make_core(), make_core()
-        core_batch.run_segments(interleave(a, b, 400, 600), engine="batch")
-        core_scalar.run_segments(interleave(a, b, 400, 600), engine="scalar")
         # Switching back to "A" after the batch run must flush identically.
         probe = random_trace(rng, 2_000, name="probe")
-        pb = core_batch.run_trace("A", probe, engine="scalar")
-        ps = core_scalar.run_trace("A", probe, engine="scalar")
-        assert pb.cycles == ps.cycles
-        assert pb.tlb_misses == ps.tlb_misses
-        assert pb.branch_misses == ps.branch_misses
+        RUN_SEGMENTS.lift(then_probe("A", probe)).check(
+            make_core(), interleave(a, b, 400, 600))
 
 
 class TestDispatchAndFallbacks:
     def test_unknown_engine_rejected(self):
         core = make_core()
-        with pytest.raises(ValueError, match="unknown engine"):
-            core.run_trace("x", autopilot_trace(100, seed=1), engine="simd")
+        with pytest.raises(TypeError, match="engine"):
+            core.run_trace("x", autopilot_trace(100, seed=1), engine="scalar")
 
     def test_empty_segments_rejected(self):
         with pytest.raises(ValueError, match="no segments"):
@@ -210,9 +175,8 @@ class TestDispatchAndFallbacks:
         zeros = np.zeros(2, dtype=np.int64)
         trace = Trace(name="bad", kinds=kinds, addresses=addresses,
                       pcs=zeros, taken=np.zeros(2, dtype=bool))
-        for engine in ("batch", "scalar"):
-            with pytest.raises(ValueError, match="negative"):
-                make_core().run_trace("ctx", trace, engine=engine)
+        with pytest.raises(ValueError, match="negative"):
+            RUN_TRACE.check(make_core(), "ctx", trace)
 
     def test_supports_batch_default_core(self):
         assert trace_engine.supports_batch(InOrderCore())

@@ -14,13 +14,13 @@ from repro.slam.dataset import (
 from repro.slam.features import (
     OrbExtractor,
     hamming_distance,
-    hamming_distance_matrix,
 )
 from repro.slam.matching import (
     inlier_fraction,
     match_by_projection,
     match_features,
 )
+from tests.equivalence import HAMMING_DISTANCE_MATRIX
 
 
 class TestDataset:
@@ -125,7 +125,7 @@ class TestFeatureExtraction:
         rng = np.random.default_rng(1)
         a = rng.integers(0, 256, (3, 32), dtype=np.uint8)
         b = rng.integers(0, 256, (4, 32), dtype=np.uint8)
-        matrix, ops = hamming_distance_matrix(a, b)
+        (matrix, ops), _ = HAMMING_DISTANCE_MATRIX.check(a, b)
         assert matrix.shape == (3, 4)
         assert ops == 3 * 4 * 256
         assert matrix[1, 2] == hamming_distance(a[1], b[2])

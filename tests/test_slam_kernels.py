@@ -1,16 +1,15 @@
-"""Scalar <-> batch equivalence for the vectorized SLAM kernels.
+"""Fast path <-> scalar oracle equivalence for the vectorized SLAM kernels.
 
-The contract (documented in :mod:`repro.slam.kernels`):
+The contract (documented in :mod:`repro.slam.kernels`), checked by the
+pairs of :mod:`tests.equivalence`:
 
 - integer decisions (matches, operation counts, iteration counts, used
-  correspondences) are bit-for-bit identical between engines;
+  correspondences) are bit-for-bit identical to the oracle;
 - per-element float math (projections, residuals) is bit-identical because
-  the batch path replicates the scalar operation order;
+  the fast path replicates the scalar operation order;
 - reductions (normal equations, RMS sums) accumulate in a different order,
   so poses/landmarks/RMS agree to ``allclose`` tolerances only.
 """
-
-import copy
 
 import numpy as np
 import pytest
@@ -24,13 +23,17 @@ from repro.slam.dataset import (
 )
 from repro.slam.features import OrbExtractor, hamming_distance, \
     hamming_distance_matrix
-from repro.slam.matching import (
-    match_against_map,
-    match_by_projection,
-    match_features,
-)
 from repro.slam.pipeline import SlamPipeline
 from repro.slam.tracking import TrackingLostError, track_pose
+from tests.equivalence import (
+    GLOBAL_BUNDLE_ADJUST,
+    HAMMING_DISTANCE_MATRIX,
+    MATCH_AGAINST_MAP,
+    MATCH_BY_PROJECTION,
+    MATCH_FEATURES,
+    ORB_EXTRACT,
+    TRACK_POSE,
+)
 
 MAP_FRAMES = 45
 
@@ -54,11 +57,7 @@ class TestHammingKernels:
         rng = np.random.default_rng(3)
         a = rng.integers(0, 256, size=(37, 32), dtype=np.uint8)
         b = rng.integers(0, 256, size=(29, 32), dtype=np.uint8)
-        batch, ops_batch = hamming_distance_matrix(a, b, engine="batch")
-        scalar, ops_scalar = hamming_distance_matrix(a, b, engine="scalar")
-        assert np.array_equal(batch, scalar)
-        assert batch.dtype == scalar.dtype
-        assert ops_batch == ops_scalar
+        HAMMING_DISTANCE_MATRIX.check(a, b)
 
     def test_matrix_matches_single_pair_oracle(self):
         rng = np.random.default_rng(4)
@@ -77,8 +76,8 @@ class TestHammingKernels:
 
     def test_unknown_engine_rejected(self):
         a = np.zeros((1, 32), dtype=np.uint8)
-        with pytest.raises(ValueError, match="unknown engine"):
-            hamming_distance_matrix(a, a, engine="simd")
+        with pytest.raises(TypeError, match="engine"):
+            hamming_distance_matrix(a, a, engine="scalar")
 
 
 class TestMatchingEquivalence:
@@ -86,10 +85,7 @@ class TestMatchingEquivalence:
         extractor = OrbExtractor(max_features=300)
         fs_a = extractor.extract(sequence.generate_frame(0))
         fs_b = extractor.extract(sequence.generate_frame(3))
-        batch = match_features(fs_a, fs_b, engine="batch")
-        scalar = match_features(fs_a, fs_b, engine="scalar")
-        assert batch.matches == scalar.matches
-        assert batch.operations == scalar.operations
+        batch, _ = MATCH_FEATURES.check(fs_a, fs_b)
         assert len(batch.matches) > 0
 
     def test_match_against_map(self, sequence, built_map):
@@ -98,24 +94,16 @@ class TestMatchingEquivalence:
         points = list(built_map.slam_map.points.values())
         descriptors = np.stack([p.descriptor for p in points])
         ids = np.array([p.point_id for p in points])
-        batch = match_against_map(features, descriptors, ids, engine="batch")
-        scalar = match_against_map(features, descriptors, ids,
-                                   engine="scalar")
-        assert batch.matches == scalar.matches
-        assert batch.operations == scalar.operations
+        batch, _ = MATCH_AGAINST_MAP.check(features, descriptors, ids)
         assert len(batch.matches) > 0
 
     def test_match_by_projection(self, sequence, built_map):
         extractor = OrbExtractor(max_features=300)
         features = extractor.extract(sequence.generate_frame(MAP_FRAMES))
         pose = built_map._pose
-        points = built_map.slam_map.points.values()
-        batch = match_by_projection(
-            features, points, pose, sequence.camera, engine="batch")
-        scalar = match_by_projection(
-            features, points, pose, sequence.camera, engine="scalar")
-        assert batch.matches == scalar.matches
-        assert batch.operations == scalar.operations
+        points = list(built_map.slam_map.points.values())
+        batch, _ = MATCH_BY_PROJECTION.check(
+            features, points, pose, sequence.camera)
         assert len(batch.matches) > 0
 
 
@@ -123,13 +111,7 @@ class TestBucketedSelection:
     @pytest.mark.parametrize("budget", [20, 50, 120])
     def test_selection_matches_scalar(self, sequence, budget):
         frame = sequence.generate_frame(7)
-        batch = OrbExtractor(max_features=budget).extract(frame)
-        scalar = OrbExtractor(max_features=budget,
-                              engine="scalar").extract(frame)
-        assert np.array_equal(batch.landmark_ids, scalar.landmark_ids)
-        assert np.array_equal(batch.keypoints_px, scalar.keypoints_px)
-        assert np.array_equal(batch.descriptors, scalar.descriptors)
-        assert batch.operations == scalar.operations
+        ORB_EXTRACT.check(OrbExtractor(max_features=budget), frame)
 
     def test_bucketed_ranks_round_robin(self):
         # Three cells with 3/2/1 members: round-robin order is one member
@@ -141,8 +123,8 @@ class TestBucketedSelection:
         assert list(cells[visited]) == [0, 1, 2, 0, 1, 0]
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            OrbExtractor(engine="gpu")
+        with pytest.raises(TypeError, match="engine"):
+            OrbExtractor(engine="scalar")
 
 
 class TestTrackPoseEquivalence:
@@ -159,83 +141,37 @@ class TestTrackPoseEquivalence:
 
     def test_matches_scalar(self, sequence, built_map):
         keyframe, landmarks, pixels = self._correspondences(built_map)
-        batch = track_pose(landmarks, pixels, keyframe.position_m,
-                           keyframe.yaw_rad, sequence.camera, engine="batch")
-        scalar = track_pose(landmarks, pixels, keyframe.position_m,
-                            keyframe.yaw_rad, sequence.camera,
-                            engine="scalar")
         # Integer decisions are exact; floats cross reductions -> allclose.
-        assert batch.iterations == scalar.iterations
-        assert batch.inliers == scalar.inliers
-        assert batch.operations == scalar.operations
-        assert np.allclose(batch.position_m, scalar.position_m,
-                           rtol=1e-9, atol=1e-12)
-        assert batch.yaw_rad == pytest.approx(scalar.yaw_rad, abs=1e-9)
-        assert batch.final_rms_px == pytest.approx(scalar.final_rms_px,
-                                                   abs=1e-9)
+        TRACK_POSE.check(landmarks, pixels, keyframe.position_m,
+                         keyframe.yaw_rad, sequence.camera)
 
     def test_perturbed_start_matches_scalar(self, sequence, built_map):
         keyframe, landmarks, pixels = self._correspondences(built_map)
         start = keyframe.position_m + np.array([0.3, -0.2, 0.1])
-        batch = track_pose(landmarks, pixels, start,
-                           keyframe.yaw_rad + 0.05, sequence.camera,
-                           engine="batch")
-        scalar = track_pose(landmarks, pixels, start,
-                            keyframe.yaw_rad + 0.05, sequence.camera,
-                            engine="scalar")
-        assert batch.iterations == scalar.iterations
-        assert np.allclose(batch.position_m, scalar.position_m,
-                           rtol=1e-8, atol=1e-10)
+        TRACK_POSE.check(landmarks, pixels, start, keyframe.yaw_rad + 0.05,
+                         sequence.camera)
 
     def test_too_few_correspondences_both_engines(self, sequence):
         landmarks = [np.array([10.0, 0.0, 1.5])] * 3
         pixels = [(320.0, 240.0)] * 3
-        for engine in ("batch", "scalar"):
-            with pytest.raises(TrackingLostError):
-                track_pose(landmarks, pixels, np.zeros(3), 0.0,
-                           sequence.camera, engine=engine)
+        with pytest.raises(TrackingLostError):
+            TRACK_POSE.check(landmarks, pixels, np.zeros(3), 0.0,
+                             sequence.camera)
 
     def test_unknown_engine_rejected(self, sequence):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             track_pose([], [], np.zeros(3), 0.0, sequence.camera,
-                       engine="fast")
+                       engine="scalar")
 
 
 class TestBundleAdjustEquivalence:
     def test_global_ba_matches_scalar(self, sequence, built_map):
-        map_batch = copy.deepcopy(built_map.slam_map)
-        map_scalar = copy.deepcopy(built_map.slam_map)
-        batch = global_bundle_adjust(map_batch, sequence.camera,
-                                     engine="batch")
-        scalar = global_bundle_adjust(map_scalar, sequence.camera,
-                                      engine="scalar")
-        assert batch.iterations == scalar.iterations
-        assert batch.keyframes == scalar.keyframes
-        assert batch.points == scalar.points
-        assert batch.residuals == scalar.residuals
-        assert batch.operations == scalar.operations
-        assert batch.initial_rms_px == pytest.approx(scalar.initial_rms_px,
-                                                     abs=1e-9)
-        assert batch.final_rms_px == pytest.approx(scalar.final_rms_px,
-                                                   abs=1e-9)
-        for index in sorted(map_batch.keyframes):
-            kf_b = map_batch.keyframes[index]
-            kf_s = map_scalar.keyframes[index]
-            assert np.allclose(kf_b.position_m, kf_s.position_m,
-                               rtol=1e-9, atol=1e-12)
-            assert kf_b.yaw_rad == pytest.approx(kf_s.yaw_rad, abs=1e-9)
-        for point_id, point_b in map_batch.points.items():
-            point_s = map_scalar.points[point_id]
-            # Landmark solves can be near-singular, amplifying the
-            # reduction-order rounding; 1e-7 is still far below the map's
-            # centimetre-scale noise floor.
-            assert np.allclose(point_b.position_m, point_s.position_m,
-                               rtol=1e-6, atol=1e-7)
+        GLOBAL_BUNDLE_ADJUST.check(built_map.slam_map, sequence.camera)
 
     def test_unknown_engine_rejected(self, sequence, built_map):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             global_bundle_adjust(built_map.slam_map, sequence.camera,
-                                 engine="turbo")
+                                 engine="scalar")
 
 
 class TestCachedSequence:
