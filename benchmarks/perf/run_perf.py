@@ -111,7 +111,7 @@ ENSEMBLE_REPLAY_SAMPLES = 2
 
 #: Steady-state construction budgets (Python-level NumPy constructions per
 #: physics step, see ``harness.count_array_constructions``).  Measured: the
-#: scalar step constructs ~4.7 arrays/step and a 16-lane ensemble ~8.7 —
+#: scalar step constructs ~2.7 arrays/step and a 16-lane ensemble ~8.7 —
 #: per-tick scratch is preallocated, so the budgets are fixed ceilings,
 #: not per-lane ones.
 SCALAR_STEP_CONSTRUCTION_BUDGET = 6.0

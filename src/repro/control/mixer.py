@@ -14,10 +14,22 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.markers import hot_path
+from repro.physics.rigid_body import (
+    ROTOR_ANGLES_RAD,
+    ROTOR_SPIN,
+    TORQUE_THRUST_RATIO_M,
+)
 
-# Must match the layout in repro.physics.rigid_body.
-_ROTOR_ANGLES = np.deg2rad([45.0, 225.0, 135.0, 315.0])
-_ROTOR_SPIN = np.array([1.0, 1.0, -1.0, -1.0])
+
+@hot_path
+def _clip(value: float, ceiling: float) -> float:
+    """``np.clip(value, 0.0, ceiling)`` on floats: NaN passes through, and
+    ``-0.0`` clips to ``0.0`` as NumPy's max-then-min does."""
+    if value != value:
+        return value
+    if not value > 0.0:
+        value = 0.0
+    return value if value < ceiling else ceiling
 
 
 @dataclass
@@ -35,7 +47,7 @@ class MotorMixer:
     MIN_COLLECTIVE_SCALE = 0.5
 
     arm_length_m: float
-    torque_thrust_ratio_m: float = 0.016
+    torque_thrust_ratio_m: float = TORQUE_THRUST_RATIO_M
     max_thrust_per_motor_n: float = 10.0
     motor_health: Optional[np.ndarray] = None
     #: Allocation statistics: total mixes and how many hit a thrust ceiling.
@@ -57,18 +69,21 @@ class MotorMixer:
             raise ValueError("motor health must be a 4-vector")
         if np.any(self.motor_health < 0.0) or np.any(self.motor_health > 1.0):
             raise ValueError("motor health factors must be in [0, 1]")
-        arm_x = self.arm_length_m * np.cos(_ROTOR_ANGLES)
-        arm_y = self.arm_length_m * np.sin(_ROTOR_ANGLES)
+        arm_x = self.arm_length_m * np.cos(ROTOR_ANGLES_RAD)
+        arm_y = self.arm_length_m * np.sin(ROTOR_ANGLES_RAD)
         # Rows: total thrust, roll torque, pitch torque, yaw torque.
         mixing = np.vstack(
             [
                 np.ones(4),
                 arm_y,
                 -arm_x,
-                _ROTOR_SPIN * self.torque_thrust_ratio_m,
+                ROTOR_SPIN * self.torque_thrust_ratio_m,
             ]
         )
         self._inverse = np.linalg.inv(mixing)
+        self._collective_column = self._inverse[:, 0].tolist()
+        #: Per-mix scratch: the wrench vector the allocation matvecs read.
+        self._wrench = np.zeros(4)
 
     @hot_path
     def mix(
@@ -81,37 +96,73 @@ class MotorMixer:
         Commands are clipped to [0, max]; when saturated, yaw torque is shed
         first and then collective thrust is scaled down so roll/pitch
         authority survives, mirroring real attitude-priority mixers.
+
+        Only the allocation matvecs stay in NumPy (BLAS rounds them with
+        FMAs); the rest runs on floats in the operation order of the NumPy
+        reference ``repro.oracles.motor_mixer_mix``, bit for bit.
         """
         if total_thrust_n < 0:
             raise ValueError(f"thrust cannot be negative, got {total_thrust_n}")
         torque = np.asarray(torque_nm, dtype=float)
         if torque.shape != (3,):
             raise ValueError(f"torque must be a 3-vector, got shape {torque.shape}")
-        wrench = np.concatenate([[total_thrust_n], torque])
-        ceilings = self.max_thrust_per_motor_n * self.motor_health
-        thrusts = self._inverse @ wrench
-        if np.any(thrusts < 0.0) or np.any(thrusts > ceilings):
+        collective = float(total_thrust_n)
+        assert self.motor_health is not None  # materialized in __post_init__
+        h0, h1, h2, h3 = self.motor_health.tolist()
+        ceiling = self.max_thrust_per_motor_n
+        c0 = ceiling * h0
+        c1 = ceiling * h1
+        c2 = ceiling * h2
+        c3 = ceiling * h3
+        inverse = self._inverse
+        wrench = self._wrench
+        wrench[0] = collective
+        wrench[1:] = torque
+        thrusts = inverse @ wrench
+        t0, t1, t2, t3 = thrusts.tolist()
+        if (
+            t0 < 0.0 or t1 < 0.0 or t2 < 0.0 or t3 < 0.0
+            or t0 > c0 or t1 > c1 or t2 > c2 or t3 > c3
+        ):
             # Desaturate with attitude priority (what real mixers do): shed
             # yaw first, then scale collective down until the roll/pitch
             # torque fits inside the per-motor ceilings.  Losing a little
             # altitude is recoverable; losing attitude authority flips the
             # airframe.
-            wrench_no_yaw = wrench.copy()
-            wrench_no_yaw[3] *= 0.25
-            torque_part = self._inverse @ np.concatenate([[0.0], wrench_no_yaw[1:]])
-            collective_part = self._inverse[:, 0] * total_thrust_n
+            wrench[0] = 0.0
+            wrench[3] *= 0.25
+            thrusts = inverse @ wrench
+            p0, p1, p2, p3 = thrusts.tolist()
+            k0, k1, k2, k3 = self._collective_column
+            k0 *= collective
+            k1 *= collective
+            k2 *= collective
+            k3 *= collective
             scale = 1.0
-            for torque_i, collective_i, ceiling_i in zip(
-                torque_part, collective_part, ceilings
-            ):
-                if collective_i > 1e-12:
-                    scale = min(scale, (ceiling_i - torque_i) / collective_i)
-            scale = float(np.clip(scale, self.MIN_COLLECTIVE_SCALE, 1.0))
-            thrusts = torque_part + scale * collective_part
+            if k0 > 1e-12:
+                scale = min(scale, (c0 - p0) / k0)
+            if k1 > 1e-12:
+                scale = min(scale, (c1 - p1) / k1)
+            if k2 > 1e-12:
+                scale = min(scale, (c2 - p2) / k2)
+            if k3 > 1e-12:
+                scale = min(scale, (c3 - p3) / k3)
+            # scale <= 1.0 already: only the lower clip bound can bind.
+            if scale < self.MIN_COLLECTIVE_SCALE:
+                scale = self.MIN_COLLECTIVE_SCALE
+            t0 = p0 + scale * k0
+            t1 = p1 + scale * k1
+            t2 = p2 + scale * k2
+            t3 = p3 + scale * k3
         self.mixes += 1
-        if np.any(thrusts > ceilings + 1e-9):
+        if t0 > c0 + 1e-9 or t1 > c1 + 1e-9 or t2 > c2 + 1e-9 or t3 > c3 + 1e-9:
             self.saturations += 1
-        return np.clip(thrusts, 0.0, ceilings)
+        # The matvec's fresh output array carries the clipped thrusts out.
+        thrusts[0] = _clip(t0, c0)
+        thrusts[1] = _clip(t1, c1)
+        thrusts[2] = _clip(t2, c2)
+        thrusts[3] = _clip(t3, c3)
+        return thrusts
 
     def set_motor_health(self, motor_index: int, factor: float) -> None:
         """Derate (or restore) one rotor's thrust ceiling."""

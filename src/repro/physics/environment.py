@@ -32,6 +32,7 @@ class Wind:
     correlation_time_s: float = 1.5
     seed: int = 0
     _state: np.ndarray = field(init=False, repr=False)
+    _mean: np.ndarray = field(init=False, repr=False)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -40,6 +41,7 @@ class Wind:
         if self.correlation_time_s <= 0:
             raise ValueError("gust correlation time must be positive")
         self._state = np.zeros(3)
+        self._mean = np.asarray(self.mean_m_s, dtype=float)
         if self._rng is None:
             self._rng = np.random.default_rng(self.seed)
 
@@ -53,7 +55,7 @@ class Wind:
             alpha = math.exp(-dt / self.correlation_time_s)
             noise_scale = self.gust_speed_m_s * math.sqrt(1.0 - alpha * alpha)
             self._state = alpha * self._state + noise_scale * self._rng.standard_normal(3)
-        return np.asarray(self.mean_m_s, dtype=float) + self._state
+        return self._mean + self._state
 
     def reset(self) -> None:
         self._state = np.zeros(3)

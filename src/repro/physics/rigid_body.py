@@ -22,10 +22,13 @@ from repro.analysis.markers import hot_path
 from repro.physics import constants
 from repro.physics.environment import Environment, Wind
 
-# Rotor layout: X configuration, arms at 45/135/225/315 degrees.
-# Columns: (x, y) body-frame arm direction; spin: +1 CCW, -1 CW.
-_ROTOR_ANGLES = np.deg2rad([45.0, 225.0, 135.0, 315.0])
-_ROTOR_SPIN = np.array([1.0, 1.0, -1.0, -1.0])
+# Rotor layout: X configuration, arms at 45/225/135/315 degrees for rotors
+# 1-4; spin +1 CCW, -1 CW.  The mixer and the ensemble import these, so the
+# wrench map and its inverse cannot drift apart.
+ROTOR_ANGLES_RAD = np.deg2rad([45.0, 225.0, 135.0, 315.0])
+ROTOR_SPIN = np.array([1.0, 1.0, -1.0, -1.0])
+#: Rotor reaction torque per unit thrust (Cq*D/Ct in momentum terms), m.
+TORQUE_THRUST_RATIO_M = 0.016
 
 
 @hot_path
@@ -131,24 +134,31 @@ class QuadcopterBody:
             raise ValueError(f"mass must be positive, got {self.mass_kg}")
         if self.arm_length_m <= 0:
             raise ValueError(f"arm length must be positive, got {self.arm_length_m}")
+        if not self.drag_coefficient_area >= 0:
+            raise ValueError(
+                f"Cd*A must be non-negative, got {self.drag_coefficient_area}"
+            )
         if self.inertia_kg_m2 is None:
             ixx = 0.35 * self.mass_kg * self.arm_length_m**2
             self.inertia_kg_m2 = np.diag([ixx, ixx, 1.8 * ixx])
         self.inertia_kg_m2 = np.asarray(self.inertia_kg_m2, dtype=float)
         if self.inertia_kg_m2.shape != (3, 3):
             raise ValueError("inertia must be a 3x3 matrix")
-        # Constants and per-tick scratch hoisted out of the step path: arm
-        # geometry and gravity never change in flight, and the body-z thrust
-        # vector / pure-vector quaternion only ever differ in one slot.
-        self._arm_x = self.arm_length_m * np.cos(_ROTOR_ANGLES)
-        self._arm_y = self.arm_length_m * np.sin(_ROTOR_ANGLES)
-        self._wrench_scratch = np.zeros(4)
-        self._gravity_n = np.array(
-            [0.0, 0.0, -self.mass_kg * constants.GRAVITY_M_S2]
-        )
-        self._thrust_body = np.zeros(3)
-        self._airspeed = np.zeros(3)
-        self._omega_quat = np.zeros(4)
+        # The step divides by the principal moments, so the body axes must be
+        # the principal axes: off-diagonal products of inertia are rejected.
+        off_diagonal = self.inertia_kg_m2[~np.eye(3, dtype=bool)]
+        if np.any(off_diagonal != 0.0):
+            raise ValueError("inertia must be diagonal in the body frame")
+        principal = np.diag(self.inertia_kg_m2)
+        if not np.all(principal > 0.0):
+            raise ValueError(f"principal moments must be positive, got {principal}")
+        # Constants hoisted out of the step path, as Python floats: arm
+        # geometry, gravity and inertia never change in flight.
+        self._inertia_diag = principal.tolist()
+        self._arm_x = (self.arm_length_m * np.cos(ROTOR_ANGLES_RAD)).tolist()
+        self._arm_y = (self.arm_length_m * np.sin(ROTOR_ANGLES_RAD)).tolist()
+        self._spin = ROTOR_SPIN.tolist()
+        self._gravity_z = -self.mass_kg * constants.GRAVITY_M_S2
 
     @property
     def hover_thrust_per_motor_n(self) -> float:
@@ -156,28 +166,43 @@ class QuadcopterBody:
         return self.mass_kg * constants.GRAVITY_M_S2 / 4.0
 
     @hot_path
+    def _wrench(
+        self, thrusts_n: np.ndarray, torque_thrust_ratio_m: float
+    ) -> Tuple[float, float, float, float]:
+        """Collective thrust and roll/pitch/yaw torque as floats.
+
+        Each sum runs in NumPy's order for four elements, accumulator
+        included: ``(((0.0 + a) + b) + c) + d``.
+        """
+        thrusts = np.asarray(thrusts_n, dtype=float)
+        if thrusts.shape != (4,):
+            raise ValueError(f"need 4 motor thrusts, got shape {thrusts.shape}")
+        t0, t1, t2, t3 = thrusts.tolist()
+        if t0 < -1e-9 or t1 < -1e-9 or t2 < -1e-9 or t3 < -1e-9:
+            raise ValueError("motor thrusts cannot be negative")
+        x0, x1, x2, x3 = self._arm_x
+        y0, y1, y2, y3 = self._arm_y
+        s0, s1, s2, s3 = self._spin
+        return (
+            0.0 + t0 + t1 + t2 + t3,
+            0.0 + y0 * t0 + y1 * t1 + y2 * t2 + y3 * t3,
+            -(0.0 + x0 * t0 + x1 * t1 + x2 * t2 + x3 * t3),
+            (0.0 + s0 * t0 + s1 * t1 + s2 * t2 + s3 * t3) * torque_thrust_ratio_m,
+        )
+
+    @hot_path
     def wrench_from_motor_thrusts(
-        self, thrusts_n: np.ndarray, torque_thrust_ratio_m: float = 0.016
+        self,
+        thrusts_n: np.ndarray,
+        torque_thrust_ratio_m: float = TORQUE_THRUST_RATIO_M,
     ) -> Tuple[float, np.ndarray]:
         """Body-frame total force (z only) and torque from per-motor thrusts.
 
         ``torque_thrust_ratio_m`` maps rotor thrust to reaction torque
         (Cq*D/Ct in momentum terms); the default matches small quads.
         """
-        thrusts = np.asarray(thrusts_n, dtype=float)
-        if thrusts.shape != (4,):
-            raise ValueError(f"need 4 motor thrusts, got shape {thrusts.shape}")
-        if np.any(thrusts < -1e-9):
-            raise ValueError("motor thrusts cannot be negative")
-        total_thrust = float(np.sum(thrusts))
-        scratch = self._wrench_scratch
-        torque_roll = float(np.sum(np.multiply(self._arm_y, thrusts, out=scratch)))
-        torque_pitch = float(-np.sum(np.multiply(self._arm_x, thrusts, out=scratch)))
-        torque_yaw = float(
-            np.sum(np.multiply(_ROTOR_SPIN, thrusts, out=scratch))
-            * torque_thrust_ratio_m
-        )
-        return total_thrust, np.array([torque_roll, torque_pitch, torque_yaw])
+        total, roll, pitch, yaw = self._wrench(thrusts_n, torque_thrust_ratio_m)
+        return total, np.array([roll, pitch, yaw])
 
     @hot_path
     def step(self, thrusts_n: np.ndarray, dt: float) -> QuadcopterState:
@@ -185,42 +210,99 @@ class QuadcopterBody:
 
         Semi-implicit Euler with quaternion renormalization — stable at the
         1 kHz inner-loop rates the paper's Table 2 prescribes.
+
+        The arithmetic runs on Python floats in the operation order of the
+        NumPy reference (``repro.oracles.quadcopter_body_step``), so every
+        result is the same to the bit; DESIGN.md §Performance lists what is
+        reproduced and what stays in NumPy.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        total_thrust, body_torque = self.wrench_from_motor_thrusts(thrusts_n)
+        thrust, roll, pitch, yaw = self._wrench(thrusts_n, TORQUE_THRUST_RATIO_M)
         state = self.state
-        rotation = state.rotation
+        w, x, y, z = state.quaternion.tolist()
+        vx, vy, vz = state.velocity_m_s.tolist()
+        px, py, pz = state.position_m.tolist()
 
-        self._thrust_body[2] = total_thrust
-        thrust_world = rotation @ self._thrust_body
-        np.copyto(self._airspeed, state.velocity_m_s)
-        airspeed = self._airspeed
+        # Body-z thrust in the world frame (the third column of
+        # quaternion_to_rotation times the thrust) plus gravity, whose x and
+        # y are 0.0.
+        thrust_x = 2 * (x * z + w * y) * thrust + 0.0
+        thrust_y = 2 * (y * z - w * x) * thrust + 0.0
+        thrust_z = (1 - 2 * (x * x + y * y)) * thrust + self._gravity_z
+
+        airspeed = state.velocity_m_s
         if self.wind is not None:
-            airspeed -= self.wind.step(dt)
-        drag = self.environment.drag_force_n(airspeed, self.drag_coefficient_area)
+            airspeed = airspeed - self.wind.step(dt)
+        cda = self.drag_coefficient_area
+        if cda < 0:
+            raise ValueError("Cd*A must be non-negative")
+        # BLAS rounds the dot product with FMAs, which floats cannot mirror.
+        speed = math.sqrt(airspeed.dot(airspeed))
+        if speed == 0.0:
+            drag_x = drag_y = drag_z = 0.0
+        else:
+            ax, ay, az = airspeed.tolist()
+            magnitude = 0.5 * self.environment.air_density * cda * speed * speed
+            drag_x = -magnitude * ax / speed
+            drag_y = -magnitude * ay / speed
+            drag_z = -magnitude * az / speed
 
-        acceleration = (thrust_world + self._gravity_n + drag) / self.mass_kg
-        state.velocity_m_s = state.velocity_m_s + acceleration * dt
-        state.position_m = state.position_m + state.velocity_m_s * dt
+        mass = self.mass_kg
+        vx = vx + (thrust_x + drag_x) / mass * dt
+        vy = vy + (thrust_y + drag_y) / mass * dt
+        vz = vz + (thrust_z + drag_z) / mass * dt
+        px = px + vx * dt
+        py = py + vy * dt
+        pz = pz + vz * dt
         # Ground plane: the drone cannot fall through the floor.
-        if state.position_m[2] < 0.0:
-            state.position_m[2] = 0.0
-            if state.velocity_m_s[2] < 0.0:
-                state.velocity_m_s[2] = 0.0
+        if pz < 0.0:
+            pz = 0.0
+            if vz < 0.0:
+                vz = 0.0
 
-        omega = state.angular_velocity_rad_s
-        inertia = self.inertia_kg_m2
-        assert inertia is not None  # materialized in __post_init__
-        omega_dot = np.linalg.solve(
-            inertia, body_torque - np.cross(omega, inertia @ omega)
-        )
-        state.angular_velocity_rad_s = omega + omega_dot * dt
+        # Euler's equation on a diagonal inertia.  The matvec I @ omega
+        # returns +0.0 where the product is -0.0, hence the + 0.0.
+        wx, wy, wz = state.angular_velocity_rad_s.tolist()
+        ixx, iyy, izz = self._inertia_diag
+        hx = ixx * wx + 0.0
+        hy = iyy * wy + 0.0
+        hz = izz * wz + 0.0
+        rx = roll - (wy * hz - wz * hy)
+        ry = pitch - (wz * hx - wx * hz)
+        rz = yaw - (wx * hy - wy * hx)
+        if (rx == 0.0 and wx == 0.0) or (ry == 0.0 and wy == 0.0) or (
+            rz == 0.0 and wz == 0.0
+        ):
+            # A zero rate plus a zero rate of change: its sign is the one
+            # LAPACK's substitution gives (it can differ from rx / ixx).
+            assert self.inertia_kg_m2 is not None  # materialized in __post_init__
+            dx, dy, dz = np.linalg.solve(
+                self.inertia_kg_m2, np.array([rx, ry, rz])
+            ).tolist()
+        else:
+            dx = rx / ixx
+            dy = ry / iyy
+            dz = rz / izz
+        wx = wx + dx * dt
+        wy = wy + dy * dt
+        wz = wz + dz * dt
 
-        self._omega_quat[1:4] = state.angular_velocity_rad_s
-        q_dot = 0.5 * quaternion_multiply(state.quaternion, self._omega_quat)
-        state.quaternion = state.quaternion + q_dot * dt
-        state.quaternion /= np.linalg.norm(state.quaternion)
+        # q += 0.5 * (q * (0, omega)) * dt, renormalized below.
+        qw = w + 0.5 * (((w * 0.0 - x * wx) - y * wy) - z * wz) * dt
+        qx = x + 0.5 * (((w * wx + x * 0.0) + y * wz) - z * wy) * dt
+        qy = y + 0.5 * (((w * wy - x * wz) + y * 0.0) + z * wx) * dt
+        qz = z + 0.5 * (((w * wz + x * wy) - y * wx) + z * 0.0) * dt
+
+        # The four state vectors are views of one fresh array: callers still
+        # get new arrays every tick, for one construction instead of four.
+        vectors = np.array([vx, vy, vz, px, py, pz, wx, wy, wz, qw, qx, qy, qz])
+        quaternion = vectors[9:13]
+        quaternion /= math.sqrt(quaternion.dot(quaternion))
+        state.velocity_m_s = vectors[0:3]
+        state.position_m = vectors[3:6]
+        state.angular_velocity_rad_s = vectors[6:9]
+        state.quaternion = quaternion
         return state
 
     def reset(self, state: Optional[QuadcopterState] = None) -> None:

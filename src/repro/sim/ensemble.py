@@ -54,7 +54,13 @@ import numpy as np
 from repro.control.cascade import ControlRates, TargetMode
 from repro.physics import constants
 from repro.physics.environment import Wind
-from repro.physics.rigid_body import QuadcopterState, euler_from_quaternion
+from repro.physics.rigid_body import (
+    ROTOR_ANGLES_RAD,
+    ROTOR_SPIN,
+    TORQUE_THRUST_RATIO_M,
+    QuadcopterState,
+    euler_from_quaternion,
+)
 from repro.sim.simulator import DroneModel, FlightSimulator, SimSample
 
 __all__ = [
@@ -319,14 +325,10 @@ class EnsembleFlightSimulator:
         body = template.body
         self._mass = body.mass_kg
         self._inertia = np.asarray(body.inertia_kg_m2, dtype=float)
-        self._arm_x = body.arm_length_m * np.cos(
-            np.deg2rad([45.0, 225.0, 135.0, 315.0])
-        )
-        self._arm_y = body.arm_length_m * np.sin(
-            np.deg2rad([45.0, 225.0, 135.0, 315.0])
-        )
-        self._spin = np.array([1.0, 1.0, -1.0, -1.0])
-        self._torque_ratio = 0.016
+        # QuadcopterBody only accepts a diagonal inertia.
+        self._principal_inertia = np.diag(self._inertia).copy()
+        self._arm_x = body.arm_length_m * np.cos(ROTOR_ANGLES_RAD)
+        self._arm_y = body.arm_length_m * np.sin(ROTOR_ANGLES_RAD)
         self._gravity_row = np.array(
             [0.0, 0.0, -self._mass * constants.GRAVITY_M_S2]
         )
@@ -1069,7 +1071,7 @@ class EnsembleFlightSimulator:
         torque = np.empty((self.n_lanes, 3))
         torque[:, 0] = np.sum(self._arm_y * thrusts, axis=1)
         torque[:, 1] = -np.sum(self._arm_x * thrusts, axis=1)
-        torque[:, 2] = np.sum(self._spin * thrusts, axis=1) * self._torque_ratio
+        torque[:, 2] = np.sum(ROTOR_SPIN * thrusts, axis=1) * TORQUE_THRUST_RATIO_M
 
         rotation = _quat_to_rotation_rows(self._quat)
         thrust_col = np.zeros((self.n_lanes, 3, 1))
@@ -1105,7 +1107,9 @@ class EnsembleFlightSimulator:
 
         inertia_omega = np.matmul(self._inertia, self._omega[:, :, None])[:, :, 0]
         rhs = torque - np.cross(self._omega, inertia_omega)
-        omega_dot = np.linalg.solve(self._inertia, rhs[:, :, None])[:, :, 0]
+        # np.linalg.solve on the diagonal inertia, bit for bit up to the sign
+        # of a zero, which never reaches omega: lane rates start at +0.0.
+        omega_dot = rhs / self._principal_inertia
         new_omega = self._omega + omega_dot * dt
 
         omega_quat = np.zeros((self.n_lanes, 4))

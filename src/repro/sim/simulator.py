@@ -25,7 +25,11 @@ from repro.physics import constants
 from repro.physics.battery_model import BatteryDepletedError, LipoBattery
 from repro.physics.environment import Environment, Wind
 from repro.physics.propeller import max_propeller_inch_for_wheelbase
-from repro.physics.rigid_body import QuadcopterBody, QuadcopterState
+from repro.physics.rigid_body import (
+    QuadcopterBody,
+    QuadcopterState,
+    quaternion_from_euler,
+)
 from repro.sensors.suite import SensorSuite
 
 
@@ -297,8 +301,6 @@ class FlightSimulator:
         rate feedback is not part of the 9-state estimate, matching how
         flight stacks feed raw gyro to the rate PIDs.
         """
-        from repro.physics.rigid_body import quaternion_from_euler
-
         estimated = QuadcopterState(
             position_m=self.ekf.position_m.copy(),
             velocity_m_s=self.ekf.velocity_m_s.copy(),

@@ -34,7 +34,9 @@ from repro import oracles
 from repro.core.batch import evaluate_batch
 from repro.core.design import DroneDesign
 from repro.core.equations import InfeasibleDesignError
+from repro.control.mixer import MotorMixer
 from repro.core.explorer import sweep_wheelbase
+from repro.physics.rigid_body import QuadcopterBody
 from repro.platforms.cpu import InOrderCore
 from repro.slam.bundle_adjustment import global_bundle_adjust
 from repro.slam.features import hamming_distance_matrix
@@ -243,6 +245,28 @@ def _scalar_lanes(designs):
     return lanes
 
 
+def ticks(step: Callable[..., Any]) -> Callable[..., Any]:
+    """A body stepped through a thrust schedule: every state it passes
+    through, and the gust state its wind is left in."""
+
+    def run(body, thrust_rows, dt):
+        states = [step(body, thrusts, dt).copy() for thrusts in thrust_rows]
+        gust = None if body.wind is None else body.wind._state
+        return {"states": states, "gust": gust}
+
+    return run
+
+
+def _with_counters(mix: Callable[..., Any]) -> Callable[..., Any]:
+    """A mix's result includes the allocation counters it bumps."""
+
+    def run(mixer, total_thrust_n, torque_nm):
+        return {"thrusts": mix(mixer, total_thrust_n, torque_nm),
+                "mixes": mixer.mixes, "saturations": mixer.saturations}
+
+    return run
+
+
 # -- the pairs ----------------------------------------------------------------
 
 #: Per-lane design evaluation: one batched grid vs ``DroneDesign.evaluate``.
@@ -286,3 +310,11 @@ RUN_TRACE = Pair(
         core, [(context, trace)])[context]),
     COUNTER_EXACT,
 )
+#: The scalar flight tick: float arithmetic vs the NumPy-vector reference.
+WRENCH_FROM_MOTOR_THRUSTS = Pair("QuadcopterBody.wrench_from_motor_thrusts",
+                                 QuadcopterBody.wrench_from_motor_thrusts,
+                                 oracles.wrench_from_motor_thrusts, BITWISE)
+BODY_STEP = Pair("QuadcopterBody.step", QuadcopterBody.step,
+                 oracles.quadcopter_body_step, BITWISE)
+MOTOR_MIXER_MIX = Pair("MotorMixer.mix", _with_counters(MotorMixer.mix),
+                       _with_counters(oracles.motor_mixer_mix), BITWISE)

@@ -125,6 +125,24 @@ class TestQuadcopterBody:
                 mass_kg=1.0, arm_length_m=0.2, inertia_kg_m2=np.eye(2)
             )
 
+    def test_rejects_negative_drag_area(self):
+        with pytest.raises(ValueError, match="Cd\\*A"):
+            make_body(drag_coefficient_area=-0.01)
+        with pytest.raises(ValueError, match="Cd\\*A"):
+            make_body(drag_coefficient_area=float("nan"))
+        assert make_body(drag_coefficient_area=0.0).drag_coefficient_area == 0.0
+
+    def test_rejects_non_diagonal_inertia(self):
+        inertia = np.diag([0.01, 0.01, 0.02])
+        inertia[0, 1] = inertia[1, 0] = 1e-4
+        with pytest.raises(ValueError, match="diagonal"):
+            make_body(inertia_kg_m2=inertia)
+
+    @pytest.mark.parametrize("moment", [0.0, -0.01, float("nan")])
+    def test_rejects_non_positive_principal_moments(self, moment):
+        with pytest.raises(ValueError, match="principal moments"):
+            make_body(inertia_kg_m2=np.diag([0.01, moment, 0.02]))
+
     def test_reset_restores_initial_state(self):
         body = make_body()
         body.step(np.full(4, 5.0), 1e-3)
