@@ -7,12 +7,13 @@ paper describes — attitude is the mid level between position and thrust.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.analysis.markers import hot_path
-from repro.control.pid import PidController
+from repro.control.pid import PidController, clip
 
 
 @dataclass
@@ -33,6 +34,11 @@ class AttitudeController:
             raise ValueError("inertia must be a 3x3 matrix")
         if self.angle_kp <= 0 or self.rate_kp <= 0:
             raise ValueError("controller gains must be positive")
+        if not self.max_rate_rad_s > 0:
+            # Also keeps the rate clip's bounds away from signed zeros.
+            raise ValueError(
+                f"max body rate must be positive, got {self.max_rate_rad_s}"
+            )
         self._rate_pids = [
             PidController(
                 kp=self.rate_kp,
@@ -60,17 +66,20 @@ class AttitudeController:
         if target.shape != (3,) or attitude.shape != (3,) or rates.shape != (3,):
             raise ValueError("attitude controller inputs must be 3-vectors")
 
-        angle_error = target - attitude
+        # Floats in the NumPy expressions' operation order, bit for bit
+        # (DESIGN.md §Performance); the inertia matvec stays in NumPy.
+        target_r, target_p, target_y = target.tolist()
+        roll, pitch, yaw = attitude.tolist()
+        rate_r, rate_p, rate_y = rates.tolist()
         # Yaw error wraps around +-pi.
-        angle_error[2] = (angle_error[2] + np.pi) % (2.0 * np.pi) - np.pi
-        rate_setpoint = np.clip(
-            self.angle_kp * angle_error, -self.max_rate_rad_s, self.max_rate_rad_s
-        )
-        normalized_torque = np.empty(3)
-        for axis in range(3):
-            normalized_torque[axis] = self._rate_pids[axis].update(
-                float(rate_setpoint[axis]), float(rates[axis]), dt
-            )
+        yaw_error = (target_y - yaw + math.pi) % (2.0 * math.pi) - math.pi
+        kp, limit = self.angle_kp, self.max_rate_rad_s
+        pid_r, pid_p, pid_y = self._rate_pids
+        normalized_torque = np.array([
+            pid_r.update(clip(kp * (target_r - roll), -limit, limit), rate_r, dt),
+            pid_p.update(clip(kp * (target_p - pitch), -limit, limit), rate_p, dt),
+            pid_y.update(clip(kp * yaw_error, -limit, limit), rate_y, dt),
+        ])
         self.updates += 1
         # Scale by inertia so gains are airframe-size independent.
         return self.inertia_kg_m2 @ normalized_torque

@@ -103,6 +103,7 @@ class HierarchicalController:
         self._next_position_update = 0.0
         self._next_attitude_update = 0.0
         self._position_level_updates = 0
+        self._torque_command = np.zeros(3)
 
     # -- outer-loop interface -------------------------------------------------
 
@@ -180,8 +181,6 @@ class HierarchicalController:
                 state.angular_velocity_rad_s,
                 attitude_dt,
             )
-        elif not hasattr(self, "_torque_command"):
-            self._torque_command = np.zeros(3)
 
         return self.thrust_controller.update(
             self._collective_thrust_n, self._torque_command, dt
@@ -197,8 +196,7 @@ class HierarchicalController:
         self._next_position_update = 0.0
         self._next_attitude_update = 0.0
         self._position_level_updates = 0
-        if hasattr(self, "_torque_command"):
-            del self._torque_command
+        self._torque_command = np.zeros(3)
 
     # -- compute accounting -----------------------------------------------------
 

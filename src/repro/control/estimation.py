@@ -99,15 +99,25 @@ class InsEkf:
         if accel.shape != (3,) or gyro.shape != (3,):
             raise ValueError("accel and gyro must be 3-vectors")
 
-        roll, pitch, yaw = self.state[6:9]
+        # The state update runs on floats in the order of the NumPy
+        # expressions it replaced, bit for bit (DESIGN.md §Performance);
+        # the two matvecs stay in NumPy, whose BLAS rounds them with FMAs.
+        px, py, pz, vx, vy, vz, roll, pitch, yaw = self.state.tolist()
         rotation = _rotation_from_euler(roll, pitch, yaw)
-        accel_world = rotation @ accel
-        accel_world[2] -= constants.GRAVITY_M_S2
-
-        self.state[0:3] += self.state[3:6] * dt + 0.5 * accel_world * dt * dt
-        self.state[3:6] += accel_world * dt
-        self.state[6:9] += _euler_rates(roll, pitch, gyro) * dt
-        self.state[8] = _wrap_angle(self.state[8])
+        ax, ay, az = (rotation @ accel).tolist()
+        az = az - constants.GRAVITY_M_S2
+        rate_roll, rate_pitch, rate_yaw = _euler_rates(roll, pitch, gyro).tolist()
+        self.state[:] = (
+            px + (vx * dt + 0.5 * ax * dt * dt),
+            py + (vy * dt + 0.5 * ay * dt * dt),
+            pz + (vz * dt + 0.5 * az * dt * dt),
+            vx + ax * dt,
+            vy + ay * dt,
+            vz + az * dt,
+            roll + rate_roll * dt,
+            pitch + rate_pitch * dt,
+            _wrap_angle(yaw + rate_yaw * dt),
+        )
 
         key = (dt, self.accel_noise, self.gyro_noise)
         if self._predict_key != key:
@@ -122,7 +132,7 @@ class InsEkf:
             self._predict_key = key
         jacobian = self._jacobian
         self.covariance = jacobian @ self.covariance @ jacobian.T + self._process
-        if not np.all(np.isfinite(self.state)):
+        if not all(map(math.isfinite, self.state.tolist())):
             raise FloatingPointError("EKF state non-finite after prediction")
         self.flops += 2 * STATE_SIZE**3 + 60
         self.predictions += 1

@@ -14,22 +14,12 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.markers import hot_path
+from repro.control.pid import clip
 from repro.physics.rigid_body import (
     ROTOR_ANGLES_RAD,
     ROTOR_SPIN,
     TORQUE_THRUST_RATIO_M,
 )
-
-
-@hot_path
-def _clip(value: float, ceiling: float) -> float:
-    """``np.clip(value, 0.0, ceiling)`` on floats: NaN passes through, and
-    ``-0.0`` clips to ``0.0`` as NumPy's max-then-min does."""
-    if value != value:
-        return value
-    if not value > 0.0:
-        value = 0.0
-    return value if value < ceiling else ceiling
 
 
 @dataclass
@@ -99,7 +89,7 @@ class MotorMixer:
 
         Only the allocation matvecs stay in NumPy (BLAS rounds them with
         FMAs); the rest runs on floats in the operation order of the NumPy
-        reference ``repro.oracles.motor_mixer_mix``, bit for bit.
+        expressions it replaced, bit for bit (DESIGN.md §Performance).
         """
         if total_thrust_n < 0:
             raise ValueError(f"thrust cannot be negative, got {total_thrust_n}")
@@ -158,10 +148,10 @@ class MotorMixer:
         if t0 > c0 + 1e-9 or t1 > c1 + 1e-9 or t2 > c2 + 1e-9 or t3 > c3 + 1e-9:
             self.saturations += 1
         # The matvec's fresh output array carries the clipped thrusts out.
-        thrusts[0] = _clip(t0, c0)
-        thrusts[1] = _clip(t1, c1)
-        thrusts[2] = _clip(t2, c2)
-        thrusts[3] = _clip(t3, c3)
+        thrusts[0] = clip(t0, 0.0, c0)
+        thrusts[1] = clip(t1, 0.0, c1)
+        thrusts[2] = clip(t2, 0.0, c2)
+        thrusts[3] = clip(t3, 0.0, c3)
         return thrusts
 
     def set_motor_health(self, motor_index: int, factor: float) -> None:

@@ -14,6 +14,20 @@ from typing import Optional, Tuple
 from repro.analysis.markers import hot_path
 
 
+@hot_path
+def clip(value: float, low: float, high: float) -> float:
+    """``np.clip`` with array bounds, on one float: NaN passes through, and
+    a bound equal to ``value`` wins, so ``-0.0`` clips to ``+0.0`` at a
+    ``0.0`` bound while ``clip(-0.0, -m, m)`` keeps ``-0.0``.  (With scalar
+    bounds NumPy keeps ``value`` on a tie; the two differ only at a
+    signed-zero bound.)"""
+    if value != value:
+        return value
+    if not value > low:
+        value = low
+    return value if value < high else high
+
+
 @dataclass
 class PidController:
     """Discrete PID with anti-windup and derivative-on-measurement."""

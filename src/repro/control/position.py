@@ -47,15 +47,22 @@ class VelocityController:
     ) -> np.ndarray:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        target = np.asarray(velocity_target_m_s, dtype=float)
-        velocity = np.asarray(velocity_m_s, dtype=float)
-        accel = np.empty(3)
-        for axis in range(3):
-            accel[axis] = self._pids[axis].update(
-                float(target[axis]), float(velocity[axis]), dt
-            )
+        target_x, target_y, target_z = np.asarray(
+            velocity_target_m_s, dtype=float
+        ).tolist()
+        velocity_x, velocity_y, velocity_z = np.asarray(
+            velocity_m_s, dtype=float
+        ).tolist()
+        pid_x, pid_y, pid_z = self._pids
+        accel = np.array([
+            pid_x.update(target_x, velocity_x, dt),
+            pid_y.update(target_y, velocity_y, dt),
+            pid_z.update(target_z, velocity_z, dt),
+        ])
         self.updates += 1
-        norm = float(np.linalg.norm(accel))
+        # np.linalg.norm of a 1-D array is sqrt(v.dot(v)); BLAS rounds the
+        # dot with FMAs, so it stays on the array.
+        norm = math.sqrt(accel.dot(accel))
         if norm > self.max_acceleration_m_s2:
             accel *= self.max_acceleration_m_s2 / norm
         return accel
@@ -96,10 +103,15 @@ class PositionController:
         """One 40 Hz step: returns the desired world acceleration (m/s^2)."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        target = np.asarray(position_target_m, dtype=float)
-        position = np.asarray(position_m, dtype=float)
-        velocity_setpoint = self.kp * (target - position)
-        norm = float(np.linalg.norm(velocity_setpoint))
+        target_x, target_y, target_z = np.asarray(
+            position_target_m, dtype=float
+        ).tolist()
+        x, y, z = np.asarray(position_m, dtype=float).tolist()
+        kp = self.kp
+        velocity_setpoint = np.array(
+            [kp * (target_x - x), kp * (target_y - y), kp * (target_z - z)]
+        )
+        norm = math.sqrt(velocity_setpoint.dot(velocity_setpoint))
         if norm > self.max_velocity_m_s:
             velocity_setpoint *= self.max_velocity_m_s / norm
         self.updates += 1
@@ -134,33 +146,44 @@ def acceleration_to_attitude_thrust(
     accel = np.asarray(acceleration_m_s2, dtype=float)
     if accel.shape != (3,):
         raise ValueError("acceleration must be a 3-vector")
+    # Floats in the NumPy expressions' operation order, bit for bit
+    # (DESIGN.md §Performance); the norms stay sqrt(v.dot(v)) on arrays.
+    accel_x, accel_y, accel_z = accel.tolist()
     # Desired specific force includes gravity compensation.
-    force_world = mass_kg * (accel + np.array([0.0, 0.0, constants.GRAVITY_M_S2]))
-    thrust = float(np.linalg.norm(force_world))
+    force_world = np.array([
+        mass_kg * (accel_x + 0.0),
+        mass_kg * (accel_y + 0.0),
+        mass_kg * (accel_z + constants.GRAVITY_M_S2),
+    ])
+    thrust = math.sqrt(force_world.dot(force_world))
     if thrust < 1e-9:
         return np.array([0.0, 0.0, yaw_target_rad]), 0.0
-    z_body = force_world / thrust
+    force_x, force_y, force_z = force_world.tolist()
+    z_x, z_y, z_z = force_x / thrust, force_y / thrust, force_z / thrust
     # Tilt limit: keep the thrust axis within the cone.
-    cos_tilt = max(-1.0, min(1.0, z_body[2]))
+    cos_tilt = max(-1.0, min(1.0, z_z))
     tilt = math.acos(cos_tilt)
     if tilt > max_tilt_rad:
         # Project onto the cone boundary, preserving heading of the tilt.
-        horizontal = z_body[0:2]
-        horizontal_norm = float(np.linalg.norm(horizontal))
+        horizontal = np.array([z_x, z_y])
+        horizontal_norm = math.sqrt(horizontal.dot(horizontal))
         if horizontal_norm > 1e-9:
             scale = math.sin(max_tilt_rad) / horizontal_norm
-            z_body = np.array(
-                [horizontal[0] * scale, horizontal[1] * scale, math.cos(max_tilt_rad)]
-            )
+            z_x, z_y, z_z = z_x * scale, z_y * scale, math.cos(max_tilt_rad)
     cy, sy = math.cos(yaw_target_rad), math.sin(yaw_target_rad)
-    # Roll/pitch from the body z axis in the yaw-aligned frame.
-    x_c = np.array([cy, sy, 0.0])
-    y_body = np.cross(z_body, x_c)
-    y_norm = float(np.linalg.norm(y_body))
+    # Roll/pitch from the body z axis in the yaw-aligned frame: y_body is
+    # z_body x [cy, sy, 0.0], and x_body = y_body x z_body.
+    y_body = np.array([
+        z_y * 0.0 - z_z * sy,
+        z_z * cy - z_x * 0.0,
+        z_x * sy - z_y * cy,
+    ])
+    y_norm = math.sqrt(y_body.dot(y_body))
     if y_norm < 1e-9:
         raise ValueError("degenerate attitude: thrust axis parallel to heading")
-    y_body /= y_norm
-    x_body = np.cross(y_body, z_body)
-    pitch = -math.asin(max(-1.0, min(1.0, x_body[2])))
-    roll = math.atan2(y_body[2], z_body[2])
+    y_x, y_y, y_z = y_body.tolist()
+    y_x, y_y, y_z = y_x / y_norm, y_y / y_norm, y_z / y_norm
+    x_body_z = y_x * z_y - y_y * z_x
+    pitch = -math.asin(max(-1.0, min(1.0, x_body_z)))
+    roll = math.atan2(y_z, z_z)
     return np.array([roll, pitch, yaw_target_rad]), thrust

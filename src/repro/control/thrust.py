@@ -45,10 +45,16 @@ class ThrustController:
         """One 1 kHz step: returns the per-motor thrusts after motor lag."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        commanded = self.mixer.mix(collective_thrust_n, torque_nm)
-        # First-order lag: ESC + rotor inertia response.
+        c0, c1, c2, c3 = self.mixer.mix(collective_thrust_n, torque_nm).tolist()
+        # First-order lag: ESC + rotor inertia response, on floats in the
+        # order of t + alpha * (c - t).
         alpha = dt / (self.motor_time_constant_s + dt)
-        self._thrusts_n = self._thrusts_n + alpha * (commanded - self._thrusts_n)
+        lag = self._thrusts_n
+        t0, t1, t2, t3 = lag.tolist()
+        lag[0] = t0 + alpha * (c0 - t0)
+        lag[1] = t1 + alpha * (c1 - t1)
+        lag[2] = t2 + alpha * (c2 - t2)
+        lag[3] = t3 + alpha * (c3 - t3)
         self.updates += 1
         return self._thrusts_n.copy()
 

@@ -2,8 +2,9 @@
 
 Each is named after the fast function it checks.  The design-space sweep,
 the SLAM stages, and the trace-driven core have scalar oracles of their
-vectorized paths; the flight tick's rigid-body step and mixer, which run on
-Python floats, keep their NumPy-vector form here.  The
+vectorized paths.  The scalar flight tick, which runs on Python floats,
+keeps no second body here: golden vectors recorded from its NumPy form
+(``tests/fixtures/flight_tick/``) hold it instead.  The
 equivalence harness under ``tests/`` holds every pair to its DESIGN.md
 §Performance tier and ``benchmarks/perf/run_perf.py`` times some; library
 code never imports this module and no package exports it.  Tracking and
@@ -20,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.components.compute import BASIC_CHIP_POWER_W
-from repro.control.mixer import MotorMixer
 from repro.core.design import DroneDesign
 from repro.core.equations import InfeasibleDesignError
 from repro.core.explorer import (
@@ -30,14 +30,6 @@ from repro.core.explorer import (
     SweepResult,
 )
 from repro.physics import constants
-from repro.physics.rigid_body import (
-    ROTOR_ANGLES_RAD,
-    ROTOR_SPIN,
-    TORQUE_THRUST_RATIO_M,
-    QuadcopterBody,
-    QuadcopterState,
-    quaternion_multiply,
-)
 from repro.platforms.cpu import InOrderCore, PerfCounters
 from repro.platforms.workload import Trace
 from repro.slam.bundle_adjustment import (
@@ -484,98 +476,3 @@ def run_segments(
         core._switch_to(context)
         core._execute_segment_scalar(context, trace)
     return core.counters
-
-
-# -- scalar flight tick (bitwise) ---------------------------------------------
-
-
-def wrench_from_motor_thrusts(
-    body: QuadcopterBody,
-    thrusts_n: np.ndarray,
-    torque_thrust_ratio_m: float = TORQUE_THRUST_RATIO_M,
-) -> Tuple[float, np.ndarray]:
-    """:meth:`QuadcopterBody.wrench_from_motor_thrusts` as NumPy sums."""
-    thrusts = np.asarray(thrusts_n, dtype=float)
-    if thrusts.shape != (4,):
-        raise ValueError(f"need 4 motor thrusts, got shape {thrusts.shape}")
-    if np.any(thrusts < -1e-9):
-        raise ValueError("motor thrusts cannot be negative")
-    arm_x = body.arm_length_m * np.cos(ROTOR_ANGLES_RAD)
-    arm_y = body.arm_length_m * np.sin(ROTOR_ANGLES_RAD)
-    total_thrust = float(np.sum(thrusts))
-    torque_roll = float(np.sum(arm_y * thrusts))
-    torque_pitch = float(-np.sum(arm_x * thrusts))
-    torque_yaw = float(np.sum(ROTOR_SPIN * thrusts) * torque_thrust_ratio_m)
-    return total_thrust, np.array([torque_roll, torque_pitch, torque_yaw])
-
-
-def quadcopter_body_step(
-    body: QuadcopterBody, thrusts_n: np.ndarray, dt: float
-) -> QuadcopterState:
-    """:meth:`QuadcopterBody.step` on NumPy vectors: rotation matrix,
-    ``np.cross`` and ``np.linalg.solve`` on the inertia."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    total_thrust, body_torque = wrench_from_motor_thrusts(body, thrusts_n)
-    state = body.state
-    thrust_world = state.rotation @ np.array([0.0, 0.0, total_thrust])
-    airspeed = state.velocity_m_s.copy()
-    if body.wind is not None:
-        airspeed -= body.wind.step(dt)
-    drag = body.environment.drag_force_n(airspeed, body.drag_coefficient_area)
-    gravity = np.array([0.0, 0.0, -body.mass_kg * constants.GRAVITY_M_S2])
-
-    acceleration = (thrust_world + gravity + drag) / body.mass_kg
-    state.velocity_m_s = state.velocity_m_s + acceleration * dt
-    state.position_m = state.position_m + state.velocity_m_s * dt
-    if state.position_m[2] < 0.0:
-        state.position_m[2] = 0.0
-        if state.velocity_m_s[2] < 0.0:
-            state.velocity_m_s[2] = 0.0
-
-    omega = state.angular_velocity_rad_s
-    inertia = body.inertia_kg_m2
-    assert inertia is not None  # materialized in __post_init__
-    omega_dot = np.linalg.solve(
-        inertia, body_torque - np.cross(omega, inertia @ omega)
-    )
-    state.angular_velocity_rad_s = omega + omega_dot * dt
-
-    omega_quat = np.zeros(4)
-    omega_quat[1:4] = state.angular_velocity_rad_s
-    q_dot = 0.5 * quaternion_multiply(state.quaternion, omega_quat)
-    state.quaternion = state.quaternion + q_dot * dt
-    state.quaternion /= np.linalg.norm(state.quaternion)
-    return state
-
-
-def motor_mixer_mix(
-    mixer: MotorMixer, total_thrust_n: float, torque_nm: np.ndarray
-) -> np.ndarray:
-    """:meth:`MotorMixer.mix` on NumPy vectors."""
-    if total_thrust_n < 0:
-        raise ValueError(f"thrust cannot be negative, got {total_thrust_n}")
-    torque = np.asarray(torque_nm, dtype=float)
-    if torque.shape != (3,):
-        raise ValueError(f"torque must be a 3-vector, got shape {torque.shape}")
-    wrench = np.concatenate([[total_thrust_n], torque])
-    assert mixer.motor_health is not None  # materialized in __post_init__
-    ceilings = mixer.max_thrust_per_motor_n * mixer.motor_health
-    thrusts = mixer._inverse @ wrench
-    if np.any(thrusts < 0.0) or np.any(thrusts > ceilings):
-        wrench_no_yaw = wrench.copy()
-        wrench_no_yaw[3] *= 0.25
-        torque_part = mixer._inverse @ np.concatenate([[0.0], wrench_no_yaw[1:]])
-        collective_part = mixer._inverse[:, 0] * total_thrust_n
-        scale = 1.0
-        for torque_i, collective_i, ceiling_i in zip(
-            torque_part, collective_part, ceilings
-        ):
-            if collective_i > 1e-12:
-                scale = min(scale, (ceiling_i - torque_i) / collective_i)
-        scale = float(np.clip(scale, mixer.MIN_COLLECTIVE_SCALE, 1.0))
-        thrusts = torque_part + scale * collective_part
-    mixer.mixes += 1
-    if np.any(thrusts > ceilings + 1e-9):
-        mixer.saturations += 1
-    return np.clip(thrusts, 0.0, ceilings)

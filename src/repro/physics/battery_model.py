@@ -36,6 +36,11 @@ class LipoBattery:
     #: Extra pack-level series resistance injected by a fault (aged cells,
     #: a failing connector) — adds straight to voltage sag under load.
     fault_resistance_ohm: float = field(default=0.0)
+    #: The last open-circuit voltage and the (used_mah, capacity_mah,
+    #: cells) it was computed at: a flight tick reads it three times
+    #: between two draws.
+    _ocv_key: tuple = field(default=(), init=False, repr=False, compare=False)
+    _ocv_v: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.cells <= 12:
@@ -85,6 +90,9 @@ class LipoBattery:
         Piecewise-linear per-cell curve: 4.2 V at full, a shallow plateau
         through the mid range, and a steep knee below 15% SoC.
         """
+        key = (self.used_mah, self.capacity_mah, self.cells)
+        if key == self._ocv_key:
+            return self._ocv_v
         soc = self.state_of_charge
         if soc > 0.9:
             cell_v = 4.05 + (soc - 0.9) / 0.1 * (constants.LIPO_CELL_FULL_V - 4.05)
@@ -94,7 +102,9 @@ class LipoBattery:
             cell_v = constants.LIPO_CELL_EMPTY_V + soc / 0.15 * (
                 3.70 - constants.LIPO_CELL_EMPTY_V
             )
-        return cell_v * self.cells
+        self._ocv_key = key
+        self._ocv_v = cell_v * self.cells
+        return self._ocv_v
 
     @hot_path
     def terminal_voltage_v(self, load_current_a: float) -> float:
@@ -125,13 +135,16 @@ class LipoBattery:
         """
         if current_a < 0 or duration_s < 0:
             raise ValueError("current and duration must be non-negative")
-        if current_a > self.max_continuous_current_a * 1.10:
+        # The limits inline the properties' expressions (one call per tick).
+        max_current_a = self.capacity_mah / 1000.0 * self.c_rating
+        if current_a > max_current_a * 1.10:
             raise ValueError(
                 f"current {current_a:.1f} A exceeds C-rating limit "
-                f"{self.max_continuous_current_a:.1f} A"
+                f"{max_current_a:.1f} A"
             )
         drawn_mah = current_a * duration_s / 3.6
-        if drawn_mah > self.remaining_mah + 1e-9:
+        remaining_mah = max(0.0, self.capacity_mah * self.drain_limit - self.used_mah)
+        if drawn_mah > remaining_mah + 1e-9:
             raise BatteryDepletedError(
                 f"drawing {drawn_mah:.1f} mAh but only {self.remaining_mah:.1f} "
                 f"mAh remain before the {self.drain_limit:.0%} drain limit"

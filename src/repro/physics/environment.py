@@ -8,9 +8,10 @@ control-system experiments are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,8 +32,9 @@ class Wind:
     gust_speed_m_s: float = 0.0
     correlation_time_s: float = 1.5
     seed: int = 0
-    _state: np.ndarray = field(init=False, repr=False)
-    _mean: np.ndarray = field(init=False, repr=False)
+    #: Gust and mean wind as floats (m/s per axis).
+    _state: List[float] = field(init=False, repr=False)
+    _mean: List[float] = field(init=False, repr=False)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -40,25 +42,37 @@ class Wind:
             raise ValueError(f"gust speed must be non-negative, got {self.gust_speed_m_s}")
         if self.correlation_time_s <= 0:
             raise ValueError("gust correlation time must be positive")
-        self._state = np.zeros(3)
-        self._mean = np.asarray(self.mean_m_s, dtype=float)
+        self._state = [0.0, 0.0, 0.0]
+        self._mean = np.asarray(self.mean_m_s, dtype=float).tolist()
         if self._rng is None:
             self._rng = np.random.default_rng(self.seed)
 
     @hot_path
     def step(self, dt: float) -> np.ndarray:
         """Advance the gust process by ``dt`` and return the wind vector (m/s)."""
+        return np.array(self._advance(dt))
+
+    @hot_path
+    def _advance(self, dt: float) -> Tuple[float, float, float]:
+        """:meth:`step` as floats, in the order of ``alpha * state + scale *
+        noise`` and ``mean + state`` on arrays."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
+        s0, s1, s2 = self._state
         if self.gust_speed_m_s > 0:
             assert self._rng is not None  # seeded in __post_init__
             alpha = math.exp(-dt / self.correlation_time_s)
             noise_scale = self.gust_speed_m_s * math.sqrt(1.0 - alpha * alpha)
-            self._state = alpha * self._state + noise_scale * self._rng.standard_normal(3)
-        return self._mean + self._state
+            n0, n1, n2 = self._rng.standard_normal(3).tolist()
+            s0 = alpha * s0 + noise_scale * n0
+            s1 = alpha * s1 + noise_scale * n1
+            s2 = alpha * s2 + noise_scale * n2
+            self._state = [s0, s1, s2]
+        m0, m1, m2 = self._mean
+        return m0 + s0, m1 + s1, m2 + s2
 
     def reset(self) -> None:
-        self._state = np.zeros(3)
+        self._state = [0.0, 0.0, 0.0]
         self._rng = np.random.default_rng(self.seed)
 
 
@@ -69,8 +83,10 @@ class Environment:
     altitude_m: float = 0.0
     temperature_offset_k: float = 0.0
 
-    @property
+    @functools.cached_property
     def air_density(self) -> float:
+        """ISA density at the (frozen) ambient conditions, computed once:
+        the rigid body reads it every tick."""
         return constants.air_density_kg_m3(self.altitude_m, self.temperature_offset_k)
 
     @hot_path

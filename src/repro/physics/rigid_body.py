@@ -34,7 +34,7 @@ TORQUE_THRUST_RATIO_M = 0.016
 @hot_path
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
     """Rotation matrix (world from body) from a unit quaternion [w, x, y, z]."""
-    w, x, y, z = q
+    w, x, y, z = q.tolist() if isinstance(q, np.ndarray) else q
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -78,7 +78,7 @@ def quaternion_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
 @hot_path
 def euler_from_quaternion(q: np.ndarray) -> np.ndarray:
     """ZYX Euler angles [roll, pitch, yaw] (radians) from a unit quaternion."""
-    w, x, y, z = q
+    w, x, y, z = q.tolist() if isinstance(q, np.ndarray) else q
     roll = math.atan2(2 * (w * x + y * z), 1 - 2 * (x * x + y * y))
     sin_pitch = max(-1.0, min(1.0, 2 * (w * y - z * x)))
     pitch = math.asin(sin_pitch)
@@ -212,9 +212,9 @@ class QuadcopterBody:
         1 kHz inner-loop rates the paper's Table 2 prescribes.
 
         The arithmetic runs on Python floats in the operation order of the
-        NumPy reference (``repro.oracles.quadcopter_body_step``), so every
-        result is the same to the bit; DESIGN.md §Performance lists what is
-        reproduced and what stays in NumPy.
+        NumPy expressions it replaced, so every result is the same to the
+        bit; DESIGN.md §Performance lists what is reproduced and what stays
+        in NumPy.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -233,7 +233,9 @@ class QuadcopterBody:
 
         airspeed = state.velocity_m_s
         if self.wind is not None:
-            airspeed = airspeed - self.wind.step(dt)
+            # The wind as floats: one array for the dot, not two.
+            wind_x, wind_y, wind_z = self.wind._advance(dt)
+            airspeed = np.array([vx - wind_x, vy - wind_y, vz - wind_z])
         cda = self.drag_coefficient_area
         if cda < 0:
             raise ValueError("Cd*A must be non-negative")

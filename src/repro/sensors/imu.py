@@ -8,7 +8,7 @@ something honest to fuse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -17,11 +17,6 @@ from repro.physics import constants
 from repro.physics.rigid_body import QuadcopterState
 
 IMU_RATE_RANGE_HZ = (100.0, 200.0)
-
-#: World-frame gravity as specific force (read-only module constant so the
-#: 2 ms sample path does not rebuild it every fire).
-_GRAVITY_W = np.array([0.0, 0.0, constants.GRAVITY_M_S2])
-_GRAVITY_W.setflags(write=False)
 
 
 @dataclass
@@ -36,7 +31,7 @@ class Imu:
     seed: int = 1
     samples: int = field(default=0)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
-    _last_velocity: Optional[np.ndarray] = field(default=None, repr=False)
+    _last_velocity: Optional[List[float]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not 1.0 <= self.rate_hz <= 10_000.0:
@@ -46,10 +41,10 @@ class Imu:
         if self._rng is None:
             self._rng = np.random.default_rng(self.seed)
         self._last_velocity = None
-        # Per-fire scratch: noise draws and the differentiated world
-        # acceleration land in these instead of fresh arrays every 2 ms.
+        # Per-fire scratch for the noise draws and the specific force the
+        # matvec reads, instead of fresh arrays every fire.
         self._noise = np.zeros(3)
-        self._accel_world = np.zeros(3)
+        self._specific_force = np.zeros(3)
 
     @property
     def period_s(self) -> float:
@@ -66,34 +61,43 @@ class Imu:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         assert self._rng is not None  # seeded in __post_init__
-        velocity = state.velocity_m_s
+        # Floats in the order of the NumPy expressions they replaced, bit
+        # for bit (DESIGN.md §Performance); the body-frame rotation
+        # rotation.T @ f stays in NumPy, whose BLAS rounds it with FMAs, and
+        # its fresh output carries the noisy reading out.
+        velocity = state.velocity_m_s.tolist()
         if self._last_velocity is None:
-            accel_world = np.zeros(3)
-            self._last_velocity = velocity.copy()
+            accel_x = accel_y = accel_z = 0.0
         else:
-            accel_world = np.subtract(
-                velocity, self._last_velocity, out=self._accel_world
-            )
-            accel_world /= dt
-            np.copyto(self._last_velocity, velocity)
+            last_x, last_y, last_z = self._last_velocity
+            vel_x, vel_y, vel_z = velocity
+            accel_x = (vel_x - last_x) / dt
+            accel_y = (vel_y - last_y) / dt
+            accel_z = (vel_z - last_z) / dt
+        self._last_velocity = velocity
 
-        rotation = state.rotation
-        specific_force_world = np.add(accel_world, _GRAVITY_W, out=accel_world)
-        accel_body = rotation.T @ specific_force_world
+        # Specific force: world acceleration plus gravity's [0, 0, g].
+        force = self._specific_force
+        force[0] = accel_x + 0.0
+        force[1] = accel_y + 0.0
+        force[2] = accel_z + constants.GRAVITY_M_S2
+        accel_body = state.rotation.T @ force
         gyro_body = state.angular_velocity_rad_s.copy()
 
-        # standard_normal(out=...) then in-place scaling draws the exact
-        # values (and generator state) normal(0, sigma, 3) would; summing
-        # bias + noise first preserves the original rounding order.
+        # Each fresh vector gets bias + noise, summed before it is added;
+        # standard_normal(out=...) draws what normal(0, sigma, 3) would.
         noise = self._noise
-        self._rng.standard_normal(out=noise)
-        np.multiply(noise, self.accel_noise_m_s2, out=noise)
-        np.add(self.accel_bias_m_s2, noise, out=noise)
-        accel_body += noise
-        self._rng.standard_normal(out=noise)
-        np.multiply(noise, self.gyro_noise_rad_s, out=noise)
-        np.add(self.gyro_bias_rad_s, noise, out=noise)
-        gyro_body += noise
+        for vector, sigma, bias in (
+            (accel_body, self.accel_noise_m_s2, self.accel_bias_m_s2),
+            (gyro_body, self.gyro_noise_rad_s, self.gyro_bias_rad_s),
+        ):
+            self._rng.standard_normal(out=noise)
+            noise_x, noise_y, noise_z = noise.tolist()
+            bias_x, bias_y, bias_z = bias
+            x, y, z = vector.tolist()
+            vector[0] = x + (bias_x + noise_x * sigma)
+            vector[1] = y + (bias_y + noise_y * sigma)
+            vector[2] = z + (bias_z + noise_z * sigma)
         self.samples += 1
         return accel_body, gyro_body
 

@@ -74,35 +74,30 @@ class SensorSuite:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         self._time_s += dt
+        now = self._time_s
+        due = self._due
         readings = SensorReadings()
         # Deadlines advance by whole periods from the previous deadline (not
         # from "now"), so floating-point grid beating cannot stretch the
         # effective period.
-        if self._time_s + 1e-12 >= self._due["imu"]:
-            self._due["imu"] = max(
-                self._due["imu"] + self.imu.period_s, self._time_s
+        if now + 1e-12 >= due["imu"]:
+            period = self.imu.period_s
+            due["imu"] = max(due["imu"] + period, now)
+            readings.accel_body_m_s2, readings.gyro_rad_s = self.imu.sample(
+                state, period
             )
-            accel, gyro = self.imu.sample(state, self.imu.period_s)
-            readings.accel_body_m_s2 = accel
-            readings.gyro_rad_s = gyro
-        if self._time_s + 1e-12 >= self._due["baro"]:
-            self._due["baro"] = max(
-                self._due["baro"] + self.barometer.period_s, self._time_s
-            )
+        if now + 1e-12 >= due["baro"]:
+            due["baro"] = max(due["baro"] + self.barometer.period_s, now)
             readings.baro_altitude_m = self.barometer.sample(state)
-        if self._time_s + 1e-12 >= self._due["gps"]:
-            self._due["gps"] = max(
-                self._due["gps"] + self.gps.period_s, self._time_s
-            )
+        if now + 1e-12 >= due["gps"]:
+            due["gps"] = max(due["gps"] + self.gps.period_s, now)
             try:
                 readings.gps_position_m = self.gps.sample(state)
-                self._last_gps_fix_s = self._time_s
+                self._last_gps_fix_s = now
             except GpsUnavailableError:
                 readings.gps_position_m = None
-        if self._time_s + 1e-12 >= self._due["mag"]:
-            self._due["mag"] = max(
-                self._due["mag"] + self.magnetometer.period_s, self._time_s
-            )
+        if now + 1e-12 >= due["mag"]:
+            due["mag"] = max(due["mag"] + self.magnetometer.period_s, now)
             readings.mag_yaw_rad = self.magnetometer.sample(state)
         return readings
 

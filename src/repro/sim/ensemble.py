@@ -1306,7 +1306,7 @@ class EnsembleFlightSimulator:
                 correlation_time_s=spec.correlation_time_s,
                 seed=spec.seed,
             )
-            wind._state = self._wind_states[index].copy()
+            wind._state = self._wind_states[index].tolist()
             wind._rng = self._wind_gens[index]
 
         sim = FlightSimulator(
@@ -1351,10 +1351,7 @@ class EnsembleFlightSimulator:
         ctl._next_position_update = self._next_position_update
         ctl._next_attitude_update = self._next_attitude_update
         ctl._position_level_updates = self._position_level_updates
-        if self._att_updates > 0:
-            # Mirrors the scalar hasattr(_torque_command) lazy-init: the
-            # attribute only exists once the attitude level has run.
-            ctl._torque_command = self._torque_cmd[index].copy()
+        ctl._torque_command = self._torque_cmd[index].copy()
         ctl.position_controller.updates = self._pos_updates
         velocity = ctl.position_controller.velocity
         velocity.updates = self._vel_updates
@@ -1394,7 +1391,7 @@ class EnsembleFlightSimulator:
         imu.accel_bias_m_s2 = self._accel_bias_obj[index]
         imu.gyro_bias_rad_s = self._gyro_bias_obj[index]
         imu._last_velocity = (
-            self._imu_last_vel[index].copy() if self._imu_has_last else None
+            self._imu_last_vel[index].tolist() if self._imu_has_last else None
         )
         imu._rng = _clone_generator(self._imu_seed, self._imu_gen)
         baro = suite.barometer

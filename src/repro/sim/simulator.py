@@ -159,12 +159,11 @@ class FlightSimulator:
             * constants.propeller_disk_area_m2(model.propeller_inch)
         )
         self._last_current_a = 0.0
-        # Per-tick scratch: the voltage-limited thrust command and the
-        # momentum-theory power chain reuse these instead of allocating
-        # fresh 4-vectors every 2 ms.
-        self._thrust_scratch = np.zeros(4)
-        self._power_scratch = np.zeros(4)
-        self._power_root_scratch = np.zeros(4)
+        # Per-tick constants of the voltage-limited thrust ceiling.
+        self._max_thrust_n = model.max_thrust_per_motor_n
+        self._full_voltage_v = (
+            self.battery.cells * constants.LIPO_CELL_NOMINAL_V * 1.135
+        )
 
     # -- target passthrough ------------------------------------------------------
 
@@ -198,20 +197,21 @@ class FlightSimulator:
     def electrical_power_w(self, motor_thrusts_n: np.ndarray) -> float:
         """Instantaneous electrical power (W) at the given rotor thrusts.
 
-        Vectorized momentum-theory chain: ``T*sqrt(T)/sqrt(2*rho*A)`` over
-        all four rotors at once.  Bit-identical to summing
-        :func:`repro.physics.propeller.hover_electrical_power_w` per motor
-        (``np.sum`` adds a four-element array in the same left-to-right
-        order the loop did); the equality is pinned by the test suite.
+        Momentum-theory chain ``T*sqrt(T)/sqrt(2*rho*A)`` per rotor, on
+        floats in the order of the NumPy expression it replaced: thrusts
+        floored at 0.0 as ``np.maximum`` does (``-0.0`` becomes ``+0.0``,
+        NaN passes), then summed from a ``0.0`` accumulator like ``np.sum``
+        over fewer than eight elements.  Bit-identical to summing
+        :func:`repro.physics.propeller.hover_electrical_power_w` per motor;
+        the equality is pinned by the test suite.
         """
-        thrusts_n = np.maximum(
-            np.asarray(motor_thrusts_n, dtype=float), 0.0, out=self._power_scratch
-        )
-        root = np.sqrt(thrusts_n, out=self._power_root_scratch)
-        ideal_w = np.multiply(thrusts_n, root, out=root)
-        np.divide(ideal_w, self._induced_power_denom, out=ideal_w)
-        np.divide(ideal_w, self._hover_eff * 1.0, out=ideal_w)
-        propulsion = float(np.sum(ideal_w))
+        denom = self._induced_power_denom
+        efficiency = self._hover_eff * 1.0
+        propulsion = 0.0
+        for thrust in np.asarray(motor_thrusts_n, dtype=float).tolist():
+            if not (thrust > 0.0 or thrust != thrust):
+                thrust = 0.0
+            propulsion += thrust * math.sqrt(thrust) / denom / efficiency
         return propulsion + self.model.compute_power_w + self.model.sensors_power_w
 
     @hot_path
@@ -251,22 +251,23 @@ class FlightSimulator:
         # Voltage sag limits available thrust: rotor speed tops out at
         # Kv * V, and thrust goes as speed squared — a tired pack flies
         # noticeably softer (the end-of-flight weakness every pilot knows).
-        voltage_ratio = self.battery.terminal_voltage_v(
-            self._last_current_a
-        ) / (self.battery.cells * constants.LIPO_CELL_NOMINAL_V * 1.135)
-        thrust_ceiling = self.model.max_thrust_per_motor_n * min(
-            1.0, voltage_ratio
-        ) ** 2
-        thrusts = np.minimum(thrusts, thrust_ceiling, out=self._thrust_scratch)
+        battery = self.battery
+        voltage_ratio = (
+            battery.terminal_voltage_v(self._last_current_a) / self._full_voltage_v
+        )
+        ceiling = self._max_thrust_n * min(1.0, voltage_ratio) ** 2
+        # np.minimum(thrusts, ceiling) in place on the tick's fresh array:
+        # NaN passes, and a tie returns the ceiling.
+        for index, thrust in enumerate(thrusts.tolist()):
+            if not (thrust < ceiling or thrust != thrust):
+                thrusts[index] = ceiling
         self.body.step(thrusts, dt)
 
         power = self.electrical_power_w(thrusts)
-        current = power / max(1.0, self.battery.terminal_voltage_v(0.0))
+        current = power / max(1.0, battery.terminal_voltage_v(0.0))
         self._last_current_a = current
         try:
-            self.battery.draw(
-                min(current, self.battery.max_continuous_current_a), dt
-            )
+            battery.draw(min(current, battery.max_continuous_current_a), dt)
         except BatteryDepletedError:
             self.depleted = True
 
@@ -301,13 +302,14 @@ class FlightSimulator:
         rate feedback is not part of the 9-state estimate, matching how
         flight stacks feed raw gyro to the rate PIDs.
         """
-        estimated = QuadcopterState(
-            position_m=self.ekf.position_m.copy(),
-            velocity_m_s=self.ekf.velocity_m_s.copy(),
-            quaternion=quaternion_from_euler(*self.ekf.attitude_rad),
+        estimate = self.ekf.state.copy()
+        roll, pitch, yaw = estimate[6:9].tolist()
+        return QuadcopterState(
+            position_m=estimate[0:3],
+            velocity_m_s=estimate[3:6],
+            quaternion=quaternion_from_euler(roll, pitch, yaw),
             angular_velocity_rad_s=truth.angular_velocity_rad_s.copy(),
         )
-        return estimated
 
     # -- derived metrics -----------------------------------------------------------
 

@@ -18,25 +18,34 @@ Dataclasses, dicts, lists, and tuples are compared field by field and key
 by key (key order included).  A raised exception is part of the result:
 both sides must raise the same type with the same message, and the fast
 side's exception propagates so a case can ``pytest.raises`` it.
+
+Paths without a NumPy form in :mod:`repro.oracles` are held to golden
+vectors instead: :func:`golden` compares a result ``bitwise`` to the bit
+patterns recorded under ``tests/fixtures/`` from the NumPy form they
+replaced.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
+import json
 import math
 import numbers
+import os
+import struct
+from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+import pytest
 
 from repro import oracles
 from repro.core.batch import evaluate_batch
 from repro.core.design import DroneDesign
 from repro.core.equations import InfeasibleDesignError
-from repro.control.mixer import MotorMixer
 from repro.core.explorer import sweep_wheelbase
-from repro.physics.rigid_body import QuadcopterBody
 from repro.platforms.cpu import InOrderCore
 from repro.slam.bundle_adjustment import global_bundle_adjust
 from repro.slam.features import hamming_distance_matrix
@@ -245,28 +254,6 @@ def _scalar_lanes(designs):
     return lanes
 
 
-def ticks(step: Callable[..., Any]) -> Callable[..., Any]:
-    """A body stepped through a thrust schedule: every state it passes
-    through, and the gust state its wind is left in."""
-
-    def run(body, thrust_rows, dt):
-        states = [step(body, thrusts, dt).copy() for thrusts in thrust_rows]
-        gust = None if body.wind is None else body.wind._state
-        return {"states": states, "gust": gust}
-
-    return run
-
-
-def _with_counters(mix: Callable[..., Any]) -> Callable[..., Any]:
-    """A mix's result includes the allocation counters it bumps."""
-
-    def run(mixer, total_thrust_n, torque_nm):
-        return {"thrusts": mix(mixer, total_thrust_n, torque_nm),
-                "mixes": mixer.mixes, "saturations": mixer.saturations}
-
-    return run
-
-
 # -- the pairs ----------------------------------------------------------------
 
 #: Per-lane design evaluation: one batched grid vs ``DroneDesign.evaluate``.
@@ -310,11 +297,171 @@ RUN_TRACE = Pair(
         core, [(context, trace)])[context]),
     COUNTER_EXACT,
 )
-#: The scalar flight tick: float arithmetic vs the NumPy-vector reference.
-WRENCH_FROM_MOTOR_THRUSTS = Pair("QuadcopterBody.wrench_from_motor_thrusts",
-                                 QuadcopterBody.wrench_from_motor_thrusts,
-                                 oracles.wrench_from_motor_thrusts, BITWISE)
-BODY_STEP = Pair("QuadcopterBody.step", QuadcopterBody.step,
-                 oracles.quadcopter_body_step, BITWISE)
-MOTOR_MIXER_MIX = Pair("MotorMixer.mix", _with_counters(MotorMixer.mix),
-                       _with_counters(oracles.motor_mixer_mix), BITWISE)
+
+
+# -- golden vectors -----------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "fixtures"
+#: ``REPRO_RECORD_GOLDEN=1`` rewrites the vectors instead of checking them.
+#: Record only from a commit whose outputs are the reference, and review
+#: the diff.
+RECORD_ENV = "REPRO_RECORD_GOLDEN"
+
+
+def golden(name: str, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Run ``fn`` and hold its result ``bitwise`` to the vector ``name``.
+
+    ``name`` is ``"<root>/<group>/<case>"``; the group's vectors live in
+    ``GOLDEN_DIR/<root>/<group>.json``, one case per line.  A raised
+    exception is the result: its type and message must match the recorded
+    ones, and it propagates so a case can ``pytest.raises`` it.
+
+    Every bit counts except a NaN's sign and payload: SIMD and BLAS kernels
+    pick those by the operands' memory alignment, which changes from run to
+    run, so any NaN matches a recorded NaN.  The vectors hold BLAS results,
+    so a host whose BLAS rounds the tick's products differently from the
+    recording host (``GOLDEN_DIR/<root>/host.json``) skips them.
+    """
+    group, case = name.rsplit("/", 1)
+    host = GOLDEN_DIR / name.split("/", 1)[0] / "host.json"
+    recording = os.environ.get(RECORD_ENV) == "1"
+    if not recording and not _same_blas(str(host)):
+        pytest.skip(f"{name}: recorded with a BLAS that rounds differently")
+    try:
+        result, error = fn(*args, **kwargs), None
+    except Exception as caught:
+        result, error = None, caught
+    encoded = _encode(result if error is None else error)
+    path = GOLDEN_DIR / f"{group}.json"
+    if recording:
+        _record(host, "blas", _encode(_blas_probe()))
+        _record(path, case, encoded)
+    else:
+        vectors = _load_golden(str(path))
+        assert case in vectors, f"{name}: no recorded vector (set {RECORD_ENV}=1)"
+        assert_tier(_same_nan(_decode(encoded)),
+                    _same_nan(_decode(vectors[case])), BITWISE, path=name)
+    if error is not None:
+        raise error
+    return result
+
+
+def _record(path: Path, case: str, encoded: Any) -> None:
+    vectors = json.loads(path.read_text()) if path.exists() else {}
+    vectors[case] = encoded
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [f"{json.dumps(key)}: {json.dumps(vectors[key], separators=(',', ':'))}"
+             for key in sorted(vectors)]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    _load_golden.cache_clear()
+    _same_blas.cache_clear()
+
+
+@functools.lru_cache(maxsize=None)
+def _load_golden(path: str) -> Dict[str, Any]:
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _blas_probe() -> Dict[str, np.ndarray]:
+    """Seeded dots, matvecs and 9x9 products in the flight tick's shapes,
+    whose rounding depends on the BLAS kernels (fused multiply-adds)."""
+    rng = np.random.default_rng(2024)
+    probe = {}
+    for n in (2, 3, 4, 9):
+        a, b = rng.standard_normal((2, 64, n))
+        probe[f"dot{n}"] = np.array([x.dot(y) for x, y in zip(a, b)])
+    for n in (3, 4, 9):
+        matrices = rng.standard_normal((16, n, n))
+        vectors = rng.standard_normal((16, n))
+        probe[f"matvec{n}"] = np.array([m @ v for m, v in zip(matrices, vectors)])
+        probe[f"matvec{n}_t"] = np.array([m.T @ v for m, v in zip(matrices, vectors)])
+    left, right = rng.standard_normal((2, 4, 9, 9))
+    probe["matmul9"] = np.array([a @ b @ a.T for a, b in zip(left, right)])
+    return probe
+
+
+@functools.lru_cache(maxsize=None)
+def _same_blas(path: str) -> bool:
+    recorded = _decode(_load_golden(path)["blas"])
+    probe = _decode(_encode(_blas_probe()))
+    try:
+        assert_tier(probe, recorded, BITWISE)
+    except AssertionError:
+        return False
+    return True
+
+
+def _same_nan(tree: Any) -> Any:
+    """``tree`` with every NaN replaced by the one canonical NaN."""
+    if isinstance(tree, dict):
+        return {key: _same_nan(item) for key, item in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_same_nan(item) for item in tree)
+    if isinstance(tree, np.ndarray) and tree.dtype.kind == "f":
+        return np.where(np.isnan(tree), np.nan, tree).astype(tree.dtype)
+    if isinstance(tree, float) and tree != tree:
+        return math.nan
+    return tree
+
+
+def _encode(value: Any) -> Any:
+    """A JSON tree that keeps every bit.
+
+    Floats are ``"f:<hex>"`` and arrays ``"a:<dtype>:<shape>:<hex>"``, both
+    big-endian; other strings get an ``"s:"`` prefix.  A dataclass is an
+    object whose ``"@"`` key names its type, a tuple is ``{"()": [...]}``,
+    and an exception is ``{"error": <type>, "message": <str>}``.
+    """
+    if isinstance(value, BaseException):
+        return {"error": _encode(type(value).__name__),
+                "message": _encode(str(value))}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {"@": type(value).__name__,
+                **{f.name: _encode(getattr(value, f.name))
+                   for f in dataclasses.fields(value)}}
+    if isinstance(value, dict):
+        assert all(isinstance(key, str) and key != "@" for key in value), value
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return {"()": [_encode(item) for item in value]}
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if isinstance(value, np.ndarray):
+        big = value.dtype.newbyteorder(">")
+        shape = "x".join(str(n) for n in value.shape)
+        bits = np.ascontiguousarray(value, dtype=big).tobytes().hex()
+        return f"a:{value.dtype.str}:{shape}:{bits}"
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if _is_float(value):
+        return "f:" + struct.pack(">d", float(value)).hex()
+    if isinstance(value, str):
+        return "s:" + value
+    assert value is None, f"cannot encode {value!r}"
+    return value
+
+
+def _decode(tree: Any) -> Any:
+    if isinstance(tree, list):
+        return [_decode(item) for item in tree]
+    if isinstance(tree, dict):
+        if "()" in tree:
+            return tuple(_decode(item) for item in tree["()"])
+        return {key: item if key == "@" else _decode(item)
+                for key, item in tree.items()}
+    if not isinstance(tree, str):
+        return tree
+    kind, _, body = tree.partition(":")
+    if kind == "f":
+        return struct.unpack(">d", bytes.fromhex(body))[0]
+    if kind == "a":
+        dtype_str, shape, bits = body.split(":")
+        dtype = np.dtype(dtype_str)
+        dims = [int(n) for n in shape.split("x")] if shape else []
+        big = np.frombuffer(bytes.fromhex(bits), dtype=dtype.newbyteorder(">"))
+        return big.astype(dtype).reshape(dims)
+    assert kind == "s", f"unknown golden leaf {tree!r}"
+    return body

@@ -196,6 +196,12 @@ class TestControllerLevels:
         # Shortest path from -3 rad to +3 rad is negative (through pi).
         assert torque[2] < 0.0
 
+    @pytest.mark.parametrize("max_rate", [0.0, -1.0, float("nan")])
+    def test_attitude_rate_limit_must_be_positive(self, max_rate):
+        with pytest.raises(ValueError, match="max body rate"):
+            AttitudeController(inertia_kg_m2=np.eye(3) * 0.01,
+                               max_rate_rad_s=max_rate)
+
     def test_velocity_controller_accelerates_toward_target(self):
         controller = VelocityController()
         accel = controller.update(np.array([2.0, 0, 0]), np.zeros(3), 0.025)

@@ -56,6 +56,21 @@ class TestLipoBattery:
         nearly_empty = battery.open_circuit_voltage_v()
         assert nearly_empty < full
 
+    def test_open_circuit_voltage_follows_every_input(self):
+        # The voltage is memoized per (used_mah, capacity_mah, cells): a
+        # change to any of them must recompute it.
+        battery = self.make()
+        readings = [battery.open_circuit_voltage_v()]
+        battery.used_mah = 1500.0
+        readings.append(battery.open_circuit_voltage_v())
+        battery.capacity_mah = 6000.0
+        readings.append(battery.open_circuit_voltage_v())
+        battery.cells = 4
+        readings.append(battery.open_circuit_voltage_v())
+        fresh = LipoBattery(cells=4, capacity_mah=6000.0, used_mah=1500.0)
+        assert len(set(readings)) == 4
+        assert readings[-1] == fresh.open_circuit_voltage_v()
+
     def test_full_charge_is_4p2_per_cell(self):
         battery = self.make()
         assert battery.open_circuit_voltage_v() == pytest.approx(3 * 4.2, rel=1e-6)
