@@ -318,15 +318,16 @@ def golden(name: str, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
 
     Every bit counts except a NaN's sign and payload: SIMD and BLAS kernels
     pick those by the operands' memory alignment, which changes from run to
-    run, so any NaN matches a recorded NaN.  The vectors hold BLAS results,
-    so a host whose BLAS rounds the tick's products differently from the
-    recording host (``GOLDEN_DIR/<root>/host.json``) skips them.
+    run, so any NaN matches a recorded NaN.  The vectors hold BLAS and libm
+    results, so a host that rounds those differently from the recording
+    host (the probe in ``GOLDEN_DIR/<root>/host.json``) skips them.
     """
     group, case = name.rsplit("/", 1)
     host = GOLDEN_DIR / name.split("/", 1)[0] / "host.json"
     recording = os.environ.get(RECORD_ENV) == "1"
-    if not recording and not _same_blas(str(host)):
-        pytest.skip(f"{name}: recorded with a BLAS that rounds differently")
+    if not recording and not _same_host(str(host)):
+        pytest.skip(f"{name}: recorded on a host whose BLAS or libm rounds "
+                    "differently")
     try:
         result, error = fn(*args, **kwargs), None
     except Exception as caught:
@@ -334,7 +335,7 @@ def golden(name: str, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     encoded = _encode(result if error is None else error)
     path = GOLDEN_DIR / f"{group}.json"
     if recording:
-        _record(host, "blas", _encode(_blas_probe()))
+        _record(host, "probe", _encode(_host_probe()))
         _record(path, case, encoded)
     else:
         vectors = _load_golden(str(path))
@@ -354,7 +355,7 @@ def _record(path: Path, case: str, encoded: Any) -> None:
              for key in sorted(vectors)]
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     _load_golden.cache_clear()
-    _same_blas.cache_clear()
+    _same_host.cache_clear()
 
 
 @functools.lru_cache(maxsize=None)
@@ -363,11 +364,21 @@ def _load_golden(path: str) -> Dict[str, Any]:
         return json.load(handle)
 
 
-def _blas_probe() -> Dict[str, np.ndarray]:
+def _host_probe() -> Dict[str, np.ndarray]:
     """Seeded dots, matvecs and 9x9 products in the flight tick's shapes,
-    whose rounding depends on the BLAS kernels (fused multiply-adds)."""
+    whose rounding depends on the BLAS kernels (fused multiply-adds), and
+    the libm functions the tick calls."""
     rng = np.random.default_rng(2024)
-    probe = {}
+    angles = rng.uniform(-4.0, 4.0, 256).tolist()
+    ratios = rng.uniform(-1.0, 1.0, 256).tolist()
+    probe = {
+        "libm": np.array(
+            [f(x) for f in (math.sin, math.cos, math.tan, math.exp)
+             for x in angles]
+            + [f(x) for f in (math.asin, math.acos) for x in ratios]
+            + [math.atan2(y, x) for y, x in zip(ratios, angles)]
+        ),
+    }
     for n in (2, 3, 4, 9):
         a, b = rng.standard_normal((2, 64, n))
         probe[f"dot{n}"] = np.array([x.dot(y) for x, y in zip(a, b)])
@@ -382,9 +393,9 @@ def _blas_probe() -> Dict[str, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _same_blas(path: str) -> bool:
-    recorded = _decode(_load_golden(path)["blas"])
-    probe = _decode(_encode(_blas_probe()))
+def _same_host(path: str) -> bool:
+    recorded = _decode(_load_golden(path)["probe"])
+    probe = _decode(_encode(_host_probe()))
     try:
         assert_tier(probe, recorded, BITWISE)
     except AssertionError:
