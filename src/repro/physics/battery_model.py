@@ -135,16 +135,13 @@ class LipoBattery:
         """
         if current_a < 0 or duration_s < 0:
             raise ValueError("current and duration must be non-negative")
-        # The limits inline the properties' expressions (one call per tick).
-        max_current_a = self.capacity_mah / 1000.0 * self.c_rating
-        if current_a > max_current_a * 1.10:
+        if current_a > self.max_continuous_current_a * 1.10:
             raise ValueError(
                 f"current {current_a:.1f} A exceeds C-rating limit "
-                f"{max_current_a:.1f} A"
+                f"{self.max_continuous_current_a:.1f} A"
             )
         drawn_mah = current_a * duration_s / 3.6
-        remaining_mah = max(0.0, self.capacity_mah * self.drain_limit - self.used_mah)
-        if drawn_mah > remaining_mah + 1e-9:
+        if drawn_mah > self.remaining_mah + 1e-9:
             raise BatteryDepletedError(
                 f"drawing {drawn_mah:.1f} mAh but only {self.remaining_mah:.1f} "
                 f"mAh remain before the {self.drain_limit:.0%} drain limit"

@@ -49,13 +49,11 @@ class Wind:
 
     @hot_path
     def step(self, dt: float) -> np.ndarray:
-        """Advance the gust process by ``dt`` and return the wind vector (m/s)."""
-        return np.array(self._advance(dt))
+        """Advance the gust process by ``dt`` and return the wind vector (m/s).
 
-    @hot_path
-    def _advance(self, dt: float) -> Tuple[float, float, float]:
-        """:meth:`step` as floats, in the order of ``alpha * state + scale *
-        noise`` and ``mean + state`` on arrays."""
+        Runs on floats in the order of ``alpha * state + scale * noise`` and
+        ``mean + state`` on arrays.
+        """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         s0, s1, s2 = self._state
@@ -69,7 +67,7 @@ class Wind:
             s2 = alpha * s2 + noise_scale * n2
             self._state = [s0, s1, s2]
         m0, m1, m2 = self._mean
-        return m0 + s0, m1 + s1, m2 + s2
+        return np.array([m0 + s0, m1 + s1, m2 + s2])
 
     def reset(self) -> None:
         self._state = [0.0, 0.0, 0.0]

@@ -34,7 +34,7 @@ TORQUE_THRUST_RATIO_M = 0.016
 @hot_path
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
     """Rotation matrix (world from body) from a unit quaternion [w, x, y, z]."""
-    w, x, y, z = q.tolist() if isinstance(q, np.ndarray) else q
+    w, x, y, z = q.tolist()
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -78,7 +78,7 @@ def quaternion_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
 @hot_path
 def euler_from_quaternion(q: np.ndarray) -> np.ndarray:
     """ZYX Euler angles [roll, pitch, yaw] (radians) from a unit quaternion."""
-    w, x, y, z = q.tolist() if isinstance(q, np.ndarray) else q
+    w, x, y, z = q.tolist()
     roll = math.atan2(2 * (w * x + y * z), 1 - 2 * (x * x + y * y))
     sin_pitch = max(-1.0, min(1.0, 2 * (w * y - z * x)))
     pitch = math.asin(sin_pitch)
@@ -233,8 +233,7 @@ class QuadcopterBody:
 
         airspeed = state.velocity_m_s
         if self.wind is not None:
-            # The wind as floats: one array for the dot, not two.
-            wind_x, wind_y, wind_z = self.wind._advance(dt)
+            wind_x, wind_y, wind_z = self.wind.step(dt).tolist()
             airspeed = np.array([vx - wind_x, vy - wind_y, vz - wind_z])
         cda = self.drag_coefficient_area
         if cda < 0:

@@ -6,7 +6,9 @@ own bookkeeping) run on Python floats.  Their NumPy form is not kept as a
 second body: every case here replays seeded inputs and holds the result
 ``bitwise`` (states, thrusts, counters, gust state, raised errors) to the
 bit patterns recorded from the NumPy form under
-``tests/fixtures/flight_tick/``.
+``tests/fixtures/flight_tick/``.  Each case names the host features its
+bits depend on (``uses=``, see ``tests.equivalence.golden``); a case that
+names none is checked on every host.
 """
 
 import math
@@ -37,9 +39,11 @@ from repro.physics.rigid_body import (
 )
 from repro.sensors.suite import SensorSuite
 from repro.sim.simulator import DroneModel, FlightSimulator
-from tests.equivalence import BITWISE, assert_tier, golden
+from tests.equivalence import BITWISE, BLAS, LIBM, assert_tier, golden
 
 GROUP = "flight_tick"
+#: Cases whose bits depend on both BLAS and libm rounding.
+BOTH = (BLAS, LIBM)
 
 
 def ticks(body, thrust_rows, dt):
@@ -113,13 +117,14 @@ class TestBodyStep:
             )
             hover = quad.hover_thrust_per_motor_n
             runs.append(ticks(quad, schedule(rng, hover, rows=5), 2e-3))
-        golden(f"{GROUP}/body/random", lambda: runs)
+        golden(f"{GROUP}/body/random", lambda: runs, uses=BOTH)
 
     def test_ground_contact(self):
         # z drops below the floor with vz < 0: both are clamped.
         quad = body(position_m=np.array([0.3, -0.2, 1e-4]),
                     velocity_m_s=np.array([0.5, 0.1, -2.0]))
-        result = golden(f"{GROUP}/body/ground", ticks, quad, np.zeros((3, 4)), 1e-3)
+        result = golden(f"{GROUP}/body/ground", ticks, quad, np.zeros((3, 4)), 1e-3,
+                        uses=BOTH)
         first = result["states"][0]
         assert first.position_m[2] == 0.0
         assert first.velocity_m_s[2] == 0.0
@@ -128,7 +133,8 @@ class TestBodyStep:
         # No wind and no velocity: the drag branch for speed == 0.
         quad = body()
         hover = quad.hover_thrust_per_motor_n
-        golden(f"{GROUP}/body/zero_airspeed", quad.step, np.full(4, hover), 1e-3)
+        golden(f"{GROUP}/body/zero_airspeed", quad.step, np.full(4, hover), 1e-3,
+               uses=BOTH)
 
     def test_gusty_wind(self):
         rng = np.random.default_rng(5)
@@ -137,6 +143,7 @@ class TestBodyStep:
         result = golden(
             f"{GROUP}/body/gusty", ticks, quad,
             schedule(rng, quad.hover_thrust_per_motor_n, rows=200), 2e-3,
+            uses=BOTH,
         )
         assert np.any(result["gust"] != 0.0)
 
@@ -152,7 +159,7 @@ class TestBodyStep:
                 for rows in (np.zeros((2, 4)), np.full((2, 4), 2.0))
             ]
 
-        golden(f"{GROUP}/body/signed_zero_{rates}", run)
+        golden(f"{GROUP}/body/signed_zero_{rates}", run, uses=BOTH)
 
     def test_zero_residual_on_zero_rate_follows_lapack(self):
         # Rotors 1 and 3 whose pitch torque cancels to exactly zero while
@@ -171,13 +178,13 @@ class TestBodyStep:
                 break
         else:
             pytest.fail("no pitch-cancelling thrusts near 1 N")
-        state = golden(f"{GROUP}/body/lapack_zero", quad.step, thrusts, 1e-3)
+        state = golden(f"{GROUP}/body/lapack_zero", quad.step, thrusts, 1e-3, uses=BOTH)
         assert not np.signbit(state.angular_velocity_rad_s[1])
 
     def test_thin_air(self):
         quad = body(velocity_m_s=np.array([4.0, 0.0, 1.0]))
         quad.environment = Environment(altitude_m=3000.0)
-        golden(f"{GROUP}/body/thin_air", quad.step, np.full(4, 3.0), 1e-3)
+        golden(f"{GROUP}/body/thin_air", quad.step, np.full(4, 3.0), 1e-3, uses=BOTH)
 
     @pytest.mark.parametrize(
         "thrusts, dt, message",
@@ -205,13 +212,13 @@ class TestWrench:
         rows = rng.uniform(0.0, 8.0, (200, 4))
         golden(f"{GROUP}/body/wrench_random",
                lambda: [quad.wrench_from_motor_thrusts(t) for t in rows]
-               + [quad.wrench_from_motor_thrusts(rows[-1], 0.03)])
+               + [quad.wrench_from_motor_thrusts(rows[-1], 0.03)], uses=(LIBM,))
 
     def test_zero_thrusts_signed_zero(self):
         quad = body()
         result = golden(f"{GROUP}/body/wrench_zero",
                         lambda: [quad.wrench_from_motor_thrusts(t)
-                                 for t in (np.zeros(4), -np.zeros(4))])
+                                 for t in (np.zeros(4), -np.zeros(4))], uses=(LIBM,))
         assert result[-1][0] == 0.0
 
 
@@ -233,7 +240,7 @@ class TestMixer:
             (float(rng.uniform(0.0, 30.0)), rng.standard_normal(3) * 0.5)
             for _ in range(300)
         ]
-        golden(f"{GROUP}/mixer/random", mixes, self.make(), wrenches)
+        golden(f"{GROUP}/mixer/random", mixes, self.make(), wrenches, uses=BOTH)
 
     @pytest.mark.parametrize(
         "health", [[1.0, 0.6, 1.0, 0.3], [1.0, 0.0, 1.0, 1.0], [0.0] * 4]
@@ -245,12 +252,12 @@ class TestMixer:
             for _ in range(100)
         ]
         result = golden(f"{GROUP}/mixer/health_{health}", mixes,
-                        self.make(np.array(health)), wrenches)
+                        self.make(np.array(health)), wrenches, uses=BOTH)
         assert result["saturations"] > 0
 
     def test_nan_torque_passes_through(self):
         result = golden(f"{GROUP}/mixer/nan", mixes, self.make(),
-                        [(10.0, [np.nan, 0.0, 0.0])])
+                        [(10.0, [np.nan, 0.0, 0.0])], uses=BOTH)
         assert np.all(np.isnan(result["thrusts"][0]))
 
     def test_zero_and_int_collective(self):
@@ -258,7 +265,7 @@ class TestMixer:
             (0, np.zeros(3)),
             (-0.0, np.array([0.01, -0.02, 0.0])),
             (12, [0.1, 0.0, -0.05]),
-        ])
+        ], uses=BOTH)
 
     @pytest.mark.parametrize(
         "thrust, torque, message",
@@ -291,7 +298,7 @@ class TestAttitudeController:
             for _ in range(200)
         ]
         golden(f"{GROUP}/controller/attitude_random", attitude_run, self.make(),
-               rows, 5e-3)
+               rows, 5e-3, uses=(BLAS,))
 
     def test_signed_zeros_and_nan(self):
         zero, nzero = np.zeros(3), -np.zeros(3)
@@ -303,7 +310,8 @@ class TestAttitudeController:
         ]
         # Each row on a fresh controller: a NaN poisons the PID integral.
         golden(f"{GROUP}/controller/attitude_zeros_nan",
-               lambda: [attitude_run(self.make(), [row], 5e-3) for row in rows])
+               lambda: [attitude_run(self.make(), [row], 5e-3) for row in rows],
+               uses=(BLAS,))
 
     def test_clip_bounds_and_yaw_wrap(self):
         pi = math.pi
@@ -318,7 +326,8 @@ class TestAttitudeController:
             (np.array([6.0 / 9.0, -6.0 / 9.0, 0.0]), np.zeros(3), np.ones(3)),
         ]
         golden(f"{GROUP}/controller/attitude_clip_wrap",
-               lambda: [attitude_run(self.make(), [row], 5e-3) for row in rows])
+               lambda: [attitude_run(self.make(), [row], 5e-3) for row in rows],
+               uses=(BLAS,))
 
     @pytest.mark.parametrize("case", ["dt", "shape"])
     def test_errors_match(self, case):
@@ -345,7 +354,7 @@ class TestPositionLevel:
             return {"accelerations": out, "updates": (position.updates,
                                                       velocity.updates)}
 
-        golden(f"{GROUP}/controller/position_sequences", run)
+        golden(f"{GROUP}/controller/position_sequences", run, uses=(BLAS,))
 
     def test_signed_zeros_and_nan(self):
         zero, nzero = np.zeros(3), -np.zeros(3)
@@ -360,7 +369,7 @@ class TestPositionLevel:
                 VelocityController().update(zero, nan, 0.025),
             ]
 
-        golden(f"{GROUP}/controller/position_zeros_nan", run)
+        golden(f"{GROUP}/controller/position_zeros_nan", run, uses=(BLAS,))
 
     def test_errors_match(self):
         with pytest.raises(ValueError):
@@ -378,7 +387,7 @@ class TestAccelerationToAttitude:
                  float(rng.uniform(-math.pi, math.pi))) for _ in range(300)]
         golden(f"{GROUP}/controller/accel_random",
                lambda: [acceleration_to_attitude_thrust(a, yaw, 1.071)
-                        for a, yaw in rows])
+                        for a, yaw in rows], uses=BOTH)
 
     def test_edges(self):
         g = constants.GRAVITY_M_S2
@@ -393,7 +402,7 @@ class TestAccelerationToAttitude:
         ]
         golden(f"{GROUP}/controller/accel_edges",
                lambda: [acceleration_to_attitude_thrust(a, yaw, 2.0)
-                        for a, yaw in rows])
+                        for a, yaw in rows], uses=BOTH)
 
     @pytest.mark.parametrize("case", ["heading", "mass", "tilt", "shape"])
     def test_errors_match(self, case):
@@ -408,7 +417,8 @@ class TestAccelerationToAttitude:
         }[case]
         with pytest.raises(ValueError):
             golden(f"{GROUP}/controller/accel_error_{case}",
-                   acceleration_to_attitude_thrust, np.array(args[0]), *args[1:])
+                   acceleration_to_attitude_thrust, np.array(args[0]), *args[1:],
+                   uses=BOTH if case == "heading" else ())
 
 
 class TestThrustController:
@@ -426,7 +436,7 @@ class TestThrustController:
             out.append(controller.motor_thrusts_n)
             return {"thrusts": out, "updates": controller.updates}
 
-        golden(f"{GROUP}/controller/thrust_lag", run)
+        golden(f"{GROUP}/controller/thrust_lag", run, uses=BOTH)
 
 
 def cascade_run(controller, rng, count, dt):
@@ -453,10 +463,10 @@ class TestCascade:
         else:
             controller.set_attitude_target([0.1, -0.05, 0.2], 11.0)
         first = golden(f"{GROUP}/controller/cascade_{mode}", cascade_run,
-                       controller, rng, 150, 2e-3)
+                       controller, rng, 150, 2e-3, uses=BOTH)
         controller.reset()
         second = golden(f"{GROUP}/controller/cascade_{mode}_after_reset", cascade_run,
-                        controller, rng, 20, 1e-3)
+                        controller, rng, 20, 1e-3, uses=BOTH)
         assert first["counts"]["thrust"] == 150 and second["counts"]["thrust"] == 20
 
     def test_error_matches(self):
@@ -479,7 +489,7 @@ class TestEkfPredict:
             return {"states": states, "covariance": ekf.covariance,
                     "counters": (ekf.flops, ekf.predictions)}
 
-        golden(f"{GROUP}/ekf/predict_random", run)
+        golden(f"{GROUP}/ekf/predict_random", run, uses=BOTH)
 
     def test_signed_zeros_and_gimbal_lock(self):
         def run():
@@ -492,7 +502,7 @@ class TestEkfPredict:
                 out.append(ekf.state)
             return out
 
-        golden(f"{GROUP}/ekf/predict_edges", run)
+        golden(f"{GROUP}/ekf/predict_edges", run, uses=BOTH)
 
     def test_overflow_raises(self):
         ekf = InsEkf()
@@ -500,7 +510,7 @@ class TestEkfPredict:
         ekf.state[3] = 1e308
         with pytest.raises(FloatingPointError):
             golden(f"{GROUP}/ekf/predict_overflow", ekf.predict, np.zeros(3),
-                   np.zeros(3), 0.5)
+                   np.zeros(3), 0.5, uses=BOTH)
 
     @pytest.mark.parametrize("case", ["dt", "shape"])
     def test_errors_match(self, case):
@@ -531,12 +541,27 @@ class TestSensors:
             suite.imu.accel_bias_m_s2 = (0.3, -0.2, 0.1)
             suite.imu.gyro_bias_rad_s = (0.01, -0.02, 0.005)
         golden(f"{GROUP}/sensors/poll_{case}", sensor_poll_run, suite, rng,
-               100, 5e-3)
+               100, 5e-3, uses=BOTH)
 
     def test_poll_error_matches(self):
         with pytest.raises(ValueError):
             golden(f"{GROUP}/sensors/poll_error", SensorSuite().poll,
                    QuadcopterState(), 0.0)
+
+    def test_quaternion_to_rotation(self):
+        # Unit quaternions normalized on floats, not by quaternion_from_euler:
+        # no libm in the inputs, so every host checks this case.
+        rng = np.random.default_rng(92)
+        quats = []
+        for w, x, y, z in rng.standard_normal((100, 4)).tolist():
+            norm = math.sqrt(w * w + x * x + y * y + z * z)
+            quats.append(np.array([w / norm, x / norm, y / norm, z / norm]))
+        quats += [np.array(q, dtype=float) for q in (
+            [1.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0],
+            [np.nan, 0.0, 0.0, 0.0], [2.0, 1.0, -1.0, 0.5],
+        )]
+        golden(f"{GROUP}/sensors/quaternion_rotation",
+               lambda: [quaternion_to_rotation(q) for q in quats])
 
     def test_quaternion_conversions(self):
         rng = np.random.default_rng(91)
@@ -550,7 +575,7 @@ class TestSensors:
         )]
         golden(f"{GROUP}/sensors/quaternion_conversions",
                lambda: [(quaternion_to_rotation(q), euler_from_quaternion(q))
-                        for q in quats])
+                        for q in quats], uses=(LIBM,))
 
 
 class TestWind:
@@ -563,7 +588,7 @@ class TestWind:
                 out.append([wind.step(dt) for dt in (2e-3, 1e-3, 0.5) * 20])
             return out
 
-        golden(f"{GROUP}/body/wind_steps", run)
+        golden(f"{GROUP}/body/wind_steps", run, uses=(LIBM,))
 
     def test_error_matches(self):
         with pytest.raises(ValueError):
@@ -646,7 +671,7 @@ def fly(seconds=2.0, use_ekf=True, setup=None, rate_hz=500.0):
 
 def test_closed_loop_flight_matches_reference():
     """A takeoff-and-goto EKF flight in gusts."""
-    golden(f"{GROUP}/sim/flight_ekf_gusts", fly)
+    golden(f"{GROUP}/sim/flight_ekf_gusts", fly, uses=BOTH)
 
 
 def _gps_denied(sim):
@@ -700,7 +725,8 @@ def _nan_target(sim):
     ],
 )
 def test_golden_flights(case, use_ekf, setup, rate_hz):
-    result = golden(f"{GROUP}/sim/flight_{case}", fly, 0.5, use_ekf, setup, rate_hz)
+    result = golden(f"{GROUP}/sim/flight_{case}", fly, 0.5, use_ekf, setup, rate_hz,
+                    uses=BOTH, nan_sign=case != "nan_target")
     if case == "ekf_rollback":
         assert result["ekf_counters"][3] > 0
     if case == "depleting_battery":
