@@ -111,9 +111,10 @@ ENSEMBLE_REPLAY_SAMPLES = 2
 
 #: Steady-state construction budgets (Python-level NumPy constructions per
 #: physics step, see ``harness.count_array_constructions``).  Measured: the
-#: scalar step constructs ~2.7 arrays/step and a 16-lane ensemble ~8.7 —
-#: per-tick scratch is preallocated, so the budgets are fixed ceilings,
-#: not per-lane ones.
+#: scalar step constructs ~2.7 arrays/step, a 16-lane ensemble ~0.9, and a
+#: 16-lane ensemble with every other lane on the EKF ~4.1 — per-tick
+#: scratch is preallocated, so the budgets are fixed ceilings, not
+#: per-lane ones.
 SCALAR_STEP_CONSTRUCTION_BUDGET = 6.0
 ENSEMBLE_STEP_CONSTRUCTION_BUDGET = 12.0
 ALLOC_CHECK_LANES = 16
@@ -300,11 +301,12 @@ def ensemble_workloads(
 def ensemble_allocation_check() -> List[str]:
     """Steady-state construction-budget check on the preallocated step paths.
 
-    Runs the scalar simulator and a 16-lane ensemble into steady state,
-    then counts Python-level NumPy array constructions over one simulated
-    second.  A leak of even one construction per step blows the budget by
-    an order of magnitude, so the fixed ceilings are tight in practice
-    while staying robust to control-tick phase.
+    Runs the scalar simulator and two 16-lane ensembles — one without the
+    EKF, one mixing EKF and truth-state lanes as a campaign group does —
+    into steady state, then counts Python-level NumPy array constructions
+    over one simulated second.  A leak of even one construction per step
+    blows the budget by an order of magnitude, so the fixed ceilings are
+    tight in practice while staying robust to control-tick phase.
     """
     failures: List[str] = []
     steps = int(ENSEMBLE_PHYSICS_RATE_HZ)
@@ -327,25 +329,33 @@ def ensemble_allocation_check() -> List[str]:
             f"steps, budget {scalar_budget:.0f}"
         )
 
-    ensemble = EnsembleFlightSimulator(
-        model, ALLOC_CHECK_LANES, physics_rate_hz=ENSEMBLE_PHYSICS_RATE_HZ
-    )
-    for lane in range(ALLOC_CHECK_LANES):
-        ensemble.set_lane_target(lane, target)
-    ensemble.run_for(2.0)
-    ensemble_count = count_array_constructions(lambda: ensemble.run_for(1.0))
     ensemble_budget = ENSEMBLE_STEP_CONSTRUCTION_BUDGET * steps
-    print(
-        f"  {ALLOC_CHECK_LANES}-lane ensemble constructions: "
-        f"{ensemble_count} over {steps} steps "
-        f"({ensemble_count / steps:.2f}/step, budget "
-        f"{ENSEMBLE_STEP_CONSTRUCTION_BUDGET:.0f}/step)"
-    )
-    if ensemble_count > ensemble_budget:
-        failures.append(
-            f"{ALLOC_CHECK_LANES}-lane ensemble allocates {ensemble_count} "
-            f"arrays over {steps} steps, budget {ensemble_budget:.0f}"
+    mixed_ekf = [lane % 2 == 1 for lane in range(ALLOC_CHECK_LANES)]
+    for label, use_ekf in (("", False), (" mixed-EKF", mixed_ekf)):
+        ensemble = EnsembleFlightSimulator(
+            model,
+            ALLOC_CHECK_LANES,
+            physics_rate_hz=ENSEMBLE_PHYSICS_RATE_HZ,
+            use_ekf=use_ekf,
         )
+        for lane in range(ALLOC_CHECK_LANES):
+            ensemble.set_lane_target(lane, target)
+        ensemble.run_for(2.0)
+        ensemble_count = count_array_constructions(
+            lambda: ensemble.run_for(1.0)
+        )
+        print(
+            f"  {ALLOC_CHECK_LANES}-lane{label} ensemble constructions: "
+            f"{ensemble_count} over {steps} steps "
+            f"({ensemble_count / steps:.2f}/step, budget "
+            f"{ENSEMBLE_STEP_CONSTRUCTION_BUDGET:.0f}/step)"
+        )
+        if ensemble_count > ensemble_budget:
+            failures.append(
+                f"{ALLOC_CHECK_LANES}-lane{label} ensemble allocates "
+                f"{ensemble_count} arrays over {steps} steps, budget "
+                f"{ensemble_budget:.0f}"
+            )
     return failures
 
 

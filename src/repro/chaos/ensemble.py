@@ -184,16 +184,13 @@ def _tick_group(
 def _fly_group(
     specs: Sequence[TrialSpec], config: CampaignConfig
 ) -> List[TrialResult]:
-    """Fly one uniform group (same ``use_ekf``) through one ensemble."""
-    use_ekf = specs[0].use_ekf
-    if any(spec.use_ekf is not use_ekf for spec in specs):
-        raise ValueError("ensemble group must share use_ekf")
+    """Fly one group through one ensemble, each lane on its own ``use_ekf``."""
     model = DroneModel(**DEFAULT_MODEL)
     ensemble = EnsembleFlightSimulator(
         model,
         len(specs),
         physics_rate_hz=config.physics_rate_hz,
-        use_ekf=use_ekf,
+        use_ekf=[spec.use_ekf for spec in specs],
     )
     harnesses = [
         LaneHarness(spec, config, ensemble.lane(index), index)
@@ -229,9 +226,9 @@ def run_trials_ensemble(
 ) -> List[TrialResult]:
     """Fly ``specs`` through ensemble groups; results in input order.
 
-    Specs are partitioned by ``use_ekf`` (the ensemble's one per-group
-    constant) and optionally split into groups of at most
-    ``ensemble_width`` lanes; each group flies in lockstep through one
+    Specs are chunked in input order into groups of at most
+    ``ensemble_width`` lanes (one group when it is ``None``), EKF and
+    truth-state trials together; each group flies in lockstep through one
     :class:`~repro.sim.ensemble.EnsembleFlightSimulator`.  Every result is
     fingerprint-identical to :func:`repro.chaos.runner.run_trial` on the
     same ``(spec, config)``.
@@ -240,19 +237,8 @@ def run_trials_ensemble(
         raise ValueError(
             f"ensemble width must be positive: {ensemble_width}"
         )
-    results: List[Optional[TrialResult]] = [None] * len(specs)
-    for flag in (False, True):
-        indexed = [
-            (index, spec)
-            for index, spec in enumerate(specs)
-            if spec.use_ekf is flag
-        ]
-        if not indexed:
-            continue
-        width = len(indexed) if ensemble_width is None else ensemble_width
-        for start in range(0, len(indexed), width):
-            group = indexed[start : start + width]
-            flown = _fly_group([spec for _, spec in group], config)
-            for (index, _), result in zip(group, flown):
-                results[index] = result
-    return cast(List[TrialResult], results)
+    width = ensemble_width or len(specs) or 1
+    results: List[TrialResult] = []
+    for start in range(0, len(specs), width):
+        results.extend(_fly_group(specs[start : start + width], config))
+    return results

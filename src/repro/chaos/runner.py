@@ -280,22 +280,17 @@ DEFAULT_ENSEMBLE_WIDTH = 16
 def _ensemble_items(
     specs: List[TrialSpec], config: CampaignConfig, width: int
 ) -> List[Tuple[Tuple[Tuple[int, TrialSpec], ...], CampaignConfig]]:
-    """Chunk the campaign into ensemble groups of at most ``width`` lanes.
+    """Chunk the campaign in trial order into ensemble groups of at most
+    ``width`` lanes, EKF and truth-state trials together.
 
-    Groups are uniform in ``use_ekf`` (the one per-ensemble constant) and
-    carry their trials' original indices so results can be restored to
-    trial order after a parallel map.
+    Each group carries its trials' original indices so results can be
+    restored to trial order after a parallel map.
     """
-    items = []
-    for flag in (False, True):
-        indexed = [
-            (index, spec)
-            for index, spec in enumerate(specs)
-            if spec.use_ekf is flag
-        ]
-        for start in range(0, len(indexed), width):
-            items.append((tuple(indexed[start : start + width]), config))
-    return items
+    indexed = list(enumerate(specs))
+    return [
+        (tuple(indexed[start : start + width]), config)
+        for start in range(0, len(indexed), width)
+    ]
 
 
 def _run_ensemble_item(

@@ -47,7 +47,7 @@ working across the switch.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from repro.physics.rigid_body import (
     ROTOR_SPIN,
     TORQUE_THRUST_RATIO_M,
     QuadcopterState,
-    euler_from_quaternion,
 )
 from repro.sim.simulator import DroneModel, FlightSimulator, SimSample
 
@@ -105,11 +104,10 @@ def _rows_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
-def _quat_to_rotation_rows(q: np.ndarray) -> np.ndarray:
-    """(N,4) quaternions -> (N,3,3) rotations; mirrors quaternion_to_rotation."""
+def _quat_to_rotation_rows(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(N,4) quaternions -> (N,3,3) rotations into ``out``; mirrors
+    quaternion_to_rotation."""
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    n = q.shape[0]
-    out = np.empty((n, 3, 3))
     out[:, 0, 0] = 1 - 2 * (y * y + z * z)
     out[:, 0, 1] = 2 * (x * y - w * z)
     out[:, 0, 2] = 2 * (x * z + w * y)
@@ -120,6 +118,20 @@ def _quat_to_rotation_rows(q: np.ndarray) -> np.ndarray:
     out[:, 2, 1] = 2 * (y * z + w * x)
     out[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return out
+
+
+#: Column orders of ``np.cross``'s three components: ``cp0 = a1*b2 - a2*b1``,
+#: ``cp1 = a2*b0 - a0*b2``, ``cp2 = a0*b1 - a1*b0``.
+_CROSS_LEFT = np.array([1, 2, 0])
+_CROSS_RIGHT = np.array([2, 0, 1])
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.cross(a, b)`` in its own operation order, bit for bit,
+    without its ``moveaxis`` bookkeeping."""
+    return a[:, _CROSS_LEFT] * b[:, _CROSS_RIGHT] - a[:, _CROSS_RIGHT] * b[
+        :, _CROSS_LEFT
+    ]
 
 
 def _quat_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,27 +169,32 @@ def _quat_from_euler_rows(euler: np.ndarray) -> np.ndarray:
 
 
 def _euler_from_quaternion_rows(
-    q: np.ndarray, indices: np.ndarray
+    q: np.ndarray, indices: List[int], out: np.ndarray
 ) -> np.ndarray:
-    """(N,4) quaternions -> (N,3) ZYX Euler; mirrors euler_from_quaternion.
+    """(N,4) quaternions -> (N,3) ZYX Euler into ``out``; mirrors
+    euler_from_quaternion.
 
     Neither ``math.asin``/``np.arcsin`` nor ``math.atan2``/``np.arctan2``
     are bit-identical pairs on this platform, so all three angles run as a
-    per-lane Python loop over ``indices`` (the live lanes); other rows are
-    left at zero and must be masked off by the caller.  Only the operand
-    arithmetic is vectorized.
+    per-lane Python loop over ``indices`` (the live lanes), on floats read
+    through ``.tolist()``; other rows are set to zero and must be masked
+    off by the caller.  Only the operand arithmetic is vectorized.
     """
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out = np.zeros((q.shape[0], 3))
-    roll_y = 2 * (w * x + y * z)
-    roll_x = 1 - 2 * (x * x + y * y)
-    sin_pitch = 2 * (w * y - z * x)
-    yaw_y = 2 * (w * z + x * y)
-    yaw_x = 1 - 2 * (y * y + z * z)
+    roll_y = (2 * (w * x + y * z)).tolist()
+    roll_x = (1 - 2 * (x * x + y * y)).tolist()
+    sin_pitch = (2 * (w * y - z * x)).tolist()
+    yaw_y = (2 * (w * z + x * y)).tolist()
+    yaw_x = (1 - 2 * (y * y + z * z)).tolist()
+    n = q.shape[0]
+    roll, pitch, yaw = [0.0] * n, [0.0] * n, [0.0] * n
     for i in indices:
-        out[i, 0] = math.atan2(roll_y[i], roll_x[i])
-        out[i, 1] = math.asin(max(-1.0, min(1.0, sin_pitch[i])))
-        out[i, 2] = math.atan2(yaw_y[i], yaw_x[i])
+        roll[i] = math.atan2(roll_y[i], roll_x[i])
+        pitch[i] = math.asin(max(-1.0, min(1.0, sin_pitch[i])))
+        yaw[i] = math.atan2(yaw_y[i], yaw_x[i])
+    out[:, 0] = roll
+    out[:, 1] = pitch
+    out[:, 2] = yaw
     return out
 
 
@@ -205,7 +222,7 @@ def _euler_rates_rows(
     roll: np.ndarray,
     pitch: np.ndarray,
     gyro: np.ndarray,
-    indices: np.ndarray,
+    indices: List[int],
 ) -> np.ndarray:
     """Mirrors estimation._euler_rates row-wise.
 
@@ -215,9 +232,11 @@ def _euler_rates_rows(
     n = roll.shape[0]
     cr, sr = np.cos(roll), np.sin(roll)
     cp = np.cos(pitch)
-    tp = np.zeros(n)
+    pitches = pitch.tolist()
+    tangents = [0.0] * n
     for i in indices:
-        tp[i] = math.tan(pitch[i])
+        tangents[i] = math.tan(pitches[i])
+    tp = np.array(tangents)
     cp = np.where(np.abs(cp) < 1e-6, np.copysign(1e-6, cp), cp)
     transform = np.zeros((n, 3, 3))
     transform[:, 0, 0] = 1.0
@@ -271,9 +290,11 @@ class _Readings:
 class EnsembleFlightSimulator:
     """N independent closed-loop flights stepped in lockstep.
 
-    All lanes share one airframe model, physics rate, and EKF setting (a
-    campaign driver groups trials by ``use_ekf`` before building
-    ensembles).  Per-lane divergence — injected faults, failsafe ladders,
+    All lanes share one airframe model and physics rate.  ``use_ekf`` is
+    one bool for the whole group or one bool per lane, so a campaign chunk
+    flies EKF and truth-state trials together: the EKF runs under the mask
+    of its lanes, and the controller reads each lane's own estimate or its
+    own truth.  Per-lane divergence — injected faults, failsafe ladders,
     deaths — is handled by masking; a lane that needs a scalar-only feature
     defects via its :class:`LaneSim` facade.
 
@@ -288,20 +309,26 @@ class EnsembleFlightSimulator:
         model: DroneModel,
         n_lanes: int,
         physics_rate_hz: float = 500.0,
-        use_ekf: bool = False,
+        use_ekf: Union[bool, Sequence[bool]] = False,
         winds: Optional[Sequence[Wind]] = None,
         record_rate_hz: float = 50.0,
         rates=None,
     ):
         if n_lanes <= 0:
             raise ValueError(f"need at least one lane, got {n_lanes}")
+        flags = np.asarray(use_ekf, dtype=bool)
+        if flags.ndim == 0:
+            flags = np.full(n_lanes, bool(flags))
+        elif flags.shape != (n_lanes,):
+            raise ValueError(
+                f"need one use_ekf flag per lane: {flags.size} != {n_lanes}"
+            )
         # The template is the single source of every derived constant — the
         # mixer inverse, inertia, power denominators — so the ensemble can
         # never drift from what FlightSimulator.__init__ computes.
         template = FlightSimulator(
             model,
             physics_rate_hz=physics_rate_hz,
-            use_ekf=use_ekf,
             record_rate_hz=record_rate_hz,
         )
         if rates is not None:
@@ -310,7 +337,10 @@ class EnsembleFlightSimulator:
         self.model = model
         self.n_lanes = n_lanes
         self.physics_rate_hz = physics_rate_hz
-        self.use_ekf = use_ekf
+        #: Per-lane ``use_ekf``: which lanes fly on the EKF estimate.
+        self.ekf_lanes = flags.copy()
+        self._ekf_all = bool(flags.all())
+        self._ekf_any = bool(flags.any())
         self.time_s = 0.0
         self._record_period_s = template._record_period_s
         self._next_record_s = 0.0
@@ -322,6 +352,17 @@ class EnsembleFlightSimulator:
         self._quat = np.zeros((n, 4))
         self._quat[:, 0] = 1.0
         self._omega = np.zeros((n, 3))
+        # Per-tick scratch: every step overwrites the same entries (the zero
+        # columns of the thrust, omega-quaternion and heading blocks stay
+        # zero), and no reference to it outlives the step.
+        self._rotation = np.empty((n, 3, 3))
+        self._body_torque = np.empty((n, 3))
+        self._thrust_col = np.zeros((n, 3, 1))
+        self._omega_quat = np.zeros((n, 4))
+        self._wrench = np.empty((n, 4))
+        self._heading = np.zeros((n, 3))
+        self._attitude = np.empty((n, 3))
+        self._est_euler = np.empty((n, 3))
         body = template.body
         self._mass = body.mass_kg
         self._inertia = np.asarray(body.inertia_kg_m2, dtype=float)
@@ -518,6 +559,7 @@ class EnsembleFlightSimulator:
         #: take the unmasked fast path.  Partial masks (EKF ok-sets, baro
         #: draw masks) are always fresh arrays and always go masked.
         self._full = np.ones(n, dtype=bool)
+        self._all_lanes = list(range(n))
         self._sample_rows: List[List[SimSample]] = [[] for _ in range(n)]
         self._lanes: List[Optional["LaneSim"]] = [None] * n
 
@@ -549,7 +591,9 @@ class EnsembleFlightSimulator:
 
     # -- sensors -----------------------------------------------------------------
 
-    def _sample_imu(self, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _sample_imu(
+        self, live: np.ndarray, rotation: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         period = self._imu_period
         if not self._imu_has_last:
             accel_world = np.zeros((self.n_lanes, 3))
@@ -557,7 +601,6 @@ class EnsembleFlightSimulator:
             accel_world = (self._vel - self._imu_last_vel) / period
         self._commit(self._imu_last_vel, self._vel, live)
         self._imu_has_last = True
-        rotation = _quat_to_rotation_rows(self._quat)
         specific_force = accel_world + self._gravity_col
         accel_body = np.matmul(
             rotation.transpose(0, 2, 1), specific_force[:, :, None]
@@ -658,29 +701,36 @@ class EnsembleFlightSimulator:
         self._gps_samples[fix] += 1
         return positions
 
-    def _sample_mag(self, live: np.ndarray) -> np.ndarray:
+    def _sample_mag(self, live: np.ndarray, lanes: List[int]) -> np.ndarray:
         q = self._quat
         w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
         # Only yaw is observable.  np.arctan2 is NOT bit-identical to
         # math.atan2, so the angle itself runs per lane (10 Hz — cheap).
-        yaw_y = 2 * (w * z + x * y)
-        yaw_x = 1 - 2 * (y * y + z * z)
-        yaw = np.zeros(self.n_lanes)
-        for i in np.flatnonzero(live):
-            yaw[i] = math.atan2(yaw_y[i], yaw_x[i])
+        yaw_y = (2 * (w * z + x * y)).tolist()
+        yaw_x = (1 - 2 * (y * y + z * z)).tolist()
+        angles = [0.0] * self.n_lanes
+        for i in lanes:
+            angles[i] = math.atan2(yaw_y[i], yaw_x[i])
+        yaw = np.array(angles)
         noise = float(self._mag_gen.normal(0.0, self._mag_noise))
         measured = (yaw + self._mag_hard_iron) + noise
         self._mag_samples[live] += 1
         return (measured + math.pi) % (2.0 * math.pi) - math.pi
 
-    def _poll_sensors(self, dt: float, live: np.ndarray) -> _Readings:
+    def _poll_sensors(
+        self,
+        dt: float,
+        live: np.ndarray,
+        lanes: List[int],
+        rotation: np.ndarray,
+    ) -> _Readings:
         self._sensor_time += dt
         now = self._sensor_time
         readings = _Readings()
         if now + 1e-12 >= self._due["imu"]:
             self._due["imu"] = max(self._due["imu"] + self._imu_period, now)
             readings.imu_fired = True
-            readings.accel, readings.gyro = self._sample_imu(live)
+            readings.accel, readings.gyro = self._sample_imu(live, rotation)
         if now + 1e-12 >= self._due["baro"]:
             self._due["baro"] = max(self._due["baro"] + self._baro_period, now)
             readings.baro_fired = True
@@ -695,7 +745,7 @@ class EnsembleFlightSimulator:
         if now + 1e-12 >= self._due["mag"]:
             self._due["mag"] = max(self._due["mag"] + self._mag_period, now)
             readings.mag_fired = True
-            readings.mag = self._sample_mag(live)
+            readings.mag = self._sample_mag(live, lanes)
         return readings
 
     # -- EKF ---------------------------------------------------------------------
@@ -706,7 +756,7 @@ class EnsembleFlightSimulator:
         gyro: np.ndarray,
         ok: np.ndarray,
         failed: np.ndarray,
-        idx: np.ndarray,
+        lanes: List[int],
     ) -> None:
         dt = self._imu_period
         state = self._ekf_state
@@ -718,7 +768,7 @@ class EnsembleFlightSimulator:
         new_state = state.copy()
         new_state[:, 0:3] += state[:, 3:6] * dt + 0.5 * accel_world * dt * dt
         new_state[:, 3:6] += accel_world * dt
-        new_state[:, 6:9] += _euler_rates_rows(roll, pitch, gyro, idx) * dt
+        new_state[:, 6:9] += _euler_rates_rows(roll, pitch, gyro, lanes) * dt
         new_state[:, 8] = _wrap_rows(new_state[:, 8])
 
         def build_jacobian() -> np.ndarray:
@@ -793,8 +843,8 @@ class EnsembleFlightSimulator:
         failed = np.zeros(self.n_lanes, dtype=bool)
         if readings.imu_fired:
             assert readings.accel is not None and readings.gyro is not None
-            idx = np.flatnonzero(ok)
-            self._ekf_predict(readings.accel, readings.gyro, ok, failed, idx)
+            lanes = np.flatnonzero(ok).tolist()
+            self._ekf_predict(readings.accel, readings.gyro, ok, failed, lanes)
         if readings.gps_fired and readings.gps_fix is not None:
             assert readings.gps_has_fix is not None
             mask = ok & readings.gps_has_fix
@@ -878,22 +928,23 @@ class EnsembleFlightSimulator:
         return np.where(step > -limit, step, -limit)
 
     def _accel_to_attitude(
-        self, accel: np.ndarray, live: np.ndarray
+        self, accel: np.ndarray, live: np.ndarray, lanes: List[int]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched acceleration_to_attitude_thrust over the live mask."""
+        """Batched acceleration_to_attitude_thrust over the live ``lanes``."""
         force_world = self._mass * (accel + self._gravity_col)
         thrust = _rows_norm(force_world)
         tiny = thrust < 1e-9
         z_body = force_world / thrust[:, None]
-        cos_tilt = self._clamp_rows(z_body[:, 2], 1.0)
-        tilt = np.zeros(self.n_lanes)
-        for i in np.flatnonzero(live & ~tiny):
-            tilt[i] = math.acos(cos_tilt[i])
-        over = (tilt > self._max_tilt) & live & ~tiny
-        if over.any():
+        cos_tilt = self._clamp_rows(z_body[:, 2], 1.0).tolist()
+        tiny_rows = tiny.tolist()
+        upright = [i for i in lanes if not tiny_rows[i]]
+        over = [i for i in upright if math.acos(cos_tilt[i]) > self._max_tilt]
+        if over:
             horizontal = z_body[:, 0:2]
             horizontal_norm = _rows_norm(horizontal)
-            fix = over & (horizontal_norm > 1e-9)
+            fix = np.zeros(self.n_lanes, dtype=bool)
+            fix[over] = True
+            fix &= horizontal_norm > 1e-9
             if fix.any():
                 scale = self._sin_max_tilt / horizontal_norm
                 projected = np.empty_like(z_body)
@@ -902,26 +953,27 @@ class EnsembleFlightSimulator:
                 projected[:, 2] = self._cos_max_tilt
                 z_body = np.where(fix[:, None], projected, z_body)
         yaw = self._target_yaw
-        x_c = np.zeros((self.n_lanes, 3))
+        x_c = self._heading
         x_c[:, 0] = np.cos(yaw)
         x_c[:, 1] = np.sin(yaw)
-        y_body = np.cross(z_body, x_c)
+        y_body = _cross_rows(z_body, x_c)
         y_norm = _rows_norm(y_body)
         if bool(np.any((y_norm < 1e-9) & live & ~tiny)):
             raise ValueError("degenerate attitude: thrust axis parallel to heading")
         y_body = y_body / y_norm[:, None]
-        x_body = np.cross(y_body, z_body)
-        pitch = np.zeros(self.n_lanes)
-        roll = np.zeros(self.n_lanes)
-        x_body_z = x_body[:, 2]
-        y_body_z = y_body[:, 2]
-        z_body_z = z_body[:, 2]
-        for i in np.flatnonzero(live & ~tiny):
+        x_body = _cross_rows(y_body, z_body)
+        x_body_z = x_body[:, 2].tolist()
+        y_body_z = y_body[:, 2].tolist()
+        z_body_z = z_body[:, 2].tolist()
+        # Lanes outside ``upright`` keep 0.0, as the scalar routine returns
+        # a level attitude for a vanishing thrust.
+        roll, pitch = [0.0] * self.n_lanes, [0.0] * self.n_lanes
+        for i in upright:
             pitch[i] = -math.asin(max(-1.0, min(1.0, x_body_z[i])))
             roll[i] = math.atan2(y_body_z[i], z_body_z[i])
-        attitude = np.zeros((self.n_lanes, 3))
-        attitude[:, 0] = np.where(tiny, 0.0, roll)
-        attitude[:, 1] = np.where(tiny, 0.0, pitch)
+        attitude = self._attitude
+        attitude[:, 0] = roll
+        attitude[:, 1] = pitch
         attitude[:, 2] = yaw
         collective = np.where(tiny, 0.0, thrust)
         return attitude, collective
@@ -929,7 +981,7 @@ class EnsembleFlightSimulator:
     def _mix(self, live: np.ndarray) -> np.ndarray:
         """Batched MotorMixer.mix with attitude-priority desaturation."""
         inverse = self._mixer_inverse
-        wrench = np.empty((self.n_lanes, 4))
+        wrench = self._wrench
         wrench[:, 0] = self._collective
         wrench[:, 1:4] = self._torque_cmd
         ceilings = self._max_thrust * self.motor_health
@@ -965,7 +1017,7 @@ class EnsembleFlightSimulator:
         est_omega: np.ndarray,
         dt: float,
         live: np.ndarray,
-        idx: np.ndarray,
+        lanes: List[int],
     ) -> np.ndarray:
         self._ctl_time += dt
 
@@ -1005,7 +1057,7 @@ class EnsembleFlightSimulator:
             if over.any():
                 scaled = accel * (self._max_accel / norm)[:, None]
                 accel = np.where(over[:, None], scaled, accel)
-            attitude, collective = self._accel_to_attitude(accel, live)
+            attitude, collective = self._accel_to_attitude(accel, live, lanes)
             self._commit(self._att_target, attitude, live)
             self._commit(self._collective, collective, live)
 
@@ -1014,7 +1066,9 @@ class EnsembleFlightSimulator:
             self._next_attitude_update = max(
                 self._next_attitude_update + attitude_dt, self._ctl_time
             )
-            est_euler = _euler_from_quaternion_rows(est_quat, idx)
+            est_euler = _euler_from_quaternion_rows(
+                est_quat, lanes, self._est_euler
+            )
             angle_error = self._att_target - est_euler
             angle_error[:, 2] = (
                 angle_error[:, 2] + np.pi
@@ -1065,16 +1119,19 @@ class EnsembleFlightSimulator:
         return normals
 
     def _body_step(
-        self, thrusts: np.ndarray, dt: float, live: np.ndarray
+        self,
+        thrusts: np.ndarray,
+        rotation: np.ndarray,
+        dt: float,
+        live: np.ndarray,
     ) -> None:
         total_thrust = np.sum(thrusts, axis=1)
-        torque = np.empty((self.n_lanes, 3))
+        torque = self._body_torque
         torque[:, 0] = np.sum(self._arm_y * thrusts, axis=1)
         torque[:, 1] = -np.sum(self._arm_x * thrusts, axis=1)
         torque[:, 2] = np.sum(ROTOR_SPIN * thrusts, axis=1) * TORQUE_THRUST_RATIO_M
 
-        rotation = _quat_to_rotation_rows(self._quat)
-        thrust_col = np.zeros((self.n_lanes, 3, 1))
+        thrust_col = self._thrust_col
         thrust_col[:, 2, 0] = total_thrust
         thrust_world = np.matmul(rotation, thrust_col)[:, :, 0]
 
@@ -1106,13 +1163,13 @@ class EnsembleFlightSimulator:
             )
 
         inertia_omega = np.matmul(self._inertia, self._omega[:, :, None])[:, :, 0]
-        rhs = torque - np.cross(self._omega, inertia_omega)
+        rhs = torque - _cross_rows(self._omega, inertia_omega)
         # np.linalg.solve on the diagonal inertia, bit for bit up to the sign
         # of a zero, which never reaches omega: lane rates start at +0.0.
         omega_dot = rhs / self._principal_inertia
         new_omega = self._omega + omega_dot * dt
 
-        omega_quat = np.zeros((self.n_lanes, 4))
+        omega_quat = self._omega_quat
         omega_quat[:, 1:4] = new_omega
         q_dot = 0.5 * _quat_multiply_rows(self._quat, omega_quat)
         new_quat = self._quat + q_dot * dt
@@ -1139,9 +1196,10 @@ class EnsembleFlightSimulator:
         cell_v = np.where(soc > 0.9, full, np.where(soc > 0.15, mid, low))
         return cell_v * self._cells
 
-    def _terminal_voltage(self, load_current_a) -> np.ndarray:
+    def _terminal_voltage(self, ocv: np.ndarray, load_current_a) -> np.ndarray:
+        """Sagged pack voltage at ``load_current_a`` from ``_ocv_rows()``."""
         resistance = self._resistance_base + self._fault_res
-        sagged = self._ocv_rows() - load_current_a * resistance
+        sagged = ocv - load_current_a * resistance
         return np.where(sagged > 0.0, sagged, 0.0)
 
     # -- the lockstep tick --------------------------------------------------------
@@ -1160,26 +1218,25 @@ class EnsembleFlightSimulator:
             raise RuntimeError("no live lanes to step")
         dt = 1.0 / self.physics_rate_hz
         self.time_s += dt
-        idx = np.flatnonzero(live)
+        lanes = self._all_lanes if self._uniform else np.flatnonzero(live).tolist()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            readings = self._poll_sensors(dt, live)
-            if self.use_ekf:
-                self._ekf_tick(readings, live)
-                est_pos = self._ekf_state[:, 0:3]
-                est_vel = self._ekf_state[:, 3:6]
-                est_quat = _quat_from_euler_rows(self._ekf_state[:, 6:9])
-            else:
-                est_pos, est_vel, est_quat = self._pos, self._vel, self._quat
+            # The IMU and the body both read the pre-tick quaternion, and
+            # both voltages below read the pre-draw charge: build each once.
+            rotation = _quat_to_rotation_rows(self._quat, self._rotation)
+            ocv = self._ocv_rows()
+            readings = self._poll_sensors(dt, live, lanes, rotation)
+            est_pos, est_vel, est_quat = self._estimate(readings, live)
             thrusts = self._controller_tick(
-                est_pos, est_vel, est_quat, self._omega, dt, live, idx
+                est_pos, est_vel, est_quat, self._omega, dt, live, lanes
             )
             voltage_ratio = (
-                self._terminal_voltage(self._last_current) / self._voltage_denom
+                self._terminal_voltage(ocv, self._last_current)
+                / self._voltage_denom
             )
             capped = np.where(voltage_ratio < 1.0, voltage_ratio, 1.0)
             ceiling = self._max_thrust * np.float_power(capped, 2)
             thrusts = np.minimum(thrusts, ceiling[:, None])
-            self._body_step(thrusts, dt, live)
+            self._body_step(thrusts, rotation, dt, live)
 
             clipped = np.maximum(thrusts, 0.0)
             ideal_w = clipped * np.sqrt(clipped) / self._induced_denom
@@ -1187,7 +1244,7 @@ class EnsembleFlightSimulator:
             power = (
                 propulsion + self._compute_power_w
             ) + self._sensors_power_w
-            floor = self._terminal_voltage(0.0)
+            floor = self._terminal_voltage(ocv, 0.0)
             current = power / np.where(floor > 1.0, floor, 1.0)
             self._commit(self._last_current, current, live)
             draw = np.where(
@@ -1206,21 +1263,49 @@ class EnsembleFlightSimulator:
 
         if self.time_s + 1e-12 >= self._next_record_s:
             self._next_record_s = self.time_s + self._record_period_s
-            voltage = self._terminal_voltage(current)
-            soc = self._soc_rows()
-            for i in idx:
+            voltage = self._terminal_voltage(self._ocv_rows(), current).tolist()
+            soc = self._soc_rows().tolist()
+            powers = power.tolist()
+            euler = _euler_from_quaternion_rows(
+                self._quat, lanes, np.empty((self.n_lanes, 3))
+            )
+            for i in lanes:
                 self._sample_rows[i].append(
                     SimSample(
                         time_s=self.time_s,
                         position_m=self._pos[i].copy(),
                         velocity_m_s=self._vel[i].copy(),
-                        euler_rad=euler_from_quaternion(self._quat[i]),
+                        euler_rad=euler[i],
                         motor_thrusts_n=thrusts[i].copy(),
-                        electrical_power_w=float(power[i]),
-                        battery_voltage_v=float(voltage[i]),
-                        battery_soc=float(soc[i]),
+                        electrical_power_w=powers[i],
+                        battery_voltage_v=voltage[i],
+                        battery_soc=soc[i],
                     )
                 )
+
+    def _estimate(
+        self, readings: _Readings, live: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the EKF on its lanes; the state each lane's controller reads.
+
+        A mixed group feeds every lane through a select, which does no
+        arithmetic: an EKF lane reads exactly its estimate and a truth lane
+        exactly its truth state, as its scalar simulator would.
+        """
+        if not self._ekf_any:
+            return self._pos, self._vel, self._quat
+        self._ekf_tick(readings, live if self._ekf_all else live & self.ekf_lanes)
+        est_pos = self._ekf_state[:, 0:3]
+        est_vel = self._ekf_state[:, 3:6]
+        est_quat = _quat_from_euler_rows(self._ekf_state[:, 6:9])
+        if self._ekf_all:
+            return est_pos, est_vel, est_quat
+        ekf_rows = self.ekf_lanes[:, None]
+        return (
+            np.where(ekf_rows, est_pos, self._pos),
+            np.where(ekf_rows, est_vel, self._vel),
+            np.where(ekf_rows, est_quat, self._quat),
+        )
 
     def run_for(self, duration_s: float) -> None:
         """Step all live lanes for ``duration_s`` simulated seconds."""
@@ -1312,7 +1397,7 @@ class EnsembleFlightSimulator:
         sim = FlightSimulator(
             self.model,
             physics_rate_hz=self.physics_rate_hz,
-            use_ekf=self.use_ekf,
+            use_ekf=bool(self.ekf_lanes[index]),
             wind=wind,
         )
         sim._record_period_s = self._record_period_s
@@ -1698,7 +1783,7 @@ class LaneSim:
 
     @property
     def use_ekf(self) -> bool:
-        return self._ens.use_ekf
+        return bool(self._ens.ekf_lanes[self._index])
 
     @property
     def attached(self) -> bool:

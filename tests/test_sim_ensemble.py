@@ -20,8 +20,11 @@ from repro.chaos import (
     run_trials_ensemble,
     verify_replay,
 )
+from repro.chaos import ensemble as chaos_ensemble
 from repro.chaos.campaign import TrialSpec, generate_campaign
+from repro.chaos.runner import run_trial
 from repro.core.parallel import SweepRunnerConfig
+from repro.control.estimation import InsEkf
 from repro.faults.scenarios import DEFAULT_MODEL
 from repro.faults.schedule import FaultSchedule
 from repro.physics.environment import Wind
@@ -66,11 +69,40 @@ def _assert_samples_equal(samples, ref_samples) -> None:
         assert got.battery_soc == want.battery_soc
 
 
+def _lane_ekf(lane):
+    """One lane's EKF: the scalar backend's once defected, else a snapshot
+    of its ensemble rows with the same attribute names."""
+    if not lane.attached:
+        return lane.defect().ekf
+    ens, index = lane._ens, lane._index
+    snapshot = InsEkf()
+    snapshot.state = ens._ekf_state[index]
+    snapshot.covariance = ens._ekf_cov[index]
+    snapshot.flops = int(ens._ekf_flops[index])
+    snapshot.predictions = int(ens._ekf_predictions[index])
+    snapshot.corrections = int(ens._ekf_corrections[index])
+    return snapshot
+
+
+def _assert_ekf_equal(ekf, ref) -> None:
+    np.testing.assert_array_equal(ekf.state, ref.state)
+    np.testing.assert_array_equal(ekf.covariance, ref.covariance)
+    assert ekf.flops == ref.flops
+    assert ekf.predictions == ref.predictions
+    assert ekf.corrections == ref.corrections
+
+
 def _assert_lane_matches(lane, sim) -> None:
     _assert_state_equal(lane.body.state, sim.body.state)
     assert lane.battery.state_of_charge == sim.battery.state_of_charge
     assert lane.depleted == sim.depleted
     assert lane.ekf_resets == sim.ekf_resets
+    assert lane.use_ekf is sim.use_ekf
+    _assert_ekf_equal(_lane_ekf(lane), sim.ekf)
+    if not sim.use_ekf:
+        # A truth-state lane never runs its EKF, inside a mixed group too.
+        _assert_ekf_equal(_lane_ekf(lane), InsEkf())
+        assert lane.ekf_resets == 0
     mixer = lane.controller.thrust_controller.mixer
     ref_mixer = sim.controller.thrust_controller.mixer
     assert mixer.mixes == ref_mixer.mixes
@@ -78,8 +110,14 @@ def _assert_lane_matches(lane, sim) -> None:
     _assert_samples_equal(lane.samples, sim.samples)
 
 
+#: One flag per lane: EKF and truth-state lanes stepping in one group.
+MIXED_EKF = [False, True, False]
+
+
 class TestLockstepEquivalence:
-    @pytest.mark.parametrize("use_ekf", [False, True])
+    @pytest.mark.parametrize(
+        "use_ekf", [False, True, pytest.param(MIXED_EKF, id="mixed")]
+    )
     def test_three_lanes_match_scalar_runs(self, use_ekf):
         """Distinct targets + per-lane gusty wind, stepped in uneven chunks."""
         model = _model()
@@ -90,11 +128,12 @@ class TestLockstepEquivalence:
             use_ekf=use_ekf,
             winds=[_wind(10 + i) for i in range(3)],
         )
+        flags = use_ekf if isinstance(use_ekf, list) else [use_ekf] * 3
         scalars = [
             FlightSimulator(
                 model,
                 physics_rate_hz=RATE_HZ,
-                use_ekf=use_ekf,
+                use_ekf=flags[i],
                 wind=_wind(10 + i),
             )
             for i in range(3)
@@ -220,6 +259,34 @@ class TestMidFlightDefection:
         for index, sim in enumerate(scalars):
             _assert_lane_matches(ens.lane(index), sim)
 
+    def test_ekf_lane_defects_from_mixed_group_bitwise(self):
+        """An EKF lane leaves a mixed group as a scalar EKF simulator."""
+        model = _model()
+        ens = EnsembleFlightSimulator(
+            model, n_lanes=3, physics_rate_hz=RATE_HZ, use_ekf=MIXED_EKF
+        )
+        scalars = [
+            FlightSimulator(model, physics_rate_hz=RATE_HZ, use_ekf=flag)
+            for flag in MIXED_EKF
+        ]
+        for index, target in enumerate(TARGETS):
+            ens.set_lane_target(index, target)
+            scalars[index].goto(target)
+        ens.run_for(1.5)
+        for sim in scalars:
+            sim.run_for(1.5)
+
+        deserter = ens.lane(1)
+        materialized = deserter.defect()
+        assert materialized.use_ekf is True
+        for chunk_s in (1.0, 0.5):
+            ens.run_for(chunk_s)
+            deserter.run_for(chunk_s)
+            for sim in scalars:
+                sim.run_for(chunk_s)
+        for index, sim in enumerate(scalars):
+            _assert_lane_matches(ens.lane(index), sim)
+
     def test_attached_lane_refuses_run_for(self):
         ens = EnsembleFlightSimulator(_model(), n_lanes=1, physics_rate_hz=RATE_HZ)
         with pytest.raises(RuntimeError, match="attached"):
@@ -290,8 +357,34 @@ class TestEnsembleApi:
         with pytest.raises(ValueError, match="width"):
             run_trials_ensemble(specs, config, ensemble_width=0)
 
-    def test_mixed_ekf_specs_partition_in_input_order(self):
-        """use_ekf is per-ensemble constant; results come back in order."""
+    def test_lanes_report_their_own_use_ekf(self):
+        ens = EnsembleFlightSimulator(
+            _model(), n_lanes=3, physics_rate_hz=RATE_HZ, use_ekf=MIXED_EKF
+        )
+        assert [ens.lane(i).use_ekf for i in range(3)] == MIXED_EKF
+        uniform = EnsembleFlightSimulator(
+            _model(), n_lanes=2, physics_rate_hz=RATE_HZ, use_ekf=True
+        )
+        assert [uniform.lane(i).use_ekf for i in range(2)] == [True, True]
+
+    def test_use_ekf_sequence_length_must_match_lanes(self):
+        with pytest.raises(ValueError, match="use_ekf"):
+            EnsembleFlightSimulator(
+                _model(), n_lanes=2, physics_rate_hz=RATE_HZ, use_ekf=MIXED_EKF
+            )
+
+    def test_mixed_ekf_specs_fly_as_one_group_in_input_order(self, monkeypatch):
+        """Mixed use_ekf specs share one ensemble; results match run_trial."""
+        built = []
+
+        class CountingEnsemble(EnsembleFlightSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(
+            chaos_ensemble, "EnsembleFlightSimulator", CountingEnsemble
+        )
         config = CampaignConfig(trials=4, duration_s=8.0)
         specs = [
             TrialSpec(
@@ -306,8 +399,13 @@ class TestEnsembleApi:
             for index in range(4)
         ]
         results = run_trials_ensemble(specs, config)
+        assert len(built) == 1
+        assert built[0].ekf_lanes.tolist() == [False, True, False, True]
         assert [r.spec.trial_index for r in results] == [0, 1, 2, 3]
         assert [r.spec.use_ekf for r in results] == [False, True, False, True]
+        assert [r.metrics() for r in results] == [
+            run_trial(spec, config).metrics() for spec in specs
+        ]
 
     def test_clear_all_caches_drops_ensemble_scratch(self):
         ens = EnsembleFlightSimulator(
