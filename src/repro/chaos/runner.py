@@ -8,6 +8,8 @@ strict determinism: a :class:`TrialResult` is a pure function of
 ``(TrialSpec, CampaignConfig)``, which is what lets
 :func:`replay_trial` re-fly any failure from its recorded ``(seed,
 schedule)`` tuple and assert bit-for-bit equality of verdicts and metrics.
+Both campaign engines fly a trial through the same :class:`LaneHarness`
+and :func:`fly` schedule; only the physics burst differs.
 
 Campaigns fan trials out with :class:`repro.core.parallel
 .ParallelSweepRunner` — the same deterministic-chunking machinery the
@@ -17,10 +19,9 @@ machine without giving up input-order results.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
@@ -35,7 +36,12 @@ from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.report import ExecutionReport, QuarantineRecord
 from repro.faults.injectors import FaultInjector
-from repro.faults.scenarios import DEFAULT_MODEL, HEARTBEAT_PERIOD_S
+from repro.faults.scenarios import (
+    DEFAULT_MODEL,
+    HEARTBEAT_PERIOD_S,
+    recovery_time_s,
+)
+from repro.sim.ensemble import LaneSim
 from repro.sim.simulator import DroneModel, FlightSimulator
 
 #: Trial verdicts, ordered by severity.
@@ -88,123 +94,182 @@ class TrialResult:
         )
 
 
-def _square_mission(half_extent_m: float, altitude_m: float) -> List[MissionItem]:
-    """The campaign's shared mission: a square around home."""
-    corners = (
-        (half_extent_m, 0.0, altitude_m),
-        (half_extent_m, half_extent_m, altitude_m),
-        (0.0, half_extent_m, altitude_m),
-        (0.0, 0.0, altitude_m),
-    )
-    return [MissionItem(np.asarray(corner, dtype=float)) for corner in corners]
+class LaneHarness:
+    """One trial's control-flow state around the simulator that flies it.
+
+    The simulator is a scalar :class:`~repro.sim.simulator.FlightSimulator`
+    when :func:`run_trial` flies the trial alone, or one
+    :class:`~repro.sim.ensemble.LaneSim` of a group when
+    :func:`repro.chaos.ensemble.run_trials_ensemble` flies it; ``lane``
+    names it either way.  :func:`fly` calls :meth:`pre` and :meth:`post`
+    around each physics burst and :meth:`judge` at the end.
+    """
+
+    def __init__(
+        self,
+        spec: TrialSpec,
+        config: CampaignConfig,
+        lane: FlightSimulator | LaneSim,
+    ):
+        self.spec = spec
+        self.lane = lane
+        # A lane facade exposes the full FlightSimulator surface the
+        # autopilot/injector/monitor stack reads and writes.
+        sim = cast(FlightSimulator, lane)
+        self.link = Link(seed=spec.link_seed)
+        self.autopilot = Autopilot(sim, link=self.link)
+        if spec.offload:
+            self.autopilot.pose_watchdog = PoseStalenessWatchdog()
+        self.injector = FaultInjector(self.autopilot, spec.schedule)
+        self.monitor = SafetyMonitor(
+            self.autopilot,
+            spec.schedule,
+            limits=config.limits,
+            envelope=config.envelope,
+        )
+        self.recorder = FlightRecorder(maxlen=config.recorder_maxlen)
+        self.min_soc = sim.battery.state_of_charge
+        self.next_heartbeat_s = 0.0
+        self.alive = True
+
+    def pre(self) -> None:
+        """The control tick's work before the physics burst."""
+        sim = self.autopilot.sim
+        now = sim.time_s
+        self.injector.apply(now)
+        if self.spec.heartbeats and now + 1e-9 >= self.next_heartbeat_s:
+            self.next_heartbeat_s = now + HEARTBEAT_PERIOD_S
+            self.link.send(MessageType.HEARTBEAT)
+        if self.spec.offload and not self.injector.offload_blocked(now):
+            self.autopilot.pose_watchdog.note_pose(now)
+        self.autopilot._update_pre()
+
+    def post(self) -> None:
+        """The control tick's work after the physics burst."""
+        sim = self.autopilot.sim
+        self.autopilot._update_post()
+        self.min_soc = min(self.min_soc, sim.battery.state_of_charge)
+        self.monitor.check(sim.time_s)
+        self.recorder.record(self.autopilot, self.monitor.active_fault_names())
+        self.alive = not self.monitor.crashed
+
+    def judge(self) -> TrialResult:
+        """The trial's verdict, metrics and (for a failure) black-box trace."""
+        autopilot = self.autopilot
+        monitor = self.monitor
+        spec = self.spec
+        if monitor.crashed:
+            verdict = VERDICT_CRASH
+        elif monitor.violations:
+            verdict = VERDICT_VIOLATION
+        else:
+            verdict = VERDICT_SAFE
+        altitude_m = float(autopilot.sim.body.state.position_m[2])
+        trace: Optional[BlackBoxTrace] = None
+        if verdict != VERDICT_SAFE:
+            trace = BlackBoxTrace(
+                campaign_seed=spec.campaign_seed,
+                trial_index=spec.trial_index,
+                link_seed=spec.link_seed,
+                verdict=verdict,
+                schedule=spec.schedule,
+                violation=monitor.first_violation,
+                events=tuple(autopilot.events),
+                ticks=list(self.recorder.ticks),
+                dropped_ticks=self.recorder.dropped_ticks,
+            )
+        return TrialResult(
+            spec=spec,
+            verdict=verdict,
+            violation=monitor.first_violation,
+            final_failsafe=autopilot.failsafe.name,
+            final_mode=autopilot.mode.value,
+            mission_completion=autopilot.mission_progress,
+            recovery_time_s=recovery_time_s(autopilot, spec.schedule),
+            min_soc=self.min_soc,
+            landed=altitude_m < 0.3,
+            fault_kinds=tuple(
+                sorted({event.kind.value for event in spec.schedule.events})
+            ),
+            violation_count=len(monitor.violations),
+            trace=trace,
+        )
 
 
-def _recovery_time_s(autopilot: Autopilot, spec: TrialSpec) -> Optional[float]:
-    """Time from first fault onset to the first ladder reaction."""
-    onset_s = spec.schedule.first_fault_s
-    if math.isinf(onset_s):
-        return None
-    for time_s, text in autopilot.events:
-        if time_s + 1e-9 >= onset_s and (
-            text.startswith("FAILSAFE") or text.startswith("DEGRADED")
-        ):
-            return time_s - onset_s
-    return None
+def fly(
+    harnesses: Sequence[LaneHarness],
+    burst: Callable[[float], None],
+    config: CampaignConfig,
+) -> List[TrialResult]:
+    """Fly every harness's trial through the campaign's flight schedule.
+
+    Arm and take off, settle for ``config.settle_s``, then fly the square
+    mission in AUTO until ``config.duration_s`` or until every trial has
+    crashed; then judge each trial.  A control tick runs three phases:
+
+    1. **pre**, per live harness in order: fault injection, heartbeat,
+       offload pose feed and ``Autopilot._update_pre``;
+    2. **burst**: ``burst(config.control_step_s)`` advances the physics of
+       every live trial;
+    3. **post**, per live harness: ``Autopilot._update_post``, SoC
+       tracking, invariants and black-box recording.  A trial that
+       crashed drops out of the later ticks.
+
+    With one harness and ``burst=sim.run_for`` a tick is exactly the
+    scalar ``Autopilot.update``.  Trials are mutually independent, so
+    running a group's physics in one burst cannot change any trial's
+    outcome.
+    """
+    for harness in harnesses:
+        harness.autopilot.arm()
+        harness.autopilot.takeoff(config.takeoff_altitude_m)
+    elapsed_s = _fly_until(harnesses, burst, config, 0.0, config.settle_s)
+    # The campaign's shared mission: a square around home.
+    half_m, altitude_m = config.mission_half_extent_m, config.takeoff_altitude_m
+    corners = ((half_m, 0.0), (half_m, half_m), (0.0, half_m), (0.0, 0.0))
+    for harness in harnesses:
+        if harness.alive:
+            harness.autopilot.upload_mission([
+                MissionItem(np.array((x, y, altitude_m), dtype=float))
+                for x, y in corners
+            ])
+            harness.autopilot.set_mode(FlightMode.AUTO)
+    _fly_until(harnesses, burst, config, elapsed_s, config.duration_s)
+    return [harness.judge() for harness in harnesses]
+
+
+def _fly_until(
+    harnesses: Sequence[LaneHarness],
+    burst: Callable[[float], None],
+    config: CampaignConfig,
+    elapsed_s: float,
+    end_s: float,
+) -> float:
+    """Tick until ``end_s`` of flight or every trial has crashed; returns
+    the elapsed flight time."""
+    step_s = config.control_step_s
+    live = [harness for harness in harnesses if harness.alive]
+    while live and elapsed_s < end_s:
+        for harness in live:
+            harness.pre()
+        burst(step_s)
+        for harness in live:
+            harness.post()
+        live = [harness for harness in live if harness.alive]
+        elapsed_s += step_s
+    return elapsed_s
 
 
 @pure
 def run_trial(spec: TrialSpec, config: CampaignConfig) -> TrialResult:
     """Fly one chaos trial to completion (or loss) and judge it."""
-    model = DroneModel(**DEFAULT_MODEL)
     sim = FlightSimulator(
-        model, physics_rate_hz=config.physics_rate_hz, use_ekf=spec.use_ekf
+        DroneModel(**DEFAULT_MODEL),
+        physics_rate_hz=config.physics_rate_hz,
+        use_ekf=spec.use_ekf,
     )
-    link = Link(seed=spec.link_seed)
-    autopilot = Autopilot(sim, link=link)
-    if spec.offload:
-        autopilot.pose_watchdog = PoseStalenessWatchdog()
-    injector = FaultInjector(autopilot, spec.schedule)
-    monitor = SafetyMonitor(
-        autopilot,
-        spec.schedule,
-        limits=config.limits,
-        envelope=config.envelope,
-    )
-    recorder = FlightRecorder(maxlen=config.recorder_maxlen)
-
-    min_soc = sim.battery.state_of_charge
-    next_heartbeat_s = 0.0
-
-    def tick() -> bool:
-        """One control cycle; False once a terminal invariant fires."""
-        nonlocal min_soc, next_heartbeat_s
-        now = sim.time_s
-        injector.apply(now)
-        if spec.heartbeats and now + 1e-9 >= next_heartbeat_s:
-            next_heartbeat_s = now + HEARTBEAT_PERIOD_S
-            link.send(MessageType.HEARTBEAT)
-        if spec.offload and not injector.offload_blocked(now):
-            autopilot.pose_watchdog.note_pose(now)
-        autopilot.update(config.control_step_s)
-        min_soc = min(min_soc, sim.battery.state_of_charge)
-        monitor.check(sim.time_s)
-        recorder.record(autopilot, monitor.active_fault_names())
-        return not monitor.crashed
-
-    autopilot.arm()
-    autopilot.takeoff(config.takeoff_altitude_m)
-    elapsed_s = 0.0
-    alive = True
-    while alive and elapsed_s < config.settle_s:
-        alive = tick()
-        elapsed_s += config.control_step_s
-    if alive:
-        autopilot.upload_mission(
-            _square_mission(
-                config.mission_half_extent_m, config.takeoff_altitude_m
-            )
-        )
-        autopilot.set_mode(FlightMode.AUTO)
-        while alive and elapsed_s < config.duration_s:
-            alive = tick()
-            elapsed_s += config.control_step_s
-
-    if monitor.crashed:
-        verdict = VERDICT_CRASH
-    elif monitor.violations:
-        verdict = VERDICT_VIOLATION
-    else:
-        verdict = VERDICT_SAFE
-    altitude_m = float(sim.body.state.position_m[2])
-    trace: Optional[BlackBoxTrace] = None
-    if verdict != VERDICT_SAFE:
-        trace = BlackBoxTrace(
-            campaign_seed=spec.campaign_seed,
-            trial_index=spec.trial_index,
-            link_seed=spec.link_seed,
-            verdict=verdict,
-            schedule=spec.schedule,
-            violation=monitor.first_violation,
-            events=tuple(autopilot.events),
-            ticks=list(recorder.ticks),
-            dropped_ticks=recorder.dropped_ticks,
-        )
-    return TrialResult(
-        spec=spec,
-        verdict=verdict,
-        violation=monitor.first_violation,
-        final_failsafe=autopilot.failsafe.name,
-        final_mode=autopilot.mode.value,
-        mission_completion=autopilot.mission_progress,
-        recovery_time_s=_recovery_time_s(autopilot, spec),
-        min_soc=min_soc,
-        landed=altitude_m < 0.3,
-        fault_kinds=tuple(
-            sorted({event.kind.value for event in spec.schedule.events})
-        ),
-        violation_count=len(monitor.violations),
-        trace=trace,
-    )
+    [result] = fly([LaneHarness(spec, config, sim)], sim.run_for, config)
+    return result
 
 
 def run_trial_by_index(config: CampaignConfig, trial_index: int) -> TrialResult:
@@ -304,14 +369,6 @@ def _run_ensemble_item(
     return [(index, result) for (index, _), result in zip(indexed, results)]
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ("scalar", "ensemble"):
-        raise ValueError(
-            f"unknown campaign engine {engine!r} "
-            "(expected 'scalar' or 'ensemble')"
-        )
-
-
 def _fly_campaign(
     config: CampaignConfig,
     runner_config: Optional[SweepRunnerConfig],
@@ -320,7 +377,13 @@ def _fly_campaign(
     journal_path: Optional["os.PathLike[str] | str"] = None,
 ) -> Tuple[List[TrialResult], Optional[ExecutionReport]]:
     """Results in trial order (quarantined placeholders dropped) + report."""
-    _check_engine(engine)
+    if engine not in ("scalar", "ensemble"):
+        raise ValueError(
+            f"unknown campaign engine {engine!r} "
+            "(expected 'scalar' or 'ensemble')"
+        )
+    if ensemble_width <= 0:
+        raise ValueError(f"ensemble width must be positive: {ensemble_width}")
     specs = generate_campaign(config)
     runner = ParallelSweepRunner(runner_config or SweepRunnerConfig(parallel=False))
     if engine == "scalar":

@@ -161,14 +161,18 @@ def run_scenario(
         final_failsafe=autopilot.failsafe.name,
         final_mode=autopilot.mode.value,
         mission_completion=completion,
-        recovery_time_s=_recovery_time(autopilot, schedule),
+        recovery_time_s=recovery_time_s(autopilot, schedule),
         min_soc=min_soc,
         landed=altitude < 0.3,
         events=tuple(autopilot.events),
     )
 
 
-def _recovery_time(autopilot: Autopilot, schedule: FaultSchedule) -> Optional[float]:
+def recovery_time_s(
+    autopilot: Autopilot, schedule: FaultSchedule
+) -> Optional[float]:
+    """Time from the first fault's onset to the first failsafe or
+    degradation reaction (None without a fault or a reaction)."""
     onset = schedule.first_fault_s
     if math.isinf(onset):
         return None

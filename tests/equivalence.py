@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import enum
 import functools
 import json
 import math
@@ -460,8 +461,9 @@ def _encode(value: Any) -> Any:
 
     Floats are ``"f:<hex>"`` and arrays ``"a:<dtype>:<shape>:<hex>"``, both
     big-endian; other strings get an ``"s:"`` prefix.  A dataclass is an
-    object whose ``"@"`` key names its type, a tuple is ``{"()": [...]}``,
-    and an exception is ``{"error": <type>, "message": <str>}``.
+    object whose ``"@"`` key names its type, as is an enum member (its
+    ``"value"`` key holds the value), a tuple is ``{"()": [...]}``, and an
+    exception is ``{"error": <type>, "message": <str>}``.
     """
     if isinstance(value, BaseException):
         return {"error": _encode(type(value).__name__),
@@ -470,6 +472,8 @@ def _encode(value: Any) -> Any:
         return {"@": type(value).__name__,
                 **{f.name: _encode(getattr(value, f.name))
                    for f in dataclasses.fields(value)}}
+    if isinstance(value, enum.Enum):
+        return {"@": type(value).__name__, "value": _encode(value.value)}
     if isinstance(value, dict):
         assert all(isinstance(key, str) and key != "@" for key in value), value
         return {key: _encode(item) for key, item in value.items()}

@@ -21,16 +21,17 @@ from repro.chaos import (
     verify_replay,
 )
 from repro.chaos import ensemble as chaos_ensemble
-from repro.chaos.campaign import TrialSpec, generate_campaign
+from repro.chaos.campaign import TrialSpec
 from repro.chaos.runner import run_trial
 from repro.core.parallel import SweepRunnerConfig
 from repro.control.estimation import InsEkf
 from repro.faults.scenarios import DEFAULT_MODEL
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.physics.environment import Wind
 from repro.sim import ensemble as ensemble_module
 from repro.sim.ensemble import EnsembleFlightSimulator, hover_gust_monte_carlo
 from repro.sim.simulator import DroneModel, FlightSimulator
+from tests.equivalence import BLAS, LIBM, golden
 
 #: Keep the raw-stepping tests at the campaign default rate — cheap, and
 #: the rate the chaos equivalence below exercises anyway.
@@ -307,6 +308,16 @@ class TestChaosCampaignEquivalence:
             if ref.trace is not None:
                 assert ref.trace.fingerprint() == got.trace.fingerprint()
         assert verify_replay(ensemble[0], config)
+        # Both engines already agree; the vector pins them across commits.
+        golden(
+            "chaos/campaign/seed77_8_trials",
+            lambda: (
+                [r.metrics() for r in scalar],
+                [None if r.trace is None else r.trace.fingerprint()
+                 for r in scalar],
+            ),
+            uses=(BLAS, LIBM),
+        )
 
     def test_64_trial_campaign_replays_identically(self):
         """The ISSUE acceptance shape: 64 chaos trials, both engines."""
@@ -351,11 +362,21 @@ class TestEnsembleApi:
         with pytest.raises(ValueError, match="engine"):
             run_campaign_supervised(config, engine="warp")
 
-    def test_nonpositive_width_rejected(self):
-        config = CampaignConfig(trials=2, duration_s=8.0)
-        specs = generate_campaign(config)
-        with pytest.raises(ValueError, match="width"):
-            run_trials_ensemble(specs, config, ensemble_width=0)
+    def test_nonpositive_width_rejected(self, tmp_path):
+        """Rejected by both entry points before any trial flies or any
+        journal line is written."""
+        config = CampaignConfig(trials=4, duration_s=8.0)
+        journal = tmp_path / "journal.jsonl"
+        for width in (0, -1):
+            message = f"width must be positive: {width}"
+            with pytest.raises(ValueError, match=message):
+                run_campaign(config, engine="ensemble", ensemble_width=width)
+            with pytest.raises(ValueError, match=message):
+                run_campaign_supervised(
+                    config, journal_path=journal, engine="ensemble",
+                    ensemble_width=width,
+                )
+            assert not journal.exists()
 
     def test_lanes_report_their_own_use_ekf(self):
         ens = EnsembleFlightSimulator(
@@ -403,6 +424,52 @@ class TestEnsembleApi:
         assert built[0].ekf_lanes.tolist() == [False, True, False, True]
         assert [r.spec.trial_index for r in results] == [0, 1, 2, 3]
         assert [r.spec.use_ekf for r in results] == [False, True, False, True]
+        assert [r.metrics() for r in results] == [
+            run_trial(spec, config).metrics() for spec in specs
+        ]
+
+    def test_crashed_lane_is_frozen_once_and_never_stepped(self, monkeypatch):
+        """A crash freezes its lane exactly once; no later step moves it."""
+        freezes = []
+        live_per_step = []
+
+        class CountingEnsemble(EnsembleFlightSimulator):
+            def freeze_lane(self, index):
+                freezes.append(index)
+                super().freeze_lane(index)
+
+            def run_for(self, duration_s):
+                live_per_step.append(self.live.copy())
+                super().run_for(duration_s)
+
+        monkeypatch.setattr(
+            chaos_ensemble, "EnsembleFlightSimulator", CountingEnsemble
+        )
+        config = CampaignConfig(trials=3, duration_s=10.0)
+        motor_out = FaultSchedule().add(
+            FaultKind.MOTOR_DEGRADATION, start_s=6.5, health=0.0
+        )
+        specs = [
+            TrialSpec(
+                campaign_seed=1,
+                trial_index=index,
+                link_seed=100 + index,
+                schedule=motor_out if index == 1 else FaultSchedule(),
+                use_ekf=False,
+                heartbeats=False,
+                offload=False,
+            )
+            for index in range(3)
+        ]
+        results = run_trials_ensemble(specs, config)
+        assert [r.verdict for r in results] == ["safe", "crash", "safe"]
+        assert freezes == [1]
+        frozen_from = next(
+            step for step, live in enumerate(live_per_step) if not live[1]
+        )
+        assert frozen_from > 0
+        assert not any(live[1] for live in live_per_step[frozen_from:])
+        assert all(live[0] and live[2] for live in live_per_step)
         assert [r.metrics() for r in results] == [
             run_trial(spec, config).metrics() for spec in specs
         ]
