@@ -47,7 +47,6 @@ from repro.chaos.runner import (
     run_campaign,
     run_campaign_supervised,
     run_trial,
-    run_trial_by_index,
     verify_replay,
 )
 from repro.chaos.triage import (
@@ -84,7 +83,6 @@ __all__ = [
     "run_campaign",
     "run_campaign_supervised",
     "run_trial",
-    "run_trial_by_index",
     "verify_replay",
     "CampaignReport",
     "FailureBucket",

@@ -6,12 +6,14 @@ report plus one black-box trace per failed trial, and (with
 ``(seed, schedule)`` tuple to verify bit-for-bit determinism.
 
 With ``--checkpoint PATH`` the campaign runs under the fault-tolerant
-execution layer (:mod:`repro.exec`): every completed trial chunk is
-journaled, worker deaths and hangs are retried, and a campaign killed
-mid-run — worker SIGKILL or whole-process SIGKILL alike — can be
+execution layer (:mod:`repro.exec`): every completed ensemble group of
+trials is journaled, worker deaths and hangs are retried, and a campaign
+killed mid-run — worker SIGKILL or whole-process SIGKILL alike — can be
 restarted with ``--checkpoint PATH --resume`` to continue from the last
-completed chunk with bit-for-bit identical output.  The execution report
-is written next to the campaign artifacts as ``execution.json``.
+completed group with bit-for-bit identical output.  A group that poisons
+every retry is quarantined, and the trials it held are listed.  The
+execution report is written next to the campaign artifacts as
+``execution.json``.
 
 Exit status: 0 on success, 1 when ``--replay-failures`` finds a replay
 mismatch (a broken determinism contract), 2 on usage errors.
@@ -153,7 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         help=(
             "run under the supervised execution layer and journal every "
-            "completed trial chunk to PATH (JSON lines)"
+            "completed ensemble group to PATH (JSON lines)"
         ),
     )
     parser.add_argument(
@@ -166,7 +168,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-chunk wall-clock budget before a hung worker is killed",
+        help="per-group wall-clock budget before a hung worker is killed",
     )
     args = parser.parse_args(argv)
 
@@ -228,11 +230,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         for record in run.quarantined:
             print(
-                f"QUARANTINED trial chunk item {record.item_index}: "
+                f"QUARANTINED ensemble group {record.item_index}: "
                 f"{record.error_type}: {record.error_message} "
                 f"({record.attempts} attempt(s))",
                 file=sys.stderr,
             )
+        if run.quarantined:
+            judged = {result.spec.trial_index for result in results}
+            missing = [i for i in range(config.trials) if i not in judged]
+            print(f"QUARANTINED trials (not judged): {missing}", file=sys.stderr)
     else:
         results = run_campaign(config, runner_config)
     report = triage(results)

@@ -8,12 +8,15 @@ simulator.  Only the physics burst between a tick's pre and post phases
 differs: it runs once for the whole group through the ensemble's masked
 NumPy kernels.
 
-Every lane's sensor/wind RNG stream is preserved bit-for-bit by the
-ensemble (see ``repro.sim.ensemble``'s equivalence contract), so
+This is the one campaign engine: :func:`repro.chaos.runner.run_campaign`
+and :func:`~repro.chaos.runner.run_campaign_supervised` fly every group
+through it.  Every lane's sensor/wind RNG stream is preserved bit-for-bit
+by the ensemble (see ``repro.sim.ensemble``'s equivalence contract), so
 ``run_trials_ensemble`` returns :class:`~repro.chaos.runner.TrialResult`
 objects whose :meth:`~repro.chaos.runner.TrialResult.metrics` fingerprints —
-and black-box traces — are identical to the scalar engine's, which is
-exactly what :func:`repro.chaos.runner.verify_replay` checks.
+and black-box traces — are identical to the scalar reference
+:func:`~repro.chaos.runner.run_trial`'s, which is exactly what
+:func:`repro.chaos.runner.verify_replay` checks.
 """
 
 from __future__ import annotations

@@ -8,13 +8,17 @@ strict determinism: a :class:`TrialResult` is a pure function of
 ``(TrialSpec, CampaignConfig)``, which is what lets
 :func:`replay_trial` re-fly any failure from its recorded ``(seed,
 schedule)`` tuple and assert bit-for-bit equality of verdicts and metrics.
-Both campaign engines fly a trial through the same :class:`LaneHarness`
-and :func:`fly` schedule; only the physics burst differs.
 
-Campaigns fan trials out with :class:`repro.core.parallel
-.ParallelSweepRunner` — the same deterministic-chunking machinery the
-design-space sweeps use — so a multi-hundred-trial campaign saturates the
-machine without giving up input-order results.
+Every campaign flies in ensemble groups through
+:func:`repro.chaos.ensemble.run_trials_ensemble`, one group per work item
+of :class:`repro.core.parallel.ParallelSweepRunner` — the same
+deterministic-chunking machinery the design-space sweeps use — so a
+multi-hundred-trial campaign saturates the machine without giving up
+input-order results.  The scalar :func:`run_trial` is the reference the
+groups are held to: :func:`replay_trial` and :func:`verify_replay` re-fly
+a trial through it.  Both fly a trial through the same
+:class:`LaneHarness` and :func:`fly` schedule; only the physics burst
+differs.
 """
 
 from __future__ import annotations
@@ -272,13 +276,6 @@ def run_trial(spec: TrialSpec, config: CampaignConfig) -> TrialResult:
     return result
 
 
-def run_trial_by_index(config: CampaignConfig, trial_index: int) -> TrialResult:
-    """Regenerate and fly one trial from its campaign identity alone."""
-    from repro.chaos.campaign import generate_trial
-
-    return run_trial(generate_trial(config, trial_index), config)
-
-
 def replay_trial(
     source: Union["TrialResult", BlackBoxTrace, TrialSpec],
     config: CampaignConfig,
@@ -332,102 +329,81 @@ def verify_replay(result: TrialResult, config: CampaignConfig) -> bool:
     return True
 
 
-def _run_trial_item(item: Tuple[TrialSpec, CampaignConfig]) -> TrialResult:
-    """Module-level worker entry point (must be picklable)."""
-    spec, config = item
-    return run_trial(spec, config)
-
-
 #: Default number of trials stepped together per ensemble group.
 DEFAULT_ENSEMBLE_WIDTH = 16
 
 
 def _ensemble_items(
     specs: List[TrialSpec], config: CampaignConfig, width: int
-) -> List[Tuple[Tuple[Tuple[int, TrialSpec], ...], CampaignConfig]]:
+) -> List[Tuple[Tuple[TrialSpec, ...], CampaignConfig]]:
     """Chunk the campaign in trial order into ensemble groups of at most
-    ``width`` lanes, EKF and truth-state trials together.
-
-    Each group carries its trials' original indices so results can be
-    restored to trial order after a parallel map.
-    """
-    indexed = list(enumerate(specs))
+    ``width`` lanes, EKF and truth-state trials together."""
     return [
-        (tuple(indexed[start : start + width]), config)
-        for start in range(0, len(indexed), width)
+        (tuple(specs[start : start + width]), config)
+        for start in range(0, len(specs), width)
     ]
 
 
 def _run_ensemble_item(
-    item: Tuple[Tuple[Tuple[int, TrialSpec], ...], CampaignConfig],
-) -> List[Tuple[int, TrialResult]]:
+    item: Tuple[Tuple[TrialSpec, ...], CampaignConfig],
+) -> List[TrialResult]:
     """Module-level worker entry point: fly one ensemble group."""
     from repro.chaos.ensemble import run_trials_ensemble
 
-    indexed, config = item
-    results = run_trials_ensemble([spec for _, spec in indexed], config)
-    return [(index, result) for (index, _), result in zip(indexed, results)]
+    specs, config = item
+    return run_trials_ensemble(specs, config)
 
 
 def _fly_campaign(
     config: CampaignConfig,
     runner_config: Optional[SweepRunnerConfig],
-    engine: str,
     ensemble_width: int,
     journal_path: Optional["os.PathLike[str] | str"] = None,
 ) -> Tuple[List[TrialResult], Optional[ExecutionReport]]:
-    """Results in trial order (quarantined placeholders dropped) + report."""
-    if engine not in ("scalar", "ensemble"):
-        raise ValueError(
-            f"unknown campaign engine {engine!r} "
-            "(expected 'scalar' or 'ensemble')"
-        )
+    """Results in trial order (quarantined groups dropped) + report.
+
+    Each ensemble group is one work item and one chunk, whatever
+    ``runner_config.chunk_size`` says.
+    """
     if ensemble_width <= 0:
         raise ValueError(f"ensemble width must be positive: {ensemble_width}")
     specs = generate_campaign(config)
-    runner = ParallelSweepRunner(runner_config or SweepRunnerConfig(parallel=False))
-    if engine == "scalar":
-        items = [(spec, config) for spec in specs]
-        raw = runner.map(_run_trial_item, items, journal=journal_path)
-        results = [result for result in raw if isinstance(result, TrialResult)]
-        return results, runner.last_report
+    base = runner_config or SweepRunnerConfig(parallel=False)
+    runner = ParallelSweepRunner(replace(base, chunk_size=1))
     batches = runner.map(
         _run_ensemble_item,
         _ensemble_items(specs, config, ensemble_width),
         journal=journal_path,
     )
-    ordered: List[Optional[TrialResult]] = [None] * len(specs)
-    for batch in batches:
-        if isinstance(batch, list):
-            for index, result in batch:
-                ordered[index] = result
-    return [result for result in ordered if result is not None], runner.last_report
+    # Groups are contiguous and come back in input order; a quarantined
+    # group comes back as a placeholder, not a list.
+    results = [
+        result for batch in batches if isinstance(batch, list) for result in batch
+    ]
+    return results, runner.last_report
 
 
 def run_campaign(
     config: CampaignConfig,
     runner_config: Optional[SweepRunnerConfig] = None,
     *,
-    engine: str = "scalar",
     ensemble_width: int = DEFAULT_ENSEMBLE_WIDTH,
 ) -> List[TrialResult]:
     """Fly the whole campaign; results come back in trial order.
 
-    Parallelism reuses :class:`repro.core.parallel.ParallelSweepRunner`'s
-    deterministic chunking, so inline and parallel runs return identical
-    result lists.  Without a ``runner_config.policy`` it fails fast: a
-    trial's exception aborts it, and a worker death surfaces as a
-    structured :class:`repro.exec.errors.WorkerCrashError`; for a campaign
-    that must *survive* such faults, use :func:`run_campaign_supervised`.
-
-    ``engine="ensemble"`` flies trials in vectorized groups of up to
+    Trials fly in trial order in vectorized groups of up to
     ``ensemble_width`` through :func:`repro.chaos.ensemble
-    .run_trials_ensemble` — each parallel work item steps a whole group
-    instead of one trial.  Results are fingerprint-identical to the
-    scalar engine (the contract :func:`verify_replay` checks), just
-    faster.
+    .run_trials_ensemble`.  Each group is one work item of
+    :class:`repro.core.parallel.ParallelSweepRunner`, so
+    ``runner_config.chunk_size`` does not apply; inline and parallel runs
+    return identical result lists, fingerprint-identical to
+    :func:`run_trial` on each spec (the contract :func:`verify_replay`
+    checks).  Without a ``runner_config.policy`` it fails fast: a trial's
+    exception aborts it, and a worker death surfaces as a structured
+    :class:`repro.exec.errors.WorkerCrashError`; for a campaign that must
+    *survive* such faults, use :func:`run_campaign_supervised`.
     """
-    results, _ = _fly_campaign(config, runner_config, engine, ensemble_width)
+    results, _ = _fly_campaign(config, runner_config, ensemble_width)
     return results
 
 
@@ -448,32 +424,37 @@ def run_campaign_supervised(
     journal_path: Optional["os.PathLike[str] | str"] = None,
     policy: Optional[ExecutionPolicy] = None,
     *,
-    engine: str = "scalar",
+    engine: str = "ensemble",
     ensemble_width: int = DEFAULT_ENSEMBLE_WIDTH,
 ) -> CampaignRun:
     """Fly the campaign under the fault-tolerant execution layer.
 
-    Trials run through :class:`repro.exec.supervised.SupervisedPool`:
-    worker deaths and hangs are retried, a trial that poisons every retry
-    is quarantined instead of aborting the campaign, and — when
-    ``journal_path`` is given — every completed chunk is checkpointed so a
-    killed campaign resumes from the journal with results bit-for-bit
-    identical to an uninterrupted run (trial chunks are regenerated from
-    ``(campaign_seed, trial_index)``, so the journal fingerprint check
-    guarantees the resumed chunks belong to this exact campaign).
+    Each ensemble group of up to ``ensemble_width`` trials (see
+    :func:`run_campaign`) is one chunk of
+    :class:`repro.exec.supervised.SupervisedPool`, whatever
+    ``runner_config.chunk_size`` says: it is dispatched, retried,
+    quarantined and journaled as a unit.  Worker deaths and hangs are
+    retried; a group that poisons every retry is quarantined instead of
+    aborting the campaign, and its trials are absent from
+    :attr:`CampaignRun.results`.  When ``journal_path`` is given, every
+    completed group is checkpointed, so a killed campaign resumes from the
+    journal with results bit-for-bit identical to an uninterrupted run
+    (groups are regenerated from ``(campaign_seed, trial_index)``, so the
+    journal fingerprint check guarantees the resumed groups belong to this
+    exact campaign).
 
-    With ``engine="ensemble"`` each supervised work item is a whole
-    ensemble group of up to ``ensemble_width`` trials, so retry and
-    quarantine operate at group granularity: a group that poisons every
-    retry is quarantined together, and its trials are absent from
-    :attr:`CampaignRun.results`.
+    ``engine`` accepts only ``"ensemble"``, the one campaign engine.
     """
+    if engine != "ensemble":
+        raise ValueError(
+            f"unknown campaign engine {engine!r} (expected 'ensemble')"
+        )
     base = runner_config or SweepRunnerConfig(parallel=False)
     supervised_config = replace(
         base, policy=policy or base.policy or ExecutionPolicy()
     )
     results, report = _fly_campaign(
-        config, supervised_config, engine, ensemble_width, journal_path
+        config, supervised_config, ensemble_width, journal_path
     )
     quarantined = tuple(report.quarantined) if report is not None else ()
     return CampaignRun(

@@ -30,7 +30,17 @@ PACKAGES = (
 )
 
 #: Packages whose fast paths run without an engine switch.
-ONE_ENGINE_PACKAGES = ("repro.slam", "repro.platforms", "repro.core")
+ONE_ENGINE_PACKAGES = (
+    "repro.slam", "repro.platforms", "repro.core", "repro.chaos",
+)
+
+#: Public callables that still take an ``engine`` keyword.
+ENGINE_KEYWORD_ALLOWLIST = {
+    # perfbench/workloads.py passes engine="ensemble", and perfbench only
+    # changes in a benchmark-labelled change, which drops this keyword
+    # (ROADMAP, ensemble item, step (f)); it accepts nothing but "ensemble".
+    "repro.chaos.runner.run_campaign_supervised",
+}
 
 
 def _public_callables(package_name):
@@ -95,7 +105,8 @@ class TestExports:
                 else []
             )
             if "engine" in parameters or "engine" in fields:
-                offenders.append(name)
+                if name not in ENGINE_KEYWORD_ALLOWLIST:
+                    offenders.append(name)
         assert offenders == []
 
     @pytest.mark.parametrize("package", PACKAGES)

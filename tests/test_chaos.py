@@ -453,6 +453,32 @@ class TestChaosCli:
         stdout = capsys.readouterr().out
         assert "chaos campaign seed=3 trials=3" in stdout
 
+    def test_quarantine_report_names_the_trials_of_a_group(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A quarantined ensemble group is reported by the trials it held."""
+        from repro.chaos import ensemble as chaos_ensemble
+
+        real = chaos_ensemble.run_trials_ensemble
+
+        def poisoned(specs, config):
+            if any(spec.trial_index == 0 for spec in specs):
+                raise RuntimeError("poisoned group")
+            return real(specs, config)
+
+        monkeypatch.setattr(chaos_ensemble, "run_trials_ensemble", poisoned)
+        code = chaos_main([
+            "--trials", "20", "--duration", "8", "--inline",
+            "--checkpoint", str(tmp_path / "journal.jsonl"),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "QUARANTINED ensemble group 0: RuntimeError" in captured.err
+        assert f"QUARANTINED trials (not judged): {list(range(16))}" in (
+            captured.err
+        )
+        assert "trials=4" in captured.out
+
     def test_invalid_config_is_a_usage_error(self, capsys):
         assert chaos_main(["--trials", "0"]) == 2
         assert chaos_main(["--duration", "3.0"]) == 2

@@ -406,9 +406,10 @@ class TestChaosCampaignResume:
         runner_config = SweepRunnerConfig(parallel=False, chunk_size=1)
         expected = run_campaign(config, runner_config)
 
+        # One-lane groups: each trial is its own journal entry.
         journal_path = tmp_path / "campaign.jsonl"
         full = run_campaign_supervised(
-            config, runner_config, journal_path=journal_path
+            config, runner_config, journal_path=journal_path, ensemble_width=1
         )
         assert len(full.results) == len(expected)
 
@@ -417,7 +418,7 @@ class TestChaosCampaignResume:
         assert len(lines) == 1 + config.trials  # header + one entry per trial
         journal_path.write_text("".join(lines[:2]))
         resumed = run_campaign_supervised(
-            config, runner_config, journal_path=journal_path
+            config, runner_config, journal_path=journal_path, ensemble_width=1
         )
         assert resumed.execution is not None
         assert resumed.execution.chunks_resumed == 1
@@ -429,6 +430,24 @@ class TestChaosCampaignResume:
             if want.trace is not None:
                 assert got.trace is not None
                 assert got.trace.fingerprint() == want.trace.fingerprint()
+
+    def test_each_ensemble_group_is_one_journal_entry(self, tmp_path):
+        """Groups are chunks whatever ``chunk_size`` says: 5 trials in
+        groups of 2 journal a header plus 3 entries."""
+        from repro.chaos.campaign import CampaignConfig
+        from repro.chaos.runner import run_campaign_supervised
+
+        journal_path = tmp_path / "campaign.jsonl"
+        run = run_campaign_supervised(
+            CampaignConfig(trials=5, duration_s=8.0),
+            SweepRunnerConfig(parallel=False, chunk_size=4),
+            journal_path=journal_path,
+            ensemble_width=2,
+        )
+        assert len(run.results) == 5
+        assert run.execution is not None
+        assert run.execution.chunks_total == 3
+        assert len(journal_path.read_text().splitlines()) == 1 + 3
 
 
 # -- bare runner semantics (satellites) ------------------------------------

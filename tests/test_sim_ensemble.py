@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.chaos import (
     CampaignConfig,
+    generate_campaign,
     run_campaign,
     run_campaign_supervised,
     run_trials_ensemble,
@@ -296,10 +297,11 @@ class TestMidFlightDefection:
 
 class TestChaosCampaignEquivalence:
     def test_engines_produce_identical_campaigns(self):
-        """Fingerprints (and crash traces) match across engines + replay."""
+        """Fingerprints (and crash traces) of the campaign match the scalar
+        reference ``run_trial`` per spec, and replay."""
         config = CampaignConfig(campaign_seed=77, trials=8, duration_s=12.0)
-        scalar = run_campaign(config)
-        ensemble = run_campaign(config, engine="ensemble", ensemble_width=3)
+        scalar = [run_trial(spec, config) for spec in generate_campaign(config)]
+        ensemble = run_campaign(config, ensemble_width=3)
         assert [r.metrics() for r in scalar] == [
             r.metrics() for r in ensemble
         ]
@@ -308,7 +310,8 @@ class TestChaosCampaignEquivalence:
             if ref.trace is not None:
                 assert ref.trace.fingerprint() == got.trace.fingerprint()
         assert verify_replay(ensemble[0], config)
-        # Both engines already agree; the vector pins them across commits.
+        # The campaign and its reference agree; the vector pins them across
+        # commits.
         golden(
             "chaos/campaign/seed77_8_trials",
             lambda: (
@@ -320,10 +323,10 @@ class TestChaosCampaignEquivalence:
         )
 
     def test_64_trial_campaign_replays_identically(self):
-        """The ISSUE acceptance shape: 64 chaos trials, both engines."""
+        """64 chaos trials: the campaign against the scalar reference."""
         config = CampaignConfig(campaign_seed=9, trials=64, duration_s=10.0)
-        scalar = run_campaign(config)
-        ensemble = run_campaign(config, engine="ensemble")
+        scalar = [run_trial(spec, config) for spec in generate_campaign(config)]
+        ensemble = run_campaign(config)
         assert len(ensemble) == 64
         assert [r.metrics() for r in scalar] == [
             r.metrics() for r in ensemble
@@ -335,19 +338,16 @@ class TestChaosCampaignEquivalence:
 
     def test_parallel_and_supervised_paths_agree(self):
         config = CampaignConfig(campaign_seed=5, trials=6, duration_s=8.0)
-        base = run_campaign(config, engine="ensemble", ensemble_width=4)
+        base = run_campaign(config, ensemble_width=4)
         parallel = run_campaign(
             config,
             SweepRunnerConfig(parallel=True, max_workers=2, chunk_size=1),
-            engine="ensemble",
             ensemble_width=2,
         )
         assert [r.metrics() for r in base] == [
             r.metrics() for r in parallel
         ]
-        supervised = run_campaign_supervised(
-            config, engine="ensemble", ensemble_width=4
-        )
+        supervised = run_campaign_supervised(config, ensemble_width=4)
         assert not supervised.quarantined
         assert [r.metrics() for r in base] == [
             r.metrics() for r in supervised.results
@@ -357,9 +357,7 @@ class TestChaosCampaignEquivalence:
 class TestEnsembleApi:
     def test_unknown_engine_rejected(self):
         config = CampaignConfig(trials=2, duration_s=8.0)
-        with pytest.raises(ValueError, match="engine"):
-            run_campaign(config, engine="warp")
-        with pytest.raises(ValueError, match="engine"):
+        with pytest.raises(ValueError, match="engine 'warp'"):
             run_campaign_supervised(config, engine="warp")
 
     def test_nonpositive_width_rejected(self, tmp_path):
@@ -370,11 +368,10 @@ class TestEnsembleApi:
         for width in (0, -1):
             message = f"width must be positive: {width}"
             with pytest.raises(ValueError, match=message):
-                run_campaign(config, engine="ensemble", ensemble_width=width)
+                run_campaign(config, ensemble_width=width)
             with pytest.raises(ValueError, match=message):
                 run_campaign_supervised(
-                    config, journal_path=journal, engine="ensemble",
-                    ensemble_width=width,
+                    config, journal_path=journal, ensemble_width=width
                 )
             assert not journal.exists()
 
