@@ -1,9 +1,10 @@
 """Chaos campaign engine: generated fault campaigns with safety verdicts.
 
-The robustness layer above the hand-written scenario matrix
-(:mod:`repro.faults.scenarios`): four cooperating pieces that together turn
-"does the stack survive these ten faults?" into "what is the failure
-surface of the stack under compound, unanticipated fault combinations?"
+The robustness layer that generalizes the hand-written scenario matrix
+(:mod:`repro.faults.scenarios`, whose scenarios fly through this package's
+trial harness): four cooperating pieces that together turn "does the stack
+survive these ten faults?" into "what is the failure surface of the stack
+under compound, unanticipated fault combinations?"
 
 * :mod:`repro.chaos.campaign` — samples reproducible compound
   :class:`~repro.faults.schedule.FaultSchedule`\\ s from
@@ -19,6 +20,10 @@ surface of the stack under compound, unanticipated fault combinations?"
 Run ``python -m repro.chaos --help`` for the campaign CLI.
 """
 
+# Load the faults package first, and whole: its scenarios import
+# repro.chaos.runner, so if a chaos module's own faults import started the
+# package, the runner would find that chaos module half-initialized.
+import repro.faults  # noqa: F401
 from repro.chaos.campaign import (
     CHAOS_KINDS,
     CampaignConfig,

@@ -24,8 +24,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.chaos.campaign import CampaignConfig, TrialSpec
-from repro.chaos.runner import LaneHarness, TrialResult, fly
-from repro.faults.scenarios import DEFAULT_MODEL
+from repro.chaos.runner import DEFAULT_MODEL, LaneHarness, TrialResult, fly
 from repro.sim.ensemble import EnsembleFlightSimulator
 from repro.sim.simulator import DroneModel
 

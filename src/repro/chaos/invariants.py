@@ -1,11 +1,12 @@
 """Declarative per-tick safety invariants with first-violation attribution.
 
-PR 1's scenario runner detected failure with one ad-hoc ``_crash_reason``
-check.  The chaos campaign needs more: a *catalog* of machine-checkable
-safety properties — some terminal (the airframe is gone), some contractual
-(the stack kept flying but broke a promise: left the fence, flew below the
-mission floor, burned into the battery reserve, reacted to a fault slower
-than the SLO, navigated on stale offloaded poses).
+A *catalog* of machine-checkable safety properties — some terminal (the
+airframe is gone), some contractual (the stack kept flying but broke a
+promise: left the fence, flew below the mission floor, burned into the
+battery reserve, reacted to a fault slower than the SLO, navigated on stale
+offloaded poses).  The four terminal ``crash.*`` invariants, judged against
+the shared :class:`repro.faults.envelope.CrashEnvelope`, are the one
+definition of "crashed" for chaos trials and canned scenarios alike.
 
 :class:`SafetyMonitor` evaluates the catalog every control tick and records
 the **first** violation of each invariant with full attribution: what was
@@ -293,11 +294,7 @@ class SafetyMonitor:
 
     Call :meth:`check` once per control tick (after ``Autopilot.update``).
     Each invariant is charged at most once — its *first* violation — and the
-    overall first violation carries the trial's verdict attribution.  The
-    monitor replaces the scenario runner's single ``_crash_reason`` check:
-    the four ``crash.*`` invariants reproduce it exactly (through the shared
-    :class:`repro.faults.envelope.CrashEnvelope`), and the contract
-    invariants extend it.
+    overall first violation carries the trial's verdict attribution.
     """
 
     def __init__(

@@ -18,11 +18,13 @@ input-order results.  The scalar :func:`run_trial` is the reference the
 groups are held to: :func:`replay_trial` and :func:`verify_replay` re-fly
 a trial through it.  Both fly a trial through the same
 :class:`LaneHarness` and :func:`fly` schedule; only the physics burst
-differs.
+differs.  :func:`repro.faults.scenarios.run_scenario` flies each canned
+fault scenario the same way.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union, cast
@@ -40,11 +42,7 @@ from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.report import ExecutionReport, QuarantineRecord
 from repro.faults.injectors import FaultInjector
-from repro.faults.scenarios import (
-    DEFAULT_MODEL,
-    HEARTBEAT_PERIOD_S,
-    recovery_time_s,
-)
+from repro.faults.schedule import FaultSchedule
 from repro.sim.ensemble import LaneSim
 from repro.sim.simulator import DroneModel, FlightSimulator
 
@@ -52,6 +50,32 @@ from repro.sim.simulator import DroneModel, FlightSimulator
 VERDICT_SAFE = "safe"
 VERDICT_VIOLATION = "violation"
 VERDICT_CRASH = "crash"
+
+#: The airframe every trial flies.
+DEFAULT_MODEL = dict(
+    mass_kg=1.071,
+    wheelbase_mm=450.0,
+    battery_cells=3,
+    battery_capacity_mah=3000.0,
+)
+#: GCS heartbeat period while a trial's heartbeats flow.
+HEARTBEAT_PERIOD_S = 1.0
+
+
+def recovery_time_s(
+    autopilot: Autopilot, schedule: FaultSchedule
+) -> Optional[float]:
+    """Time from the first fault's onset to the first failsafe or
+    degradation reaction (None without a fault or a reaction)."""
+    onset = schedule.first_fault_s
+    if math.isinf(onset):
+        return None
+    for time_s, text in autopilot.events:
+        if time_s + 1e-9 >= onset and (
+            text.startswith("FAILSAFE") or text.startswith("DEGRADED")
+        ):
+            return time_s - onset
+    return None
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 The reliability envelope of the paper's closed-loop stack: time-windowed
 fault schedules (:mod:`repro.faults.schedule`), injectors that land each
-fault in the right subsystem (:mod:`repro.faults.injectors`), and a
-scenario harness measuring survival, recovery time, and mission-completion
-degradation (:mod:`repro.faults.scenarios`).
+fault in the right subsystem (:mod:`repro.faults.injectors`), the crash
+envelope the ``crash.*`` safety invariants judge against
+(:mod:`repro.faults.envelope`), and ten canned scenarios measuring
+survival, recovery time, and mission-completion degradation
+(:mod:`repro.faults.scenarios`).  The scenarios fly through the chaos
+trial harness (:mod:`repro.chaos.runner`), so "crashed" means the same
+thing for a scenario as for a campaign trial.
 """
 
 from repro.faults.schedule import (

@@ -1,32 +1,24 @@
 """Crash envelope: the ground-truth limits beyond which the airframe is lost.
 
-PR 1 hard-coded these thresholds inside the scenario runner's
-``_crash_reason``; extracting them into a frozen dataclass makes the
-envelope a shared, configurable contract consumed by both the canned
-scenarios (:mod:`repro.faults.scenarios`) and the chaos campaign's
-:class:`repro.chaos.invariants.SafetyMonitor` — one definition of "crashed"
-for every robustness harness in the repo.
+A frozen dataclass of thresholds read by the four terminal ``crash.*``
+invariants of :class:`repro.chaos.invariants.SafetyMonitor` — the one
+definition of "crashed" for every chaos trial and canned scenario
+(:mod:`repro.faults.scenarios`) in the repo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.sim.simulator import FlightSimulator
 
 
 @dataclass(frozen=True)
 class CrashEnvelope:
     """Ground-truth state limits that mean the vehicle has been lost.
 
-    The defaults reproduce PR 1's hand-written checks exactly: 75 degrees of
-    tilt is unrecoverable for this controller, -0.3 m is below any plausible
-    terrain model, and touching down faster than 3 m/s breaks the airframe.
+    75 degrees of tilt is unrecoverable for this controller, -0.3 m is below
+    any plausible terrain model, and touching down faster than 3 m/s breaks
+    the airframe.
     """
 
     #: Combined roll/pitch magnitude treated as loss of control.
@@ -52,24 +44,6 @@ class CrashEnvelope:
                 "touchdown altitude must sit above the impact altitude: "
                 f"{self.touchdown_altitude_m} <= {self.impact_altitude_m}"
             )
-
-    def crash_reason(self, sim: "FlightSimulator") -> Optional[str]:
-        """Detect loss of vehicle from the simulator's ground-truth state."""
-        state = sim.body.state
-        altitude_m = float(state.position_m[2])
-        tilt_rad = float(np.linalg.norm(state.euler_rad[0:2]))
-        if tilt_rad > self.tilt_limit_rad:
-            return "loss of control (tilt)"
-        if altitude_m < self.impact_altitude_m:
-            return "ground impact"
-        if (
-            altitude_m < self.touchdown_altitude_m
-            and float(state.velocity_m_s[2]) < -self.hard_landing_speed_m_s
-        ):
-            return "hard landing"
-        if sim.depleted and altitude_m > self.depleted_altitude_m:
-            return "battery depleted in flight"
-        return None
 
 
 #: The shared default envelope every harness flies under unless overridden.

@@ -1,68 +1,51 @@
-"""Canned fault scenarios and the closed-loop scenario runner.
+"""Canned fault scenarios, each flown as one chaos trial.
 
-Each scenario flies the same waypoint mission through a different corner of
+Each scenario flies the same square mission through a different corner of
 the reliability envelope (GPS outage, link blackout, battery faults, motor
 degradation, offload-node stalls) and reports survival, recovery time, and
-mission-completion degradation.  Runs are deterministic: the same scenario
-and seed reproduce the same metrics bit-for-bit.
+mission-completion degradation.  :func:`run_scenario` flies it through the
+chaos harness (:class:`~repro.chaos.runner.LaneHarness` and
+:func:`~repro.chaos.runner.fly`), so a scenario is judged by the same
+:class:`~repro.chaos.invariants.SafetyMonitor` as every campaign trial.
+Runs are deterministic: the same scenario and seed reproduce the same
+metrics bit-for-bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
-from repro.autopilot.arducopter import Autopilot, FlightMode, MissionItem
-from repro.autopilot.mavlink import Link, MessageType
-from repro.autopilot.offload import PoseStalenessWatchdog
-from repro.faults.envelope import DEFAULT_CRASH_ENVELOPE, CrashEnvelope
-from repro.faults.injectors import FaultInjector
+from repro.chaos.campaign import CampaignConfig, TrialSpec
+from repro.chaos.runner import DEFAULT_MODEL, LaneHarness, fly
 from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.sim.simulator import DroneModel, FlightSimulator
 
-#: The shared mission: an 8 m square at 4 m altitude, ~25 s of flying —
-#: long enough that mid-mission faults abort real work.
-DEFAULT_WAYPOINTS = (
-    (8.0, 0.0, 4.0),
-    (8.0, 8.0, 4.0),
-    (0.0, 8.0, 4.0),
-    (0.0, 0.0, 4.0),
+#: The scenario flight: 400 Hz physics, 40 s with a 6 s takeoff settle, and
+#: an 8 m square at 4 m (~25 s of flying, so mid-mission faults abort real
+#: work).
+SCENARIO_CONFIG = CampaignConfig(
+    duration_s=40.0,
+    physics_rate_hz=400.0,
+    control_step_s=0.1,
+    takeoff_altitude_m=4.0,
+    settle_s=6.0,
+    mission_half_extent_m=8.0,
 )
-DEFAULT_MODEL = dict(
-    mass_kg=1.071,
-    wheelbase_mm=450.0,
-    battery_cells=3,
-    battery_capacity_mah=3000.0,
-)
-TAKEOFF_ALTITUDE_M = 4.0
-TAKEOFF_SETTLE_S = 6.0
-CONTROL_STEP_S = 0.1
-HEARTBEAT_PERIOD_S = 1.0
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One mission x fault-schedule combination."""
+    """One fault schedule flown over the shared mission."""
 
     name: str
     schedule_factory: Callable[[], FaultSchedule]
-    waypoints: Tuple[Tuple[float, float, float], ...] = DEFAULT_WAYPOINTS
-    duration_s: float = 40.0
     #: EKF-in-the-loop flight (required for GPS/IMU fault scenarios).
     use_ekf: bool = False
     #: Attach a pose-staleness watchdog fed by a synthetic offload stream.
     offload: bool = False
     #: GCS heartbeats flowing (arms the autopilot's link-loss watchdog).
     heartbeats: bool = False
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive: {self.duration_s}")
-        if not self.waypoints:
-            raise ValueError("scenario needs at least one waypoint")
 
 
 @dataclass(frozen=True)
@@ -71,6 +54,8 @@ class ScenarioResult:
 
     scenario: str
     survived: bool
+    #: Name of the ``crash.*`` invariant that ended the flight; None if it
+    #: survived.
     crash_reason: Optional[str]
     final_failsafe: str
     final_mode: str
@@ -99,95 +84,43 @@ class ScenarioResult:
         )
 
 
-def run_scenario(
-    scenario: Scenario,
-    seed: int = 7,
-    physics_rate_hz: float = 400.0,
-    envelope: CrashEnvelope = DEFAULT_CRASH_ENVELOPE,
-) -> ScenarioResult:
-    """Fly one scenario to completion and measure the outcome."""
-    model = DroneModel(**DEFAULT_MODEL)
-    sim = FlightSimulator(
-        model, physics_rate_hz=physics_rate_hz, use_ekf=scenario.use_ekf
+def run_scenario(scenario: Scenario, seed: int = 7) -> ScenarioResult:
+    """Fly one scenario to completion (or loss) and measure the outcome."""
+    spec = TrialSpec(
+        campaign_seed=SCENARIO_CONFIG.campaign_seed,
+        trial_index=0,
+        link_seed=seed,
+        schedule=scenario.schedule_factory(),
+        use_ekf=scenario.use_ekf,
+        heartbeats=scenario.heartbeats,
+        offload=scenario.offload,
     )
-    link = Link(seed=seed)
-    autopilot = Autopilot(sim, link=link)
-    if scenario.offload:
-        autopilot.pose_watchdog = PoseStalenessWatchdog()
-    schedule = scenario.schedule_factory()
-    injector = FaultInjector(autopilot, schedule)
-
-    min_soc = sim.battery.state_of_charge
-    crash: Optional[str] = None
-    next_heartbeat_s = 0.0
-
-    def tick() -> bool:
-        """One control cycle; returns False once the vehicle is lost."""
-        nonlocal min_soc, crash, next_heartbeat_s
-        now = sim.time_s
-        injector.apply(now)
-        if scenario.heartbeats and now + 1e-9 >= next_heartbeat_s:
-            next_heartbeat_s = now + HEARTBEAT_PERIOD_S
-            link.send(MessageType.HEARTBEAT)
-        if scenario.offload and not injector.offload_blocked(now):
-            autopilot.pose_watchdog.note_pose(now)
-        autopilot.update(CONTROL_STEP_S)
-        min_soc = min(min_soc, sim.battery.state_of_charge)
-        crash = envelope.crash_reason(sim)
-        return crash is None
-
-    autopilot.arm()
-    autopilot.takeoff(TAKEOFF_ALTITUDE_M)
-    elapsed = 0.0
-    alive = True
-    while alive and elapsed < TAKEOFF_SETTLE_S:
-        alive = tick()
-        elapsed += CONTROL_STEP_S
-    if alive:
-        autopilot.upload_mission(
-            [MissionItem(np.asarray(w, dtype=float)) for w in scenario.waypoints]
-        )
-        autopilot.set_mode(FlightMode.AUTO)
-        while alive and elapsed < scenario.duration_s:
-            alive = tick()
-            elapsed += CONTROL_STEP_S
-
-    completion = autopilot.mission_progress
-    altitude = float(sim.body.state.position_m[2])
+    sim = FlightSimulator(
+        DroneModel(**DEFAULT_MODEL),
+        physics_rate_hz=SCENARIO_CONFIG.physics_rate_hz,
+        use_ekf=spec.use_ekf,
+    )
+    harness = LaneHarness(spec, SCENARIO_CONFIG, sim)
+    [trial] = fly([harness], sim.run_for, SCENARIO_CONFIG)
+    crash = harness.monitor.crash_violation
     return ScenarioResult(
         scenario=scenario.name,
         survived=crash is None,
-        crash_reason=crash,
-        final_failsafe=autopilot.failsafe.name,
-        final_mode=autopilot.mode.value,
-        mission_completion=completion,
-        recovery_time_s=recovery_time_s(autopilot, schedule),
-        min_soc=min_soc,
-        landed=altitude < 0.3,
-        events=tuple(autopilot.events),
+        crash_reason=None if crash is None else crash.invariant,
+        final_failsafe=trial.final_failsafe,
+        final_mode=trial.final_mode,
+        mission_completion=trial.mission_completion,
+        recovery_time_s=trial.recovery_time_s,
+        min_soc=trial.min_soc,
+        landed=trial.landed,
+        events=tuple(harness.autopilot.events),
     )
-
-
-def recovery_time_s(
-    autopilot: Autopilot, schedule: FaultSchedule
-) -> Optional[float]:
-    """Time from the first fault's onset to the first failsafe or
-    degradation reaction (None without a fault or a reaction)."""
-    onset = schedule.first_fault_s
-    if math.isinf(onset):
-        return None
-    for time_s, text in autopilot.events:
-        if time_s + 1e-9 >= onset and (
-            text.startswith("FAILSAFE") or text.startswith("DEGRADED")
-        ):
-            return time_s - onset
-    return None
 
 
 # -- canned scenarios -------------------------------------------------------------
 
 
-def low_battery_scenario(duration_s: float = 40.0) -> Scenario:
+def low_battery_scenario() -> Scenario:
     """A cell goes bad mid-mission: SoC drops below the low threshold and the
     autopilot must abort to FAILSAFE_RTL."""
     return Scenario(
@@ -195,22 +128,20 @@ def low_battery_scenario(duration_s: float = 40.0) -> Scenario:
         schedule_factory=lambda: FaultSchedule().add(
             FaultKind.BATTERY_DRAIN, start_s=14.5, end_s=15.0, fraction=0.76
         ),
-        duration_s=duration_s,
     )
 
 
-def critical_battery_scenario(duration_s: float = 40.0) -> Scenario:
+def critical_battery_scenario() -> Scenario:
     """Worse capacity loss: SoC lands below critical -> FAILSAFE_LAND."""
     return Scenario(
         name="critical-battery",
         schedule_factory=lambda: FaultSchedule().add(
             FaultKind.BATTERY_DRAIN, start_s=12.0, end_s=12.5, fraction=0.83
         ),
-        duration_s=duration_s,
     )
 
 
-def gps_loss_scenario(duration_s: float = 40.0) -> Scenario:
+def gps_loss_scenario() -> Scenario:
     """GPS denied for 14 s: dead-reckon (DEGRADED), then FAILSAFE_LAND once
     drift is unbounded."""
     return Scenario(
@@ -218,12 +149,11 @@ def gps_loss_scenario(duration_s: float = 40.0) -> Scenario:
         schedule_factory=lambda: FaultSchedule().add(
             FaultKind.GPS_LOSS, start_s=12.0, end_s=26.0
         ),
-        duration_s=duration_s,
         use_ekf=True,
     )
 
 
-def link_blackout_scenario(duration_s: float = 40.0) -> Scenario:
+def link_blackout_scenario() -> Scenario:
     """Total uplink outage: heartbeats stop, the link-loss watchdog fires
     FAILSAFE_RTL after the timeout."""
     return Scenario(
@@ -231,12 +161,11 @@ def link_blackout_scenario(duration_s: float = 40.0) -> Scenario:
         schedule_factory=lambda: FaultSchedule().add(
             FaultKind.LINK_BLACKOUT, start_s=10.0, end_s=26.0
         ),
-        duration_s=duration_s,
         heartbeats=True,
     )
 
 
-def motor_degradation_scenario(duration_s: float = 40.0) -> Scenario:
+def motor_degradation_scenario() -> Scenario:
     """One rotor loses 20% of its thrust ceiling (prop damage): enough
     margin remains to finish the mission flying soft."""
     return Scenario(
@@ -247,11 +176,10 @@ def motor_degradation_scenario(duration_s: float = 40.0) -> Scenario:
             motor_index=0,
             health=0.8,
         ),
-        duration_s=duration_s,
     )
 
 
-def motor_out_scenario(duration_s: float = 40.0) -> Scenario:
+def motor_out_scenario() -> Scenario:
     """Severe single-rotor failure (40% ceiling): the thrust-saturation
     failsafe must catch the authority loss and force a LAND — whether the
     airframe survives the descent is up to the physics."""
@@ -263,11 +191,10 @@ def motor_out_scenario(duration_s: float = 40.0) -> Scenario:
             motor_index=0,
             health=0.4,
         ),
-        duration_s=duration_s,
     )
 
 
-def esc_thermal_scenario(duration_s: float = 40.0) -> Scenario:
+def esc_thermal_scenario() -> Scenario:
     """All four ESCs in thermal protection at 105 degC for 20 s: uniform
     derating leaves hover margin but clips maneuvering authority."""
     return Scenario(
@@ -275,11 +202,10 @@ def esc_thermal_scenario(duration_s: float = 40.0) -> Scenario:
         schedule_factory=lambda: FaultSchedule().add(
             FaultKind.ESC_THERMAL, start_s=8.0, end_s=28.0, temperature_c=105.0
         ),
-        duration_s=duration_s,
     )
 
 
-def imu_glitch_scenario(duration_s: float = 40.0) -> Scenario:
+def imu_glitch_scenario() -> Scenario:
     """A 4 s IMU bias glitch while flying on the EKF estimate."""
     return Scenario(
         name="imu-glitch",
@@ -290,12 +216,11 @@ def imu_glitch_scenario(duration_s: float = 40.0) -> Scenario:
             accel_bias_m_s2=0.8,
             gyro_bias_rad_s=0.03,
         ),
-        duration_s=duration_s,
         use_ekf=True,
     )
 
 
-def offload_stall_scenario(duration_s: float = 40.0) -> Scenario:
+def offload_stall_scenario() -> Scenario:
     """The off-board SLAM node stalls for 6 s: the staleness watchdog must
     fall back to onboard SLAM (DEGRADED) and recover when poses resume."""
     return Scenario(
@@ -303,12 +228,11 @@ def offload_stall_scenario(duration_s: float = 40.0) -> Scenario:
         schedule_factory=lambda: FaultSchedule().add(
             FaultKind.OFFLOAD_STALL, start_s=10.0, end_s=16.0
         ),
-        duration_s=duration_s,
         offload=True,
     )
 
 
-def combined_stress_scenario(duration_s: float = 40.0) -> Scenario:
+def combined_stress_scenario() -> Scenario:
     """Several simultaneous degradations: bursty link, battery sag, frozen
     barometer — the compounding-failure regime."""
     return Scenario(
@@ -324,7 +248,6 @@ def combined_stress_scenario(duration_s: float = 40.0) -> Scenario:
         )
         .add(FaultKind.BATTERY_SAG, start_s=10.0, end_s=30.0, resistance_ohm=0.06)
         .add(FaultKind.BARO_FREEZE, start_s=14.0, end_s=24.0),
-        duration_s=duration_s,
         heartbeats=True,
     )
 

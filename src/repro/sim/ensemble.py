@@ -1353,11 +1353,6 @@ class EnsembleFlightSimulator:
             self._lanes[index] = facade
         return facade
 
-    def lane_samples(self, index: int) -> List[SimSample]:
-        """Telemetry recorded for one lane (shared with its scalar backend)."""
-        self._check_lane(index)
-        return self._sample_rows[index]
-
     def _check_lane(self, index: int) -> None:
         if not 0 <= index < self.n_lanes:
             raise IndexError(

@@ -4,7 +4,11 @@ entry points behave as the README promises."""
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,29 @@ class TestExports:
     @pytest.mark.parametrize("package", PACKAGES)
     def test_package_imports(self, package):
         importlib.import_module(package)
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.faults",
+            "repro.faults.scenarios",
+            "repro.chaos",
+            "repro.chaos.runner",
+        ],
+    )
+    def test_imports_first_in_a_fresh_interpreter(self, module):
+        """The faults scenarios and the chaos harness import each other's
+        packages; whichever loads first, neither may find the other
+        half-initialized (one process hides this behind import order)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize(
         "package",

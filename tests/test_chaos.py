@@ -35,6 +35,7 @@ from repro.chaos.campaign import EKF_KINDS, LINK_KINDS
 from repro.chaos.recorder import BlackBoxTrace, TickRecord
 from repro.chaos.runner import TrialResult, VERDICT_CRASH, VERDICT_SAFE, VERDICT_VIOLATION
 from repro.chaos.__main__ import main as chaos_main
+from repro.faults.envelope import DEFAULT_CRASH_ENVELOPE, CrashEnvelope
 from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.sim.simulator import DroneModel, FlightSimulator
 
@@ -57,13 +58,17 @@ def make_autopilot(**autopilot_kwargs) -> Autopilot:
 
 
 def make_monitor(
-    schedule=None, limits=None, **autopilot_kwargs
+    schedule=None,
+    limits=None,
+    envelope=DEFAULT_CRASH_ENVELOPE,
+    **autopilot_kwargs,
 ) -> SafetyMonitor:
     autopilot = make_autopilot(**autopilot_kwargs)
     return SafetyMonitor(
         autopilot,
         schedule if schedule is not None else FaultSchedule(),
         limits=limits,
+        envelope=envelope,
     )
 
 
@@ -187,6 +192,73 @@ class TestSafetyMonitor:
         assert violation.is_crash
         assert monitor.crashed
         assert monitor.crash_violation == violation
+
+    @pytest.mark.parametrize(
+        "altitude_m, climb_m_s, roll_deg, depleted, envelope, expected",
+        [
+            pytest.param(
+                4.0, 0.0, 0.0, False, DEFAULT_CRASH_ENVELOPE, None,
+                id="nominal-hover",
+            ),
+            pytest.param(
+                4.0, 0.0, 80.0, False, DEFAULT_CRASH_ENVELOPE, "crash.tilt",
+                id="tilt-beyond-limit",
+            ),
+            pytest.param(
+                -0.5, 0.0, 0.0, False, DEFAULT_CRASH_ENVELOPE,
+                "crash.ground-impact",
+                id="ground-impact",
+            ),
+            pytest.param(
+                0.1, -4.0, 0.0, False, DEFAULT_CRASH_ENVELOPE,
+                "crash.hard-landing",
+                id="hard-landing",
+            ),
+            # a hard landing needs both speed and ground proximity
+            pytest.param(
+                2.0, -4.0, 0.0, False, DEFAULT_CRASH_ENVELOPE, None,
+                id="fast-descent-aloft",
+            ),
+            pytest.param(
+                0.1, -1.0, 0.0, False, DEFAULT_CRASH_ENVELOPE, None,
+                id="gentle-touchdown",
+            ),
+            pytest.param(
+                3.0, 0.0, 0.0, True, DEFAULT_CRASH_ENVELOPE,
+                "crash.battery-depleted",
+                id="depleted-airborne",
+            ),
+            # a dead pack on the ground is a landing, not a crash
+            pytest.param(
+                0.0, 0.0, 0.0, True, DEFAULT_CRASH_ENVELOPE, None,
+                id="depleted-on-ground",
+            ),
+            pytest.param(
+                4.0, 0.0, 50.0, False, DEFAULT_CRASH_ENVELOPE, None,
+                id="default-envelope-tolerates-50-deg",
+            ),
+            pytest.param(
+                4.0, 0.0, 50.0, False,
+                CrashEnvelope(tilt_limit_rad=math.radians(40.0)), "crash.tilt",
+                id="tight-envelope",
+            ),
+        ],
+    )
+    def test_crash_invariants(
+        self, altitude_m, climb_m_s, roll_deg, depleted, envelope, expected
+    ):
+        """The four ``crash.*`` invariants: the one definition of a lost
+        vehicle, for campaign trials and canned scenarios alike."""
+        monitor = make_monitor(envelope=envelope)
+        sim = monitor.autopilot.sim
+        sim.body.state.position_m[2] = altitude_m
+        sim.body.state.velocity_m_s[2] = climb_m_s
+        set_roll(monitor, math.radians(roll_deg))
+        sim.depleted = depleted
+        monitor.check(1.0)
+        assert monitor.crashed == (expected is not None)
+        crash = monitor.crash_violation
+        assert (None if crash is None else crash.invariant) == expected
 
     def test_geofence_box_violation_is_contractual(self):
         monitor = make_monitor()

@@ -27,7 +27,6 @@ from repro.autopilot.mavlink import (
 from repro.autopilot.offload import OffboardComputeNode, PoseStalenessWatchdog
 from repro.faults import (
     CrashEnvelope,
-    DEFAULT_CRASH_ENVELOPE,
     FaultEvent,
     FaultInjector,
     FaultKind,
@@ -180,56 +179,8 @@ class TestFaultScheduleEdgeCases:
 
 
 class TestCrashEnvelope:
-    def set_roll(self, sim, roll_rad: float) -> None:
-        sim.body.state.quaternion[:] = [
-            math.cos(roll_rad / 2.0), math.sin(roll_rad / 2.0), 0.0, 0.0,
-        ]
-
-    def test_nominal_hover_is_not_a_crash(self):
-        sim = make_autopilot().sim
-        sim.body.state.position_m[2] = 4.0
-        assert DEFAULT_CRASH_ENVELOPE.crash_reason(sim) is None
-
-    def test_tilt_beyond_limit(self):
-        sim = make_autopilot().sim
-        sim.body.state.position_m[2] = 4.0
-        self.set_roll(sim, math.radians(80.0))
-        assert DEFAULT_CRASH_ENVELOPE.crash_reason(sim) == "loss of control (tilt)"
-
-    def test_ground_impact(self):
-        sim = make_autopilot().sim
-        sim.body.state.position_m[2] = -0.5
-        assert DEFAULT_CRASH_ENVELOPE.crash_reason(sim) == "ground impact"
-
-    def test_hard_landing_requires_speed_and_proximity(self):
-        sim = make_autopilot().sim
-        sim.body.state.position_m[2] = 0.1
-        sim.body.state.velocity_m_s[2] = -4.0
-        assert DEFAULT_CRASH_ENVELOPE.crash_reason(sim) == "hard landing"
-        # same descent speed higher up is flight, not touchdown
-        sim.body.state.position_m[2] = 2.0
-        assert DEFAULT_CRASH_ENVELOPE.crash_reason(sim) is None
-
-    def test_depletion_in_flight(self):
-        sim = make_autopilot().sim
-        sim.body.state.position_m[2] = 3.0
-        sim.depleted = True
-        assert (
-            DEFAULT_CRASH_ENVELOPE.crash_reason(sim)
-            == "battery depleted in flight"
-        )
-        # a dead pack on the ground is a landing, not a crash
-        sim.body.state.position_m[2] = 0.0
-        sim.body.state.velocity_m_s[2] = 0.0
-        assert DEFAULT_CRASH_ENVELOPE.crash_reason(sim) is None
-
-    def test_custom_envelope_moves_the_limits(self):
-        sim = make_autopilot().sim
-        sim.body.state.position_m[2] = 4.0
-        self.set_roll(sim, math.radians(50.0))
-        assert DEFAULT_CRASH_ENVELOPE.crash_reason(sim) is None
-        tight = CrashEnvelope(tilt_limit_rad=math.radians(40.0))
-        assert tight.crash_reason(sim) == "loss of control (tilt)"
+    """The crash invariants that read the envelope are tested with
+    ``SafetyMonitor`` in ``test_chaos.py``."""
 
     def test_envelope_validation(self):
         with pytest.raises(ValueError):
