@@ -122,7 +122,7 @@ def hamming_distance_matrix(
 
     Returns (distances [A, B] uint16, ops).  This is the brute-force matcher
     kernel; FPGA front ends pipeline exactly this computation.  It runs the
-    packed popcount-LUT kernel, bit-for-bit equal to the unpackbits oracle.
+    native-popcount kernel, bit-for-bit equal to the unpackbits oracle.
     """
     if descriptors_a.ndim != 2 or descriptors_b.ndim != 2:
         raise ValueError("descriptor arrays must be 2-D")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Set
 
 import numpy as np
 
@@ -106,15 +106,17 @@ def match_by_projection(
     ``pose`` is (position_m, yaw_rad).  Matches carry the *map point id* in
     ``index_b``.
 
-    Projections, visibility tests, and Hamming distances are batched; the
-    greedy taken-set walk stays a Python loop over the in-view points (its
-    sequential semantics are what make the output order deterministic).
-    Decisions replicate the scalar oracle
-    (:func:`repro.oracles.match_by_projection`) bit-for-bit: the same
-    candidate windows, the same first-minimum tie-break, the same operation
-    count.
+    Projections and visibility tests are batched; Hamming distances are
+    computed only for the (map point, feature) pairs inside the window, by
+    native popcount over the descriptors' uint64 words.  The greedy
+    taken-set walk stays a Python loop over those pairs, point by point in
+    map order and feature-ascending within a point (its sequential
+    semantics are what make the output order deterministic).  Decisions
+    replicate the scalar oracle (:func:`repro.oracles.match_by_projection`)
+    bit-for-bit: the same candidate windows, the same first-minimum
+    tie-break, the same operation count.
     """
-    from repro.slam.kernels import camera_points, hamming_matrix, project_points
+    from repro.slam.kernels import camera_points, descriptor_words, project_points
 
     if radius_px <= 0:
         raise ValueError(f"search radius must be positive, got {radius_px}")
@@ -122,7 +124,9 @@ def match_by_projection(
     map_points = list(map_points)
     if features.count == 0 or not map_points:
         return MatchResult(matches=[], operations=0)
-    positions = np.stack([point.position_m for point in map_points])
+    # concatenate + reshape, not stack: no per-point Python work.
+    positions = np.concatenate(
+        [point.position_m for point in map_points]).reshape(-1, 3)
     cam = camera_points(positions, position, yaw)
     # ~(z < 0.2), not (z >= 0.2): NaN z must fall through to the projection
     # (and its +20 ops) exactly like the scalar loop's `if cam[2] < 0.2`.
@@ -143,22 +147,37 @@ def match_by_projection(
     nearby_mask = (
         np.abs(keypoints[None, :, 0] - u[:, None]) <= radius_px
     ) & (np.abs(keypoints[None, :, 1] - v[:, None]) <= radius_px)
-    descriptors = np.stack([map_points[i].descriptor for i in visible])
-    distances = hamming_matrix(descriptors, features.descriptors)
     operations += 2 * keypoints.shape[0] * int(visible.size)
-    taken = np.zeros(keypoints.shape[0], dtype=bool)
+    # Row-major: pairs grouped by visible point, features ascending.
+    rows, cols = np.nonzero(nearby_mask)
+    if rows.size == 0:
+        return MatchResult(matches=[], operations=operations)
+    point_words, feature_words = descriptor_words(
+        np.concatenate([map_points[i].descriptor for i in visible])
+        .reshape(visible.size, -1),
+        features.descriptors,
+    )
+    distances = np.bitwise_count(point_words[rows] ^ feature_words[cols]) \
+        .sum(axis=1).tolist()
+    bounds = np.searchsorted(rows, np.arange(visible.size + 1)).tolist()
+    features_of_pair = cols.tolist()
+    taken: Set[int] = set()
     matches: List[Match] = []
-    for row, point_index in enumerate(visible):
-        candidates = np.nonzero(nearby_mask[row] & ~taken)[0]
-        if candidates.size == 0:
-            continue
-        operations += 256 * int(candidates.size)
-        row_distances = distances[row, candidates]
-        best_slot = int(np.argmin(row_distances))
-        best_distance = int(row_distances[best_slot])
-        if best_distance <= MAX_MATCH_DISTANCE:
-            best_index = int(candidates[best_slot])
-            taken[best_index] = True
+    for row, point_index in enumerate(visible.tolist()):
+        best_index = -1
+        best_distance = MAX_MATCH_DISTANCE + 1
+        free = 0
+        for pair in range(bounds[row], bounds[row + 1]):
+            index = features_of_pair[pair]
+            if index in taken:
+                continue
+            free += 1
+            if distances[pair] < best_distance:
+                best_distance = distances[pair]
+                best_index = index
+        operations += 256 * free
+        if best_index >= 0:
+            taken.add(best_index)
             matches.append(
                 Match(
                     index_a=best_index,
