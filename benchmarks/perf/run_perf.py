@@ -24,8 +24,7 @@ Times the hot paths of the repository and writes/compares baselines:
 Each scalar-vs-batch pair records its speedup; the grid speedup is gated
 by ``--min-speedup``, the SLAM/platform kernel speedups by
 ``--min-kernel-speedup``, and the campaign speedup by
-``--min-ensemble-speedup``.  Every baseline written is also mirrored to
-the repository root.
+``--min-ensemble-speedup``.
 
 Usage::
 
@@ -40,7 +39,6 @@ than ``--tolerance`` (default 25%) against the baselines found in DIR.
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
 from pathlib import Path
 from typing import List, Tuple
@@ -602,17 +600,10 @@ def main(argv: List[str]) -> int:
             failed = True
 
     args.output_dir.mkdir(parents=True, exist_ok=True)
-    repo_root = Path(__file__).resolve().parents[2]
     for name, results, extra in written:
         path = args.output_dir / name
         write_baseline(path, results, extra=extra)
         print(f"wrote {path}")
-        # Mirror every baseline to the repository root so the latest
-        # numbers are one `cat BENCH_*.json` away from a fresh checkout.
-        root_copy = repo_root / name
-        if root_copy != path.resolve():
-            shutil.copyfile(path, root_copy)
-            print(f"copied {name} -> {root_copy}")
 
     if args.compare is not None:
         regressions: List[str] = []

@@ -2,8 +2,8 @@
 
 Flies a fixed-seed campaign, triages the failures, writes the campaign
 report plus one black-box trace per failed trial, and (with
-``--replay-failures``) re-flies every failure from its recorded
-``(seed, schedule)`` tuple to verify bit-for-bit determinism.
+``--replay-failures``) re-flies every failure from its recorded seeds and
+schedule to verify bit-for-bit determinism.
 
 With ``--checkpoint PATH`` the campaign runs under the fault-tolerant
 execution layer (:mod:`repro.exec`): every completed ensemble group of

@@ -5,16 +5,17 @@ A chaos campaign explores the *interior*: for each trial it samples a
 compound :class:`~repro.faults.schedule.FaultSchedule` — how many faults,
 which kinds, when they start, how long they last, how severe they are, with
 windows free to overlap — from an RNG derived **only** from
-``(campaign_seed, trial_index)``.  That derivation is the reproducibility
-contract: any trial of any campaign can be regenerated in isolation, which
-is what makes black-box replay and failure triage possible at
-hundreds-of-trials scale.
+``(campaign_seed, trial_index)``, which then draws the trial's link seed
+and sensor seed, so every trial flies its own link losses and sensor noise.
+That derivation is the reproducibility contract: any trial of any campaign
+can be regenerated in isolation, which is what makes black-box replay and
+failure triage possible at hundreds-of-trials scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,6 +100,9 @@ class TrialSpec:
     The spec is what the black-box trace stores and what the replay harness
     consumes — regenerating it from ``(campaign_seed, trial_index)`` or
     deserializing it from a trace must yield the same flight.
+    ``sensor_seed`` picks the vehicle's sensor noise streams
+    (``FlightSimulator(sensor_seed=...)``); ``None`` flies the built-in
+    streams.
     """
 
     campaign_seed: int
@@ -108,12 +112,14 @@ class TrialSpec:
     use_ekf: bool
     heartbeats: bool
     offload: bool
+    sensor_seed: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "campaign_seed": self.campaign_seed,
             "trial_index": self.trial_index,
             "link_seed": self.link_seed,
+            "sensor_seed": self.sensor_seed,
             "schedule": self.schedule.to_jsonable(),
             "use_ekf": self.use_ekf,
             "heartbeats": self.heartbeats,
@@ -122,6 +128,7 @@ class TrialSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TrialSpec":
+        sensor_seed = data["sensor_seed"]
         return cls(
             campaign_seed=int(data["campaign_seed"]),
             trial_index=int(data["trial_index"]),
@@ -130,6 +137,7 @@ class TrialSpec:
             use_ekf=bool(data["use_ekf"]),
             heartbeats=bool(data["heartbeats"]),
             offload=bool(data["offload"]),
+            sensor_seed=None if sensor_seed is None else int(sensor_seed),
         )
 
 
@@ -237,6 +245,9 @@ def generate_trial(config: CampaignConfig, trial_index: int) -> TrialSpec:
     rng = trial_rng(config.campaign_seed, trial_index)
     schedule = sample_schedule(config, rng)
     link_seed = int(rng.integers(0, 2**31 - 1))
+    # Drawn last, so the schedule and link seed keep the values they had
+    # before trials drew their own sensor noise.
+    sensor_seed = int(rng.integers(0, 2**31 - 1))
     kinds = {event.kind for event in schedule.events}
     return TrialSpec(
         campaign_seed=config.campaign_seed,
@@ -246,6 +257,7 @@ def generate_trial(config: CampaignConfig, trial_index: int) -> TrialSpec:
         use_ekf=any(kind in kinds for kind in EKF_KINDS),
         heartbeats=any(kind in kinds for kind in LINK_KINDS),
         offload=FaultKind.OFFLOAD_STALL in kinds,
+        sensor_seed=sensor_seed,
     )
 
 

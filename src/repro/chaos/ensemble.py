@@ -10,8 +10,8 @@ NumPy kernels.
 
 This is the one campaign engine: :func:`repro.chaos.runner.run_campaign`
 and :func:`~repro.chaos.runner.run_campaign_supervised` fly every group
-through it.  Every lane's sensor/wind RNG stream is preserved bit-for-bit
-by the ensemble (see ``repro.sim.ensemble``'s equivalence contract), so
+through it.  Every lane draws its own trial's sensor noise, exactly as the
+scalar simulator does (see ``repro.sim.ensemble``'s equivalence contract), so
 ``run_trials_ensemble`` returns :class:`~repro.chaos.runner.TrialResult`
 objects whose :meth:`~repro.chaos.runner.TrialResult.metrics` fingerprints —
 and black-box traces — are identical to the scalar reference
@@ -49,6 +49,7 @@ def run_trials_ensemble(
         len(specs),
         physics_rate_hz=config.physics_rate_hz,
         use_ekf=[spec.use_ekf for spec in specs],
+        sensor_seeds=[spec.sensor_seed for spec in specs],
     )
     lanes = [ensemble.lane(index) for index in range(len(specs))]
     harnesses = [LaneHarness(spec, config, lane) for spec, lane in zip(specs, lanes)]

@@ -9,7 +9,8 @@ has the final seconds of every failure at full resolution.
 
 On a violation or crash the runner freezes the buffer into a
 :class:`BlackBoxTrace`: a JSON document carrying the trial's identity
-``(campaign_seed, trial_index)``, its exact fault schedule, the verdict,
+``(campaign_seed, trial_index)``, its link and sensor seeds, its exact fault
+schedule, the verdict,
 and the recorded ticks — everything the deterministic replay harness needs
 to re-fly the trial bit-for-bit from the trace file alone.
 """
@@ -26,7 +27,7 @@ from repro.chaos.invariants import Violation
 from repro.faults.schedule import FaultSchedule
 
 #: Black-box trace format version (bump on incompatible schema changes).
-TRACE_FORMAT = 1
+TRACE_FORMAT = 2
 
 
 def _vec3(values: Any) -> Tuple[float, float, float]:
@@ -128,6 +129,7 @@ class BlackBoxTrace:
     campaign_seed: int
     trial_index: int
     link_seed: int
+    sensor_seed: Optional[int]
     verdict: str
     schedule: FaultSchedule
     violation: Optional[Violation] = None
@@ -141,6 +143,7 @@ class BlackBoxTrace:
             "campaign_seed": self.campaign_seed,
             "trial_index": self.trial_index,
             "link_seed": self.link_seed,
+            "sensor_seed": self.sensor_seed,
             "verdict": self.verdict,
             "schedule": self.schedule.to_jsonable(),
             "violation": (
@@ -156,13 +159,18 @@ class BlackBoxTrace:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BlackBoxTrace":
-        if int(data.get("format", TRACE_FORMAT)) != TRACE_FORMAT:
-            raise ValueError(f"unsupported trace format: {data.get('format')}")
+        found = data.get("format")
+        if found != TRACE_FORMAT:
+            raise ValueError(
+                f"unsupported trace format {found!r}: expected {TRACE_FORMAT}"
+            )
         violation = data.get("violation")
+        sensor_seed = data["sensor_seed"]
         return cls(
             campaign_seed=int(data["campaign_seed"]),
             trial_index=int(data["trial_index"]),
             link_seed=int(data["link_seed"]),
+            sensor_seed=None if sensor_seed is None else int(sensor_seed),
             verdict=str(data["verdict"]),
             schedule=FaultSchedule.from_jsonable(data["schedule"]),
             violation=None if violation is None else Violation.from_dict(violation),
@@ -183,6 +191,7 @@ class BlackBoxTrace:
             self.campaign_seed,
             self.trial_index,
             self.link_seed,
+            self.sensor_seed,
             self.verdict,
             tuple(self.schedule.events),
             self.violation,

@@ -6,8 +6,8 @@ sampled compound fault schedule, watched by the
 :class:`~repro.chaos.recorder.FlightRecorder`.  The runner's contract is
 strict determinism: a :class:`TrialResult` is a pure function of
 ``(TrialSpec, CampaignConfig)``, which is what lets
-:func:`replay_trial` re-fly any failure from its recorded ``(seed,
-schedule)`` tuple and assert bit-for-bit equality of verdicts and metrics.
+:func:`replay_trial` re-fly any failure from its recorded seeds and
+schedule and assert bit-for-bit equality of verdicts and metrics.
 
 Every campaign flies in ensemble groups through
 :func:`repro.chaos.ensemble.run_trials_ensemble`, one group per work item
@@ -199,6 +199,7 @@ class LaneHarness:
                 campaign_seed=spec.campaign_seed,
                 trial_index=spec.trial_index,
                 link_seed=spec.link_seed,
+                sensor_seed=spec.sensor_seed,
                 verdict=verdict,
                 schedule=spec.schedule,
                 violation=monitor.first_violation,
@@ -295,6 +296,7 @@ def run_trial(spec: TrialSpec, config: CampaignConfig) -> TrialResult:
         DroneModel(**DEFAULT_MODEL),
         physics_rate_hz=config.physics_rate_hz,
         use_ekf=spec.use_ekf,
+        sensor_seed=spec.sensor_seed,
     )
     [result] = fly([LaneHarness(spec, config, sim)], sim.run_for, config)
     return result
@@ -304,7 +306,7 @@ def replay_trial(
     source: Union["TrialResult", BlackBoxTrace, TrialSpec],
     config: CampaignConfig,
 ) -> TrialResult:
-    """Re-fly a trial from its recorded ``(seed, schedule)`` tuple.
+    """Re-fly a trial from its recorded seeds and schedule.
 
     Accepts a prior result, a black-box trace loaded from disk, or a bare
     spec; the replay is a fresh closed-loop flight, so comparing its
@@ -334,6 +336,7 @@ def _spec_from_trace(trace: BlackBoxTrace) -> TrialSpec:
         campaign_seed=trace.campaign_seed,
         trial_index=trace.trial_index,
         link_seed=trace.link_seed,
+        sensor_seed=trace.sensor_seed,
         schedule=trace.schedule,
         use_ekf=any(kind in kinds for kind in EKF_KINDS),
         heartbeats=any(kind in kinds for kind in LINK_KINDS),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -59,11 +59,10 @@ class InsEkf:
 
     def __post_init__(self) -> None:
         # Keyed caches for the prediction jacobian/process matrices and the
-        # measurement-noise matrices: dt and the noise densities are fixed
-        # in flight, so these rebuild once instead of every filter tick.
-        self._predict_key: Optional[tuple] = None
-        self._jacobian = np.empty(0)
-        self._process = np.empty(0)
+        # measurement-noise matrices: the noise densities are fixed in
+        # flight and the IMU interval takes a few values (2 or 3 ticks of
+        # 500 Hz physics), so these build once instead of every filter tick.
+        self._predict_matrices: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
         self._gps_noise_key: Optional[float] = None
         self._gps_r = np.empty(0)
         self._baro_noise_key: Optional[float] = None
@@ -120,18 +119,17 @@ class InsEkf:
         )
 
         key = (dt, self.accel_noise, self.gyro_noise)
-        if self._predict_key != key:
+        matrices = self._predict_matrices.get(key)
+        if matrices is None:
             jacobian = np.eye(STATE_SIZE)
             jacobian[0:3, 3:6] = np.eye(3) * dt
             process = np.zeros((STATE_SIZE, STATE_SIZE))
             process[3:6, 3:6] = np.eye(3) * (self.accel_noise * dt) ** 2
             process[6:9, 6:9] = np.eye(3) * (self.gyro_noise * dt) ** 2
             process[0:3, 0:3] = np.eye(3) * (0.5 * self.accel_noise * dt * dt) ** 2
-            self._jacobian = jacobian
-            self._process = process
-            self._predict_key = key
-        jacobian = self._jacobian
-        self.covariance = jacobian @ self.covariance @ jacobian.T + self._process
+            matrices = self._predict_matrices[key] = (jacobian, process)
+        jacobian, process = matrices
+        self.covariance = jacobian @ self.covariance @ jacobian.T + process
         if not all(map(math.isfinite, self.state.tolist())):
             raise FloatingPointError("EKF state non-finite after prediction")
         self.flops += 2 * STATE_SIZE**3 + 60

@@ -3,12 +3,14 @@
 :class:`SensorSuite` owns one of each on-board sensor and exposes a single
 ``poll`` that fires each sensor when its period elapses — mirroring how the
 flight controller's acquisition code services sensors at different rates.
+:func:`sensor_seeds` maps one vehicle's ``sensor_seed`` to the seeds of its
+four noise streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +30,24 @@ TABLE2A_SENSOR_RATES_HZ = {
     "gps": (1.0, 40.0),
 }
 
+#: IMU, barometer, GPS and magnetometer seeds of a suite without a
+#: ``sensor_seed``: the sensors' own defaults.
+DEFAULT_SENSOR_SEEDS = (1, 2, 3, 4)
+
+
+def sensor_seeds(sensor_seed: Optional[int]) -> Tuple[int, int, int, int]:
+    """The IMU, barometer, GPS and magnetometer seeds of one vehicle.
+
+    ``None`` gives :data:`DEFAULT_SENSOR_SEEDS`; an int gives four seeds
+    drawn from its :class:`numpy.random.SeedSequence`, so distinct
+    ``sensor_seed`` values fly distinct, independent noise.
+    """
+    if sensor_seed is None:
+        return DEFAULT_SENSOR_SEEDS
+    state = np.random.SeedSequence(sensor_seed).generate_state(4)
+    imu, baro, gps, mag = state.tolist()
+    return imu, baro, gps, mag
+
 
 @dataclass
 class SensorReadings:
@@ -38,6 +58,10 @@ class SensorReadings:
     baro_altitude_m: Optional[float] = None
     gps_position_m: Optional[np.ndarray] = None
     mag_yaw_rad: Optional[float] = None
+    #: Tick time summed since the IMU's previous fire (0.0 when it did not
+    #: fire): the interval its reading differentiates over and the EKF
+    #: integrates over.
+    imu_dt_s: float = 0.0
 
     @property
     def imu_fired(self) -> bool:
@@ -55,9 +79,21 @@ class SensorSuite:
     _time_s: float = field(default=0.0)
     _due: Dict[str, float] = field(default_factory=dict)
     _last_gps_fix_s: float = field(default=0.0)
+    _imu_elapsed_s: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         self._due = {"imu": 0.0, "baro": 0.0, "gps": 0.0, "mag": 0.0}
+
+    @classmethod
+    def seeded(cls, sensor_seed: Optional[int] = None) -> "SensorSuite":
+        """Default sensors on the streams :func:`sensor_seeds` derives."""
+        imu, baro, gps, mag = sensor_seeds(sensor_seed)
+        return cls(
+            imu=Imu(seed=imu),
+            barometer=Barometer(seed=baro),
+            gps=Gps(seed=gps),
+            magnetometer=Magnetometer(seed=mag),
+        )
 
     def gps_fix_age_s(self) -> float:
         """Seconds since the last successful GPS fix (0 before any polling).
@@ -79,12 +115,16 @@ class SensorSuite:
         readings = SensorReadings()
         # Deadlines advance by whole periods from the previous deadline (not
         # from "now"), so floating-point grid beating cannot stretch the
-        # effective period.
+        # effective period.  The IMU's interval sums the tick dts since its
+        # last fire (not now - last), so it takes only a few distinct values.
+        self._imu_elapsed_s += dt
         if now + 1e-12 >= due["imu"]:
-            period = self.imu.period_s
-            due["imu"] = max(due["imu"] + period, now)
+            due["imu"] = max(due["imu"] + self.imu.period_s, now)
+            elapsed = self._imu_elapsed_s
+            self._imu_elapsed_s = 0.0
+            readings.imu_dt_s = elapsed
             readings.accel_body_m_s2, readings.gyro_rad_s = self.imu.sample(
-                state, period
+                state, elapsed
             )
         if now + 1e-12 >= due["baro"]:
             due["baro"] = max(due["baro"] + self.barometer.period_s, now)
@@ -118,3 +158,4 @@ class SensorSuite:
         self._time_s = 0.0
         self._due = {"imu": 0.0, "baro": 0.0, "gps": 0.0, "mag": 0.0}
         self._last_gps_fix_s = 0.0
+        self._imu_elapsed_s = 0.0

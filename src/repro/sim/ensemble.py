@@ -17,20 +17,14 @@ per lane against the scalar oracle.  Campaign fingerprints fold ~15k
 closed-loop ticks of chaotic feedback, so every kernel here mirrors the
 scalar code's exact operation order and primitive choice — including the
 places where ``math.tan``/``math.asin``/``math.acos`` differ from their
-NumPy counterparts in the last ulp (those run as per-lane Python loops), and
-the RNG discipline below.
+NumPy counterparts in the last ulp (those run as per-lane Python loops).
 
-RNG discipline
---------------
-Every trial's sensors use the *same* hard-coded seeds (``Imu(seed=1)``,
-``Barometer(seed=2)``, ``Gps(seed=3)``, ``Magnetometer(seed=4)``), so while
-all lanes draw on every fire the streams are identical across lanes: one
-*canonical* generator per sensor is drawn once and broadcast.  The only
-events that desynchronize a lane's stream are GPS denial (the scalar sensor
-raises *before* drawing) and a frozen barometer (returns stale without
-drawing).  On the first partially-masked fire the ensemble lazily
-materializes per-lane generators by replaying each lane's exact draw
-pattern from its seed, then draws per lane from that point on.
+Noise streams are per lane: lane *i* owns the four sensor generators its
+scalar simulator would own (seeded from ``sensor_seeds[i]`` by
+:func:`repro.sensors.suite.sensor_seeds`) and its own wind generator, and it
+draws exactly what scalar trial *i* draws, when it draws: every live lane's
+IMU and magnetometer on each fire, its barometer unless frozen, its GPS
+unless denied.
 
 Defection
 ---------
@@ -60,6 +54,7 @@ from repro.physics.rigid_body import (
     TORQUE_THRUST_RATIO_M,
     QuadcopterState,
 )
+from repro.sensors import suite as sensor_suite
 from repro.sim.simulator import DroneModel, FlightSimulator, SimSample
 
 __all__ = [
@@ -263,6 +258,7 @@ class _Readings:
 
     __slots__ = (
         "imu_fired",
+        "imu_dt",
         "accel",
         "gyro",
         "baro_fired",
@@ -276,6 +272,7 @@ class _Readings:
 
     def __init__(self) -> None:
         self.imu_fired = False
+        self.imu_dt = 0.0
         self.accel: Optional[np.ndarray] = None
         self.gyro: Optional[np.ndarray] = None
         self.baro_fired = False
@@ -301,7 +298,9 @@ class EnsembleFlightSimulator:
     ``winds`` (optional) gives every lane its own seeded
     :class:`~repro.physics.environment.Wind`; all winds must share mean /
     gust / correlation parameters (only the seed may differ), which is what
-    the gust Monte Carlo needs.
+    the gust Monte Carlo needs.  ``sensor_seeds`` (optional) gives one
+    ``FlightSimulator(sensor_seed=...)`` value per lane; without it every
+    lane flies the built-in sensor streams.
     """
 
     def __init__(
@@ -313,6 +312,7 @@ class EnsembleFlightSimulator:
         winds: Optional[Sequence[Wind]] = None,
         record_rate_hz: float = 50.0,
         rates=None,
+        sensor_seeds: Optional[Sequence[Optional[int]]] = None,
     ):
         if n_lanes <= 0:
             raise ValueError(f"need at least one lane, got {n_lanes}")
@@ -504,10 +504,10 @@ class EnsembleFlightSimulator:
         suite = template.sensors
         self._sensor_time = 0.0
         self._due = {"imu": 0.0, "baro": 0.0, "gps": 0.0, "mag": 0.0}
+        self._imu_elapsed = 0.0
         self._imu_period = suite.imu.period_s
         self._imu_accel_noise = suite.imu.accel_noise_m_s2
         self._imu_gyro_noise = suite.imu.gyro_noise_rad_s
-        self._imu_seed = suite.imu.seed
         self._imu_samples = np.zeros(n, dtype=np.int64)
         self._imu_last_vel = np.zeros((n, 3))
         self._imu_has_last = False
@@ -519,35 +519,35 @@ class EnsembleFlightSimulator:
         self._baro_period = suite.barometer.period_s
         self._baro_noise = suite.barometer.noise_m
         self._baro_bias = suite.barometer.bias_m
-        self._baro_seed = suite.barometer.seed
         self._baro_samples = np.zeros(n, dtype=np.int64)
-        self._baro_draws = np.zeros(n, dtype=np.int64)
         self._baro_last_alt = np.zeros(n)
         self.baro_frozen = np.zeros(n, dtype=bool)
         self._gps_period = suite.gps.period_s
         self._gps_hnoise = suite.gps.horizontal_noise_m
         self._gps_vnoise = suite.gps.vertical_noise_m
-        self._gps_seed = suite.gps.seed
         self._gps_samples = np.zeros(n, dtype=np.int64)
         self.gps_available = np.ones(n, dtype=bool)
         self._last_gps_fix = np.zeros(n)
         self._mag_period = suite.magnetometer.period_s
         self._mag_noise = suite.magnetometer.noise_rad
         self._mag_hard_iron = suite.magnetometer.hard_iron_bias_rad
-        self._mag_seed = suite.magnetometer.seed
         self._mag_samples = np.zeros(n, dtype=np.int64)
-        # Canonical generators: one per sensor, valid while every live lane
-        # draws on every fire.  ``*_gens`` materialize lazily on desync.
-        self._imu_gen = np.random.default_rng(self._imu_seed)
-        self._baro_gen: Optional[np.random.Generator] = np.random.default_rng(
-            self._baro_seed
+        # Each lane's four sensor generators, seeded as its scalar
+        # simulator's, and per-fire scratch for the IMU's six draws
+        # (accel, then gyro) and the magnetometer's one.
+        seeds: List[Optional[int]] = (
+            [None] * n if sensor_seeds is None else list(sensor_seeds)
         )
-        self._gps_gen: Optional[np.random.Generator] = np.random.default_rng(
-            self._gps_seed
-        )
-        self._mag_gen = np.random.default_rng(self._mag_seed)
-        self._baro_lane_gens: Optional[List] = None
-        self._gps_lane_gens: Optional[List] = None
+        if len(seeds) != n:
+            raise ValueError(f"need one sensor seed per lane: {len(seeds)} != {n}")
+        self._sensor_seeds = seeds
+        streams = [sensor_suite.sensor_seeds(seed) for seed in seeds]
+        self._imu_gens = [np.random.default_rng(lane[0]) for lane in streams]
+        self._baro_gens = [np.random.default_rng(lane[1]) for lane in streams]
+        self._gps_gens = [np.random.default_rng(lane[2]) for lane in streams]
+        self._mag_gens = [np.random.default_rng(lane[3]) for lane in streams]
+        self._imu_noise = np.zeros((n, 6))
+        self._mag_draws = np.zeros(n)
 
         # -- lane bookkeeping --------------------------------------------------
         #: attached & not frozen: lanes the collective step advances.
@@ -556,8 +556,8 @@ class EnsembleFlightSimulator:
         self.attached = np.ones(n, dtype=bool)
         self._uniform = True
         #: Sentinel all-true mask: commits called with *this exact array*
-        #: take the unmasked fast path.  Partial masks (EKF ok-sets, baro
-        #: draw masks) are always fresh arrays and always go masked.
+        #: take the unmasked fast path.  Partial masks (EKF ok-sets, GPS
+        #: fix masks) are always fresh arrays and always go masked.
         self._full = np.ones(n, dtype=bool)
         self._all_lanes = list(range(n))
         self._sample_rows: List[List[SimSample]] = [[] for _ in range(n)]
@@ -592,13 +592,12 @@ class EnsembleFlightSimulator:
     # -- sensors -----------------------------------------------------------------
 
     def _sample_imu(
-        self, live: np.ndarray, rotation: np.ndarray
+        self, live: np.ndarray, lanes: List[int], rotation: np.ndarray, dt: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        period = self._imu_period
         if not self._imu_has_last:
             accel_world = np.zeros((self.n_lanes, 3))
         else:
-            accel_world = (self._vel - self._imu_last_vel) / period
+            accel_world = (self._vel - self._imu_last_vel) / dt
         self._commit(self._imu_last_vel, self._vel, live)
         self._imu_has_last = True
         specific_force = accel_world + self._gravity_col
@@ -606,98 +605,46 @@ class EnsembleFlightSimulator:
             rotation.transpose(0, 2, 1), specific_force[:, :, None]
         )[:, :, 0]
         gyro_body = self._omega.copy()
-        # Every lane's scalar IMU shares seed 1 and draws on every fire, so
-        # one canonical stream serves all lanes; the IMU can never desync.
-        accel_noise = self._imu_gen.normal(0.0, self._imu_accel_noise, 3)
-        gyro_noise = self._imu_gen.normal(0.0, self._imu_gyro_noise, 3)
-        accel_body += self._accel_bias + accel_noise
-        gyro_body += self._gyro_bias + gyro_noise
+        # One draw of six per lane equals the scalar IMU's two draws of
+        # three (accel, then gyro), in values and in generator state.
+        noise = self._imu_noise
+        gens = self._imu_gens
+        for i in lanes:
+            gens[i].standard_normal(out=noise[i])
+        accel_body += self._accel_bias + noise[:, 0:3] * self._imu_accel_noise
+        gyro_body += self._gyro_bias + noise[:, 3:6] * self._imu_gyro_noise
         self._imu_samples[live] += 1
         return accel_body, gyro_body
 
-    def _materialize_baro_gens(self, live: np.ndarray) -> None:
-        """First frozen-vs-drawing split: replay each live lane's stream."""
-        gens: List = [None] * self.n_lanes
-        for i in np.flatnonzero(live):
-            gen = np.random.default_rng(self._baro_seed)
-            for _ in range(int(self._baro_draws[i])):
-                gen.normal(0.0, self._baro_noise)
-            gens[i] = gen
-        self._baro_lane_gens = gens
-        self._baro_gen = None
-
-    def _sample_baro(self, live: np.ndarray) -> np.ndarray:
+    def _sample_baro(self, live: np.ndarray, lanes: List[int]) -> np.ndarray:
         self._baro_samples[live] += 1
-        draw = live & ~self.baro_frozen
-        n_draw = int(np.count_nonzero(draw))
-        if self._baro_lane_gens is None and 0 < n_draw < int(
-            np.count_nonzero(live)
-        ):
-            self._materialize_baro_gens(live)
-        if self._baro_lane_gens is None:
-            if n_draw:
-                assert self._baro_gen is not None
-                noise = float(self._baro_gen.normal(0.0, self._baro_noise))
-                new_alt = (self._pos[:, 2] + self._baro_bias) + noise
-                self._commit(self._baro_last_alt, new_alt, draw)
-                self._baro_draws[draw] += 1
-        else:
-            for i in np.flatnonzero(draw):
-                gen = self._baro_lane_gens[i]
-                noise = float(gen.normal(0.0, self._baro_noise))
-                self._baro_last_alt[i] = (
-                    float(self._pos[i, 2]) + self._baro_bias
-                ) + noise
-                self._baro_draws[i] += 1
-        # A frozen barometer still reports (stale) altitude — the scalar
-        # sensor returns _last_altitude_m either way.
+        # A frozen barometer skips the draw and reports its stale altitude,
+        # as the scalar sensor returns _last_altitude_m either way.
+        frozen = self.baro_frozen.tolist()
+        altitudes = self._pos[:, 2].tolist()
+        for i in lanes:
+            if not frozen[i]:
+                noise = float(self._baro_gens[i].normal(0.0, self._baro_noise))
+                self._baro_last_alt[i] = (altitudes[i] + self._baro_bias) + noise
         return self._baro_last_alt
 
-    def _materialize_gps_gens(self, live: np.ndarray) -> None:
-        gens: List = [None] * self.n_lanes
-        for i in np.flatnonzero(live):
-            gen = np.random.default_rng(self._gps_seed)
-            for _ in range(int(self._gps_samples[i])):
-                gen.normal(0.0, self._gps_hnoise)
-                gen.normal(0.0, self._gps_hnoise)
-                gen.normal(0.0, self._gps_vnoise)
-            gens[i] = gen
-        self._gps_lane_gens = gens
-        self._gps_gen = None
-
-    def _sample_gps(
-        self, live: np.ndarray, fix: np.ndarray
-    ) -> Optional[np.ndarray]:
-        n_fix = int(np.count_nonzero(fix))
-        if self._gps_lane_gens is None and 0 < n_fix < int(
-            np.count_nonzero(live)
-        ):
-            self._materialize_gps_gens(live)
-        if n_fix == 0:
+    def _sample_gps(self, fix: np.ndarray) -> Optional[np.ndarray]:
+        """Fixes of the ``fix`` lanes; a denied lane skips the draw, as the
+        scalar receiver raises before drawing."""
+        fixed = np.flatnonzero(fix).tolist()
+        if not fixed:
             return None
-        if self._gps_lane_gens is None:
-            assert self._gps_gen is not None
-            gen = self._gps_gen
-            noise = np.array(
-                [
-                    gen.normal(0.0, self._gps_hnoise),
-                    gen.normal(0.0, self._gps_hnoise),
-                    gen.normal(0.0, self._gps_vnoise),
-                ]
+        positions = np.zeros((self.n_lanes, 3))
+        rows = self._pos.tolist()
+        hnoise, vnoise = self._gps_hnoise, self._gps_vnoise
+        for i in fixed:
+            gen = self._gps_gens[i]
+            x, y, z = rows[i]
+            positions[i] = (
+                x + gen.normal(0.0, hnoise),
+                y + gen.normal(0.0, hnoise),
+                z + gen.normal(0.0, vnoise),
             )
-            positions = self._pos + noise
-        else:
-            positions = np.zeros((self.n_lanes, 3))
-            for i in np.flatnonzero(fix):
-                gen = self._gps_lane_gens[i]
-                noise = np.array(
-                    [
-                        gen.normal(0.0, self._gps_hnoise),
-                        gen.normal(0.0, self._gps_hnoise),
-                        gen.normal(0.0, self._gps_vnoise),
-                    ]
-                )
-                positions[i] = self._pos[i] + noise
         self._gps_samples[fix] += 1
         return positions
 
@@ -712,7 +659,9 @@ class EnsembleFlightSimulator:
         for i in lanes:
             angles[i] = math.atan2(yaw_y[i], yaw_x[i])
         yaw = np.array(angles)
-        noise = float(self._mag_gen.normal(0.0, self._mag_noise))
+        noise = self._mag_draws
+        for i in lanes:
+            noise[i] = self._mag_gens[i].normal(0.0, self._mag_noise)
         measured = (yaw + self._mag_hard_iron) + noise
         self._mag_samples[live] += 1
         return (measured + math.pi) % (2.0 * math.pi) - math.pi
@@ -727,20 +676,25 @@ class EnsembleFlightSimulator:
         self._sensor_time += dt
         now = self._sensor_time
         readings = _Readings()
+        self._imu_elapsed += dt
         if now + 1e-12 >= self._due["imu"]:
             self._due["imu"] = max(self._due["imu"] + self._imu_period, now)
             readings.imu_fired = True
-            readings.accel, readings.gyro = self._sample_imu(live, rotation)
+            readings.imu_dt = self._imu_elapsed
+            self._imu_elapsed = 0.0
+            readings.accel, readings.gyro = self._sample_imu(
+                live, lanes, rotation, readings.imu_dt
+            )
         if now + 1e-12 >= self._due["baro"]:
             self._due["baro"] = max(self._due["baro"] + self._baro_period, now)
             readings.baro_fired = True
-            readings.baro = self._sample_baro(live)
+            readings.baro = self._sample_baro(live, lanes)
         if now + 1e-12 >= self._due["gps"]:
             self._due["gps"] = max(self._due["gps"] + self._gps_period, now)
             fix = live & self.gps_available
             readings.gps_fired = True
             readings.gps_has_fix = fix
-            readings.gps_fix = self._sample_gps(live, fix)
+            readings.gps_fix = self._sample_gps(fix)
             self._last_gps_fix[fix] = now
         if now + 1e-12 >= self._due["mag"]:
             self._due["mag"] = max(self._due["mag"] + self._mag_period, now)
@@ -754,11 +708,11 @@ class EnsembleFlightSimulator:
         self,
         accel: np.ndarray,
         gyro: np.ndarray,
+        dt: float,
         ok: np.ndarray,
         failed: np.ndarray,
         lanes: List[int],
     ) -> None:
-        dt = self._imu_period
         state = self._ekf_state
         roll, pitch, yaw = state[:, 6], state[:, 7], state[:, 8]
         rotation = _rotation_from_euler_rows(roll, pitch, yaw)
@@ -844,7 +798,9 @@ class EnsembleFlightSimulator:
         if readings.imu_fired:
             assert readings.accel is not None and readings.gyro is not None
             lanes = np.flatnonzero(ok).tolist()
-            self._ekf_predict(readings.accel, readings.gyro, ok, failed, lanes)
+            self._ekf_predict(
+                readings.accel, readings.gyro, readings.imu_dt, ok, failed, lanes
+            )
         if readings.gps_fired and readings.gps_fix is not None:
             assert readings.gps_has_fix is not None
             mask = ok & readings.gps_has_fix
@@ -1394,6 +1350,7 @@ class EnsembleFlightSimulator:
             physics_rate_hz=self.physics_rate_hz,
             use_ekf=bool(self.ekf_lanes[index]),
             wind=wind,
+            sensor_seed=self._sensor_seeds[index],
         )
         sim._record_period_s = self._record_period_s
         sim._next_record_s = self._next_record_s
@@ -1466,6 +1423,7 @@ class EnsembleFlightSimulator:
         suite._time_s = self._sensor_time
         suite._due = dict(self._due)
         suite._last_gps_fix_s = float(self._last_gps_fix[index])
+        suite._imu_elapsed_s = self._imu_elapsed
         imu = suite.imu
         imu.samples = int(self._imu_samples[index])
         imu.accel_bias_m_s2 = self._accel_bias_obj[index]
@@ -1473,29 +1431,19 @@ class EnsembleFlightSimulator:
         imu._last_velocity = (
             self._imu_last_vel[index].tolist() if self._imu_has_last else None
         )
-        imu._rng = _clone_generator(self._imu_seed, self._imu_gen)
+        imu._rng = self._imu_gens[index]
         baro = suite.barometer
         baro.samples = int(self._baro_samples[index])
         baro.frozen = bool(self.baro_frozen[index])
         baro._last_altitude_m = float(self._baro_last_alt[index])
-        if self._baro_lane_gens is not None:
-            baro._rng = self._baro_lane_gens[index]
-            self._baro_lane_gens[index] = None
-        else:
-            assert self._baro_gen is not None
-            baro._rng = _clone_generator(self._baro_seed, self._baro_gen)
+        baro._rng = self._baro_gens[index]
         gps = suite.gps
         gps.samples = int(self._gps_samples[index])
         gps.available = bool(self.gps_available[index])
-        if self._gps_lane_gens is not None:
-            gps._rng = self._gps_lane_gens[index]
-            self._gps_lane_gens[index] = None
-        else:
-            assert self._gps_gen is not None
-            gps._rng = _clone_generator(self._gps_seed, self._gps_gen)
+        gps._rng = self._gps_gens[index]
         mag = suite.magnetometer
         mag.samples = int(self._mag_samples[index])
-        mag._rng = _clone_generator(self._mag_seed, self._mag_gen)
+        mag._rng = self._mag_gens[index]
 
         self.live[index] = False
         self.attached[index] = False
@@ -1504,13 +1452,6 @@ class EnsembleFlightSimulator:
         if facade is not None:
             facade._scalar = sim
         return sim
-
-
-def _clone_generator(seed: int, source: np.random.Generator) -> np.random.Generator:
-    """Fresh Generator carrying the exact bit-generator state of ``source``."""
-    gen = np.random.default_rng(seed)
-    gen.bit_generator.state = source.bit_generator.state
-    return gen
 
 
 # ---------------------------------------------------------------------------

@@ -69,27 +69,6 @@ class DroneModel:
             self.twr * self.mass_kg * 1000.0 / 4.0
         )
 
-    @classmethod
-    def from_design(cls, evaluation, compute_power_w: Optional[float] = None):
-        """Build a simulator model from a :class:`DesignEvaluation`."""
-        return cls(
-            mass_kg=evaluation.total_weight_g / 1000.0,
-            wheelbase_mm=evaluation.propeller_inch * 45.0,
-            battery_cells=int(
-                round(evaluation.battery_voltage_v / constants.LIPO_CELL_NOMINAL_V)
-            ),
-            battery_capacity_mah=evaluation.usable_energy_wh
-            / constants.LIPO_DRAIN_LIMIT
-            / evaluation.battery_voltage_v
-            * 1000.0,
-            compute_power_w=(
-                evaluation.compute_power_w
-                if compute_power_w is None
-                else compute_power_w
-            ),
-            sensors_power_w=evaluation.sensors_power_w,
-        )
-
 
 @dataclass
 class SimSample:
@@ -106,7 +85,12 @@ class SimSample:
 
 
 class FlightSimulator:
-    """Steppable closed-loop drone simulation."""
+    """Steppable closed-loop drone simulation.
+
+    ``sensor_seed`` picks the noise streams of the vehicle's sensors through
+    :func:`repro.sensors.suite.sensor_seeds`; ``None`` flies the built-in
+    streams.
+    """
 
     def __init__(
         self,
@@ -116,6 +100,7 @@ class FlightSimulator:
         wind: Optional[Wind] = None,
         environment: Optional[Environment] = None,
         record_rate_hz: float = 50.0,
+        sensor_seed: Optional[int] = None,
     ):
         if physics_rate_hz < 100.0:
             raise ValueError(
@@ -137,7 +122,8 @@ class FlightSimulator:
             inertia_kg_m2=self.body.inertia_kg_m2,
             max_thrust_per_motor_n=model.max_thrust_per_motor_n,
         )
-        self.sensors = SensorSuite()
+        self.sensor_seed = sensor_seed
+        self.sensors = SensorSuite.seeded(sensor_seed)
         self.ekf = InsEkf()
         self.battery = LipoBattery(
             cells=model.battery_cells,
@@ -232,7 +218,7 @@ class FlightSimulator:
                     self.ekf.predict(
                         readings.accel_body_m_s2,
                         readings.gyro_rad_s,
-                        self.sensors.imu.period_s,
+                        readings.imu_dt_s,
                     )
                 if readings.gps_position_m is not None:
                     self.ekf.update_gps(readings.gps_position_m)

@@ -7,9 +7,11 @@ monitor (catalog semantics, latching, attribution), black-box recorder
 scale lives in ``test_chaos_replay.py``.
 """
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.autopilot.arducopter import Autopilot, FlightMode
@@ -80,6 +82,15 @@ def set_roll(monitor: SafetyMonitor, roll_rad: float) -> None:
     ]
 
 
+#: Campaign 77's first eight link seeds and a digest of their schedules, as
+#: generated before trials drew their own sensor seeds.
+SEED77_LINK_SEEDS = [
+    2079617830, 342673309, 1123152767, 334368952,
+    213903275, 16809450, 287190215, 1132950998,
+]
+SEED77_SCHEDULES_SHA = "3953fdd4467c8639"
+
+
 # -- campaign generator ---------------------------------------------------------
 
 
@@ -128,6 +139,44 @@ class TestCampaignGenerator:
             assert spec.heartbeats == bool(kinds & set(LINK_KINDS))
             assert spec.offload == (FaultKind.OFFLOAD_STALL in kinds)
 
+    def test_sensor_seed_drawn_last_keeps_schedules_and_link_seeds(self):
+        config = CampaignConfig(campaign_seed=77, trials=8)
+        specs = generate_campaign(config)
+        assert [spec.link_seed for spec in specs] == SEED77_LINK_SEEDS
+        schedules = json.dumps([spec.schedule.to_jsonable() for spec in specs])
+        digest = hashlib.sha256(schedules.encode()).hexdigest()[:16]
+        assert digest == SEED77_SCHEDULES_SHA
+        for spec in specs:
+            rng = trial_rng(77, spec.trial_index)
+            assert sample_schedule(config, rng).events == spec.schedule.events
+            assert int(rng.integers(0, 2**31 - 1)) == spec.link_seed
+            assert int(rng.integers(0, 2**31 - 1)) == spec.sensor_seed
+        assert len({spec.sensor_seed for spec in specs}) == len(specs)
+
+    def test_trials_read_their_own_sensor_noise(self):
+        config = CampaignConfig(campaign_seed=77, trials=8)
+        first, second = generate_campaign(config)[:2]
+        accels = []
+        for spec in (first, second):
+            sim = FlightSimulator(
+                DroneModel(mass_kg=1.071, wheelbase_mm=450.0, battery_cells=3,
+                           battery_capacity_mah=3000.0),
+                physics_rate_hz=200.0,
+                sensor_seed=spec.sensor_seed,
+            )
+            readings = sim.sensors.poll(sim.body.state, 0.005)
+            assert readings.imu_fired
+            accels.append(readings.accel_body_m_s2)
+        assert first.sensor_seed != second.sensor_seed
+        assert not np.array_equal(accels[0], accels[1])
+
+    def test_spec_dict_requires_sensor_seed(self):
+        data = generate_trial(CONFIG, 2).to_dict()
+        assert isinstance(data["sensor_seed"], int)
+        del data["sensor_seed"]
+        with pytest.raises(KeyError):
+            TrialSpec.from_dict(data)
+
     def test_trial_index_outside_campaign_rejected(self):
         with pytest.raises(ValueError):
             generate_trial(CONFIG, -1)
@@ -155,7 +204,9 @@ class TestCampaignGenerator:
             campaign_seed=1, trial_index=0, link_seed=9, schedule=schedule,
             use_ekf=False, heartbeats=True, offload=False,
         )
-        restored = TrialSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        data = json.loads(json.dumps(spec.to_dict()))
+        assert data["sensor_seed"] is None
+        restored = TrialSpec.from_dict(data)
         assert restored.schedule.events[0].end_s == math.inf
         assert restored == spec
 
@@ -388,6 +439,7 @@ class TestFlightRecorder:
             campaign_seed=7,
             trial_index=3,
             link_seed=42,
+            sensor_seed=1234,
             verdict=VERDICT_VIOLATION,
             schedule=schedule,
             violation=Violation(
@@ -401,17 +453,35 @@ class TestFlightRecorder:
         )
         restored = BlackBoxTrace.from_json(trace.to_json(indent=2))
         assert restored.fingerprint() == trace.fingerprint()
+        assert restored.sensor_seed == 1234
         assert restored.schedule.events[0].end_s == math.inf
         assert isinstance(restored.ticks[0], TickRecord)
 
     def test_unknown_trace_format_rejected(self):
-        data = BlackBoxTrace(
-            campaign_seed=1, trial_index=0, link_seed=0,
-            verdict=VERDICT_CRASH, schedule=FaultSchedule(),
-        ).to_dict()
+        data = _trace_dict()
         data["format"] = 99
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="format 99: expected 2"):
             BlackBoxTrace.from_dict(data)
+
+    @pytest.mark.parametrize("found", [1, None])
+    def test_old_or_missing_trace_format_rejected(self, found):
+        """Format 1 carried no sensor seed, and a trace with no ``format``
+        key is not taken for current: both name found and expected."""
+        data = _trace_dict()
+        del data["sensor_seed"]
+        if found is None:
+            del data["format"]
+        else:
+            data["format"] = found
+        with pytest.raises(ValueError, match=rf"format {found}: expected 2"):
+            BlackBoxTrace.from_dict(data)
+
+
+def _trace_dict() -> dict:
+    return BlackBoxTrace(
+        campaign_seed=1, trial_index=0, link_seed=0, sensor_seed=None,
+        verdict=VERDICT_CRASH, schedule=FaultSchedule(),
+    ).to_dict()
 
 
 # -- triage ---------------------------------------------------------------------

@@ -4,13 +4,11 @@ The determinism contract of the chaos engine is that a trial outcome is a
 pure function of ``(campaign_seed, trial_index)`` plus the campaign config.
 This module flies a full 200-trial fixed-seed campaign once (module-scoped
 fixture) and then asserts the contract end to end: every failing trial,
-re-flown from its recorded ``(seed, schedule)`` tuple — or from its
-serialized black-box trace alone — reproduces the identical safety verdict,
-violated invariant, and outcome metrics bit-for-bit.
+re-flown from its recorded seeds and schedule — or from its serialized
+black-box trace alone — reproduces the identical safety verdict, violated
+invariant, and outcome metrics bit-for-bit.
 
-The campaign runs at 200 Hz physics: EKF-in-the-loop flight is unstable at
-the 100 Hz floor (the vehicle dives on waypoint steps with no faults at
-all), which would mis-attribute controller artifacts to injected faults.
+The campaign runs at 200 Hz physics, the ``CampaignConfig`` default.
 """
 
 import pytest
@@ -72,13 +70,14 @@ def test_traces_exist_exactly_for_failures(campaign_results):
             assert result.trace is not None
             assert result.trace.trial_index == result.spec.trial_index
             assert result.trace.verdict == result.verdict
+            assert result.trace.sensor_seed == result.spec.sensor_seed
         else:
             assert result.trace is None
 
 
 def test_every_failing_trial_replays_bit_for_bit(campaign_results):
     """The acceptance criterion: re-running each failing trial from its
-    recorded ``(seed, schedule)`` reproduces verdict, violated invariant,
+    recorded seeds and schedule reproduces verdict, violated invariant,
     and every outcome metric bit-for-bit (including the black-box trace)."""
     failed = [result for result in campaign_results if result.failed]
     assert failed, "campaign produced no failures to verify"

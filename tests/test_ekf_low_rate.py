@@ -1,13 +1,12 @@
 """EKF-in-the-loop flight below 200 Hz physics.
 
-``Imu.sample`` differentiates velocity over the nominal ``imu.period_s``
-(5 ms at 200 Hz), and ``FlightSimulator.step`` passes that same period to
-``InsEkf.predict``.  The suite fires the IMU on the physics grid, though:
-at 100 Hz it fires every 10 ms, so a noise-free IMU under a true 1.0 m/s^2
-acceleration reads 2.0 (1.333 at 150 Hz; 0.8 and 1.2 alternately at
-500 Hz), and the filter integrates the doubled reading over half the
-elapsed time.  The ``xfail`` cases pin the defect until the fix lands
-(ROADMAP, "Fix EKF-in-the-loop flight at 100 Hz").
+The suite fires the IMU on the physics grid: at 100 Hz every 10 ms, at
+500 Hz after 2 or 3 ticks.  ``SensorSuite.poll`` sums the tick dts since
+the IMU's last fire; ``Imu.sample`` differentiates velocity over that sum
+and ``FlightSimulator.step`` hands it to ``InsEkf.predict``.  Over the
+nominal 5 ms period instead, a noise-free IMU under a true 1.0 m/s^2
+acceleration read 2.0 at 100 Hz, and the filter integrated the doubled
+reading over half the elapsed time, so the estimate diverged.
 """
 
 import numpy as np
@@ -47,24 +46,34 @@ def test_imu_reads_true_acceleration_on_its_own_grid():
     assert readings == pytest.approx([TRUE_ACCEL_M_S2] * len(readings), abs=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Imu.sample differentiates over the nominal 5 ms period, not the "
-    "10 ms that elapsed between fires: it reads 2.0 m/s^2",
-)
 def test_imu_reads_true_acceleration_at_100_hz():
     readings = imu_readings(100.0)
     assert readings == pytest.approx([TRUE_ACCEL_M_S2] * len(readings), abs=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the IMU reading and the EKF prediction both use the nominal IMU "
-    "period instead of the elapsed time; the estimate diverges",
-)
+def test_imu_reads_true_acceleration_at_500_hz():
+    """The IMU fires 2 or 3 ticks apart at 500 Hz."""
+    readings = imu_readings(500.0, polls=30)
+    assert readings == pytest.approx([TRUE_ACCEL_M_S2] * len(readings), abs=1e-9)
+
+
+def test_ekf_builds_prediction_matrices_once_per_interval():
+    """At 500 Hz the summed IMU intervals take three values (the first fire
+    after one tick, then 2 or 3 ticks), so the filter keeps three entries
+    over 801 predictions instead of rebuilding on every fire."""
+    sim = FlightSimulator(
+        DroneModel(mass_kg=1.071, wheelbase_mm=450.0, battery_cells=3,
+                   battery_capacity_mah=3000.0),
+        physics_rate_hz=500.0, use_ekf=True,
+    )
+    sim.run_for(4.0)
+    assert sim.ekf.predictions == 801
+    assert [key[0] for key in sim.ekf._predict_matrices] == [0.002, 0.004, 0.006]
+
+
 def test_ekf_waypoint_flight_at_100_hz():
-    """ROADMAP step 1: 100 Hz, 30 s, waypoint steps, bounded position
-    error, no NaN resets."""
+    """100 Hz, 30 s, waypoint steps, bounded position error, no NaN
+    resets."""
     sim = FlightSimulator(
         DroneModel(mass_kg=1.071, wheelbase_mm=450.0, battery_cells=3,
                    battery_capacity_mah=3000.0),

@@ -367,10 +367,13 @@ class TestSigkillResume:
             " journal=sys.argv[1])\n"
             "pool.map(_slow_times_ten, ITEMS)\n"
         )
+        # Its own session, so the kill takes the driver's pool workers
+        # with it instead of leaving them orphaned.
         proc = subprocess.Popen(
             [sys.executable, "-c", driver, str(journal_path)],
             cwd=repo_root,
             env=env,
+            start_new_session=True,
         )
         try:
             # Wait until at least one chunk is durably journaled, then kill.
@@ -380,10 +383,20 @@ class TestSigkillResume:
                 if entries or proc.poll() is not None:
                     break
                 time.sleep(0.05)
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGKILL)
         finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the driver finished and was reaped
+                pass
             proc.wait(timeout=30)
+        deadline = time.time() + 10.0
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.time() < deadline, "driver's process group outlived it"
+            time.sleep(0.05)
         _, entries = CheckpointJournal(journal_path).load()
         assert entries, "driver was killed before journaling any chunk"
 

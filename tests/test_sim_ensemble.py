@@ -114,6 +114,8 @@ def _assert_lane_matches(lane, sim) -> None:
 
 #: One flag per lane: EKF and truth-state lanes stepping in one group.
 MIXED_EKF = [False, True, False]
+#: One sensor seed per lane: distinct noise streams, and the built-in ones.
+SENSOR_SEEDS = [11, None, 2**31 - 2]
 
 
 class TestLockstepEquivalence:
@@ -121,7 +123,8 @@ class TestLockstepEquivalence:
         "use_ekf", [False, True, pytest.param(MIXED_EKF, id="mixed")]
     )
     def test_three_lanes_match_scalar_runs(self, use_ekf):
-        """Distinct targets + per-lane gusty wind, stepped in uneven chunks."""
+        """Distinct targets, per-lane gusty wind and per-lane sensor seeds,
+        stepped in uneven chunks."""
         model = _model()
         ens = EnsembleFlightSimulator(
             model,
@@ -129,6 +132,7 @@ class TestLockstepEquivalence:
             physics_rate_hz=RATE_HZ,
             use_ekf=use_ekf,
             winds=[_wind(10 + i) for i in range(3)],
+            sensor_seeds=SENSOR_SEEDS,
         )
         flags = use_ekf if isinstance(use_ekf, list) else [use_ekf] * 3
         scalars = [
@@ -137,6 +141,7 @@ class TestLockstepEquivalence:
                 physics_rate_hz=RATE_HZ,
                 use_ekf=flags[i],
                 wind=_wind(10 + i),
+                sensor_seed=SENSOR_SEEDS[i],
             )
             for i in range(3)
         ]
@@ -182,23 +187,35 @@ class TestFaultFacades:
     def test_sensor_and_actuator_faults_desync_and_restore(self):
         """Fault-facade writes mid-run stay bitwise equal to scalar writes.
 
-        GPS denial and a barometer freeze force the affected lanes off the
-        shared block RNG onto materialized per-lane generators; restoring
-        the sensors must keep the streams aligned with the scalar runs.
+        GPS denial and a barometer freeze make the affected EKF lanes skip
+        draws the other lanes make; each lane's own generators must stay
+        aligned with its scalar run through the fault and the restore.
         """
         model = _model()
-        ens = EnsembleFlightSimulator(model, n_lanes=2, physics_rate_hz=RATE_HZ)
+        ens = EnsembleFlightSimulator(
+            model,
+            n_lanes=3,
+            physics_rate_hz=RATE_HZ,
+            use_ekf=[True, True, False],
+            sensor_seeds=SENSOR_SEEDS,
+        )
         scalars = [
-            FlightSimulator(model, physics_rate_hz=RATE_HZ) for _ in range(2)
+            FlightSimulator(
+                model,
+                physics_rate_hz=RATE_HZ,
+                use_ekf=flag,
+                sensor_seed=seed,
+            )
+            for flag, seed in zip([True, True, False], SENSOR_SEEDS)
         ]
-        for index in range(2):
+        for index in range(3):
             ens.set_lane_target(index, TARGETS[index])
             scalars[index].goto(TARGETS[index])
         ens.run_for(1.0)
         for sim in scalars:
             sim.run_for(1.0)
 
-        lanes = [ens.lane(0), ens.lane(1)]
+        lanes = [ens.lane(index) for index in range(3)]
         for target in (lanes[0], scalars[0]):
             target.sensors.gps.available = False
             target.sensors.imu.accel_bias_m_s2 = (0.3, -0.1, 0.05)
@@ -262,14 +279,21 @@ class TestMidFlightDefection:
             _assert_lane_matches(ens.lane(index), sim)
 
     def test_ekf_lane_defects_from_mixed_group_bitwise(self):
-        """An EKF lane leaves a mixed group as a scalar EKF simulator."""
+        """An EKF lane leaves a mixed group as a scalar EKF simulator that
+        draws on, from the lane's own sensor generators."""
         model = _model()
         ens = EnsembleFlightSimulator(
-            model, n_lanes=3, physics_rate_hz=RATE_HZ, use_ekf=MIXED_EKF
+            model,
+            n_lanes=3,
+            physics_rate_hz=RATE_HZ,
+            use_ekf=MIXED_EKF,
+            sensor_seeds=SENSOR_SEEDS[::-1],
         )
         scalars = [
-            FlightSimulator(model, physics_rate_hz=RATE_HZ, use_ekf=flag)
-            for flag in MIXED_EKF
+            FlightSimulator(
+                model, physics_rate_hz=RATE_HZ, use_ekf=flag, sensor_seed=seed
+            )
+            for flag, seed in zip(MIXED_EKF, SENSOR_SEEDS[::-1])
         ]
         for index, target in enumerate(TARGETS):
             ens.set_lane_target(index, target)
@@ -281,6 +305,7 @@ class TestMidFlightDefection:
         deserter = ens.lane(1)
         materialized = deserter.defect()
         assert materialized.use_ekf is True
+        assert materialized.sensor_seed == SENSOR_SEEDS[::-1][1]
         for chunk_s in (1.0, 0.5):
             ens.run_for(chunk_s)
             deserter.run_for(chunk_s)
