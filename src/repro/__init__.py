@@ -46,18 +46,16 @@ def clear_all_caches() -> None:
 
     One hook for test isolation and long-lived processes: the per-wheelbase
     propeller constants, the generated component catalog, the catalog
-    regression fits, the synthetic SLAM sequences, and the ensemble
-    simulator's keyed scratch pool.  Imports are deferred so calling this
-    never pulls in subpackages the process has not already paid for.
+    regression fits, and the synthetic SLAM sequences.  Imports are
+    deferred so calling this never pulls in subpackages the process has not
+    already paid for.
     """
     from repro.components.catalog import clear_catalog_cache
     from repro.core.batch import _WHEELBASE_CONSTANTS_CACHE
     from repro.core.tradeoffs import clear_fit_cache
-    from repro.sim.ensemble import clear_ensemble_scratch
     from repro.slam.dataset import clear_sequence_cache
 
     _WHEELBASE_CONSTANTS_CACHE.clear()
     clear_catalog_cache()
     clear_fit_cache()
     clear_sequence_cache()
-    clear_ensemble_scratch()

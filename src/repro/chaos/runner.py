@@ -356,7 +356,8 @@ def verify_replay(result: TrialResult, config: CampaignConfig) -> bool:
     return True
 
 
-#: Default number of trials stepped together per ensemble group.
+#: Default number of trials stepped together per ensemble group.  A wider
+#: group steps faster but is a coarser retry, quarantine and resume unit.
 DEFAULT_ENSEMBLE_WIDTH = 16
 
 
@@ -428,7 +429,8 @@ def run_campaign(
     checks).  Without a ``runner_config.policy`` it fails fast: a trial's
     exception aborts it, and a worker death surfaces as a structured
     :class:`repro.exec.errors.WorkerCrashError`; for a campaign that must
-    *survive* such faults, use :func:`run_campaign_supervised`.
+    *survive* such faults, use :func:`run_campaign_supervised`.  A wider
+    group steps faster per trial but fails, retries and resumes as a whole.
     """
     results, _ = _fly_campaign(config, runner_config, ensemble_width)
     return results
@@ -468,7 +470,9 @@ def run_campaign_supervised(
     journal with results bit-for-bit identical to an uninterrupted run
     (groups are regenerated from ``(campaign_seed, trial_index)``, so the
     journal fingerprint check guarantees the resumed groups belong to this
-    exact campaign).
+    exact campaign).  So a wider group is a coarser unit: one poisoned
+    trial quarantines, and one kill re-flies, up to ``ensemble_width``
+    trials.
 
     ``engine`` accepts only ``"ensemble"``, the one campaign engine.
     """

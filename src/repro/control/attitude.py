@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.markers import hot_path
-from repro.control.pid import PidController, clip
+from repro.control.pid import PidController, clip, pid_rows
 
 
 @dataclass
@@ -93,3 +94,23 @@ class AttitudeController:
     def flops_per_update(self) -> int:
         """Angle P (9) + three rate PIDs (36) + inertia matvec (15)."""
         return 9 + sum(p.flops_per_update for p in self._rate_pids) + 15
+
+
+def attitude_rows(
+    controller: AttitudeController, target: np.ndarray, attitude: np.ndarray,
+    body_rates: np.ndarray, integral: np.ndarray,
+    last_rates: Optional[np.ndarray], dt: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The batched twin of :meth:`AttitudeController.update` over N
+    vehicles' (N, 3) rows, bit for bit per row: the torque rows and the
+    rate PIDs' new integral rows.  ``last_rates`` is None before the first
+    update."""
+    angle_error = target - attitude
+    angle_error[:, 2] = (angle_error[:, 2] + np.pi) % (2.0 * np.pi) - np.pi
+    limit = controller.max_rate_rad_s
+    rate_setpoint = np.clip(controller.angle_kp * angle_error, -limit, limit)
+    normalized, new_integral = pid_rows(
+        controller._rate_pids[0], rate_setpoint, body_rates, integral, last_rates, dt
+    )
+    torque = np.matmul(controller.inertia_kg_m2, normalized[:, :, None])[:, :, 0]
+    return torque, new_integral

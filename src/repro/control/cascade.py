@@ -22,20 +22,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.analysis.markers import hot_path
-from repro.control.attitude import AttitudeController
-from repro.control.mixer import MotorMixer
+from repro.control.attitude import AttitudeController, attitude_rows
+from repro.control.mixer import MotorMixer, mix_rows
 from repro.control.position import (
     PositionController,
     acceleration_to_attitude_thrust,
+    acceleration_to_attitude_thrust_rows,
+    position_rows,
+    velocity_rows,
 )
 from repro.control.thrust import ThrustController
 from repro.physics import constants
-from repro.physics.rigid_body import QuadcopterState
+from repro.physics.rigid_body import QuadcopterState, euler_from_quaternion_rows
 
 
 class TargetMode(enum.Enum):
@@ -220,3 +223,102 @@ class HierarchicalController:
             "attitude": self.attitude_controller.updates,
             "thrust": self.thrust_controller.updates,
         }
+
+
+class CascadeRows:
+    """The controller registers of N vehicles flying position targets, and
+    the batched twin of :meth:`HierarchicalController.tick` in
+    ``TargetMode.POSITION``.  Gains, limits, rates and the mixer come from
+    ``controller``, the cascade every row runs, on one schedule.
+    ``commit(dst, src, mask)`` writes a register's masked rows in place.
+    """
+
+    def __init__(self, controller: HierarchicalController, n: int,
+                 commit: Callable[[np.ndarray, np.ndarray, np.ndarray], None]):
+        self.controller = controller
+        self._commit = commit
+        self.target_pos = np.zeros((n, 3))
+        self.target_yaw = np.zeros(n)
+        self.att_target = np.zeros((n, 3))
+        self.collective = np.full(n, controller.mass_kg * constants.GRAVITY_M_S2)
+        self.torque_cmd = np.zeros((n, 3))
+        self.time_s = 0.0
+        self.next_position_update = 0.0
+        self.next_attitude_update = 0.0
+        #: Updates per level; every PID of a level updates with it.
+        self.position_updates = 0
+        self.attitude_updates = 0
+        self.thrust_updates = 0
+        self.vel_integ = np.zeros((n, 3))
+        self.vel_last = np.zeros((n, 3))
+        self.rate_integ = np.zeros((n, 3))
+        self.rate_last = np.zeros((n, 3))
+        self.lag = np.zeros((n, 4))
+        self.motor_health = np.ones((n, 4))
+        self.mixes = np.zeros(n, dtype=np.int64)
+        self.saturations = np.zeros(n, dtype=np.int64)
+        # Per-tick scratch (the heading's z column stays zero).
+        self._heading = np.zeros((n, 3))
+        self._attitude = np.empty((n, 3))
+        self._euler = np.empty((n, 3))
+        self._wrench = np.empty((n, 4))
+
+    def tick(self, est_pos: np.ndarray, est_vel: np.ndarray, est_quat: np.ndarray,
+             est_omega: np.ndarray, dt: float, live: np.ndarray,
+             lanes: List[int]) -> np.ndarray:
+        """Advance the ``live`` rows (``lanes`` lists them) one thrust-loop
+        period on their estimated state; the lagged motor thrust rows."""
+        controller = self.controller
+        commit = self._commit
+        self.time_s += dt
+
+        if self.time_s + 1e-12 >= self.next_position_update:
+            position_dt = 1.0 / controller.rates.position_hz
+            self.next_position_update = max(
+                self.next_position_update + position_dt, self.time_s
+            )
+            position = controller.position_controller
+            setpoint = position_rows(position, self.target_pos, est_pos)
+            accel, integral = velocity_rows(
+                position.velocity, setpoint, est_vel, self.vel_integ,
+                self.vel_last if self.position_updates else None, position_dt,
+            )
+            commit(self.vel_integ, integral, live)
+            commit(self.vel_last, est_vel, live)
+            self.position_updates += 1
+            attitude, collective = acceleration_to_attitude_thrust_rows(
+                accel, self.target_yaw, controller.mass_kg, lanes, live,
+                self._heading, self._attitude,
+            )
+            commit(self.att_target, attitude, live)
+            commit(self.collective, collective, live)
+
+        if self.time_s + 1e-12 >= self.next_attitude_update:
+            attitude_dt = 1.0 / controller.rates.attitude_hz
+            self.next_attitude_update = max(
+                self.next_attitude_update + attitude_dt, self.time_s
+            )
+            torque, integral = attitude_rows(
+                controller.attitude_controller, self.att_target,
+                euler_from_quaternion_rows(est_quat, lanes, self._euler),
+                est_omega, self.rate_integ,
+                self.rate_last if self.attitude_updates else None, attitude_dt,
+            )
+            commit(self.rate_integ, integral, live)
+            commit(self.rate_last, est_omega, live)
+            commit(self.torque_cmd, torque, live)
+            self.attitude_updates += 1
+
+        # ThrustController.update: mixer allocation + first-order motor lag.
+        thrust = controller.thrust_controller
+        commanded, saturated = mix_rows(
+            thrust.mixer, self.collective, self.torque_cmd, self.motor_health,
+            self._wrench,
+        )
+        self.mixes[live] += 1
+        self.saturations[live & saturated] += 1
+        alpha = dt / (thrust.motor_time_constant_s + dt)
+        lagged = self.lag + alpha * (commanded - self.lag)
+        commit(self.lag, lagged, live)
+        self.thrust_updates += 1
+        return lagged

@@ -9,7 +9,7 @@ update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -161,3 +161,39 @@ class MotorMixer:
         if not 0.0 <= factor <= 1.0:
             raise ValueError(f"health factor must be in [0, 1], got {factor}")
         self.motor_health[motor_index] = factor
+
+
+def mix_rows(
+    mixer: MotorMixer, collective: np.ndarray, torque: np.ndarray,
+    motor_health: np.ndarray, wrench: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The batched twin of :meth:`MotorMixer.mix` over N vehicles, with
+    ``mixer``'s geometry and ceiling and each row's own ``motor_health``:
+    the clipped thrust rows and which rows saturated.  ``wrench`` is (N,4)
+    scratch."""
+    inverse = mixer._inverse
+    wrench[:, 0] = collective
+    wrench[:, 1:4] = torque
+    ceilings = mixer.max_thrust_per_motor_n * motor_health
+    thrusts = np.matmul(inverse, wrench[:, :, None])[:, :, 0]
+    need = np.any(thrusts < 0.0, axis=1) | np.any(thrusts > ceilings, axis=1)
+    if need.any():
+        # Attitude-priority desaturation, as the scalar mixer does it.
+        wrench_no_yaw = wrench.copy()
+        wrench_no_yaw[:, 3] *= 0.25
+        wrench_no_yaw[:, 0] = 0.0
+        torque_part = np.matmul(inverse, wrench_no_yaw[:, :, None])[:, :, 0]
+        collective_part = inverse[:, 0] * collective[:, None]
+        scale = np.ones(collective.shape[0])
+        for rotor in range(4):
+            candidate = (
+                ceilings[:, rotor] - torque_part[:, rotor]
+            ) / collective_part[:, rotor]
+            usable = collective_part[:, rotor] > 1e-12
+            take = usable & (candidate < scale)
+            scale = np.where(take, candidate, scale)
+        scale = np.clip(scale, mixer.MIN_COLLECTIVE_SCALE, 1.0)
+        desat = torque_part + scale[:, None] * collective_part
+        thrusts = np.where(need[:, None], desat, thrusts)
+    saturated = np.any(thrusts > ceilings + 1e-9, axis=1)
+    return np.clip(thrusts, 0.0, ceilings), saturated

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.analysis.markers import hot_path
 
 
@@ -86,3 +88,28 @@ class PidController:
         """Arithmetic operations per update — used by the inner-loop compute
         budget analysis (Section 2.1.3-D)."""
         return 12
+
+
+def clamp_rows(values: np.ndarray, limit: float) -> np.ndarray:
+    """``max(-limit, min(limit, x))`` elementwise, NaN order included."""
+    step = np.where(values < limit, values, limit)
+    return np.where(step > -limit, step, -limit)
+
+
+def pid_rows(
+    pid: PidController, setpoint: np.ndarray, measurement: np.ndarray,
+    integral: np.ndarray, last_measurement: Optional[np.ndarray], dt: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The batched twin of :meth:`PidController.update` over rows of
+    independent PIDs with ``pid``'s gains and integral limit (and no output
+    limits): the (output, new integral) rows.  ``last_measurement`` is None
+    before the first update."""
+    error = setpoint - measurement
+    assert pid.integral_limit is not None and pid.output_limits is None
+    new_integral = clamp_rows(integral + error * dt, pid.integral_limit)
+    if last_measurement is None:
+        derivative = np.zeros(measurement.shape)
+    else:
+        derivative = -(measurement - last_measurement) / dt
+    output = (pid.kp * error + pid.ki * new_integral) + pid.kd * derivative
+    return output, new_integral

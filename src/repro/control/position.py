@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.markers import hot_path
-from repro.control.pid import PidController
+from repro.control.pid import PidController, clamp_rows, pid_rows
 from repro.physics import constants
+from repro.physics.rigid_body import GRAVITY_ROW, cross_rows, rows_norm
+
+#: Default tilt cone of the lift vector; the batched twin always uses it.
+MAX_TILT_RAD = math.radians(35.0)
 
 
 @dataclass
@@ -131,7 +135,7 @@ def acceleration_to_attitude_thrust(
     acceleration_m_s2: np.ndarray,
     yaw_target_rad: float,
     mass_kg: float,
-    max_tilt_rad: float = math.radians(35.0),
+    max_tilt_rad: float = MAX_TILT_RAD,
 ) -> Tuple[np.ndarray, float]:
     """Convert a desired world acceleration into (attitude target, thrust).
 
@@ -187,3 +191,90 @@ def acceleration_to_attitude_thrust(
     pitch = -math.asin(max(-1.0, min(1.0, x_body_z)))
     roll = math.atan2(y_z, z_z)
     return np.array([roll, pitch, yaw_target_rad]), thrust
+
+
+# -- row kernels: the batched twins of the controllers above over N
+# vehicles' (N, 3) rows, bit for bit per row.
+
+
+def limit_norm_rows(vectors: np.ndarray, limit: float) -> np.ndarray:
+    """Rows longer than ``limit`` scaled down onto it (``v *= limit / norm``)."""
+    norm = rows_norm(vectors)
+    over = norm > limit
+    if over.any():
+        scaled = vectors * (limit / norm)[:, None]
+        vectors = np.where(over[:, None], scaled, vectors)
+    return vectors
+
+
+def velocity_rows(
+    controller: VelocityController, target: np.ndarray, velocity: np.ndarray,
+    integral: np.ndarray, last_velocity: Optional[np.ndarray], dt: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Mirrors :meth:`VelocityController.update`: the acceleration rows and
+    the three axis PIDs' new integral rows."""
+    accel, new_integral = pid_rows(
+        controller._pids[0], target, velocity, integral, last_velocity, dt
+    )
+    return limit_norm_rows(accel, controller.max_acceleration_m_s2), new_integral
+
+
+def position_rows(
+    controller: PositionController, target: np.ndarray, position: np.ndarray
+) -> np.ndarray:
+    """Mirrors :meth:`PositionController.update`'s P loop: the velocity
+    setpoint rows it hands the velocity controller."""
+    setpoint = controller.kp * (target - position)
+    return limit_norm_rows(setpoint, controller.max_velocity_m_s)
+
+
+def acceleration_to_attitude_thrust_rows(
+    accel: np.ndarray, yaw: np.ndarray, mass_kg: float, lanes: List[int],
+    live: np.ndarray, heading: np.ndarray, out: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Mirrors :func:`acceleration_to_attitude_thrust` at its default
+    :data:`MAX_TILT_RAD` over the ``lanes`` rows of ``live``: the attitude
+    rows (into ``out``) and the collective thrusts.  ``heading`` is (N,3) scratch whose last column stays zero.
+    ``math.acos``/``asin``/``atan2`` run per row."""
+    force_world = mass_kg * (accel + GRAVITY_ROW)
+    thrust = rows_norm(force_world)
+    tiny = thrust < 1e-9
+    z_body = force_world / thrust[:, None]
+    cos_tilt = clamp_rows(z_body[:, 2], 1.0).tolist()
+    tiny_rows = tiny.tolist()
+    upright = [i for i in lanes if not tiny_rows[i]]
+    over = [i for i in upright if math.acos(cos_tilt[i]) > MAX_TILT_RAD]
+    if over:
+        horizontal = z_body[:, 0:2]
+        horizontal_norm = rows_norm(horizontal)
+        fix = np.zeros(accel.shape[0], dtype=bool)
+        fix[over] = True
+        fix &= horizontal_norm > 1e-9
+        if fix.any():
+            scale = math.sin(MAX_TILT_RAD) / horizontal_norm
+            projected = np.empty_like(z_body)
+            projected[:, 0] = horizontal[:, 0] * scale
+            projected[:, 1] = horizontal[:, 1] * scale
+            projected[:, 2] = math.cos(MAX_TILT_RAD)
+            z_body = np.where(fix[:, None], projected, z_body)
+    heading[:, 0] = np.cos(yaw)
+    heading[:, 1] = np.sin(yaw)
+    y_body = cross_rows(z_body, heading)
+    y_norm = rows_norm(y_body)
+    if bool(np.any((y_norm < 1e-9) & live & ~tiny)):
+        raise ValueError("degenerate attitude: thrust axis parallel to heading")
+    y_body = y_body / y_norm[:, None]
+    x_body = cross_rows(y_body, z_body)
+    x_body_z = x_body[:, 2].tolist()
+    y_body_z = y_body[:, 2].tolist()
+    z_body_z = z_body[:, 2].tolist()
+    # Rows outside ``upright`` keep 0.0, as the scalar routine returns a
+    # level attitude for a vanishing thrust.
+    roll, pitch = [0.0] * accel.shape[0], [0.0] * accel.shape[0]
+    for i in upright:
+        pitch[i] = -math.asin(max(-1.0, min(1.0, x_body_z[i])))
+        roll[i] = math.atan2(y_body_z[i], z_body_z[i])
+    out[:, 0] = roll
+    out[:, 1] = pitch
+    out[:, 2] = yaw
+    return out, np.where(tiny, 0.0, thrust)

@@ -9,6 +9,9 @@ voltage sag under load, state of charge, and the 85% drain safety limit
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
+
+import numpy as np
 
 from repro.analysis.markers import hot_path
 from repro.physics import constants
@@ -162,3 +165,51 @@ class LipoBattery:
         """Recharge the pack to full (and clear injected faults)."""
         self.used_mah = 0.0
         self.fault_resistance_ohm = 0.0
+
+
+# -- row kernels: the batched twins of LipoBattery's arithmetic over the
+# ``used_mah`` rows of N packs of one ``battery`` type, bit for bit per row.
+
+
+def soc_rows(battery: LipoBattery, used_mah: np.ndarray) -> np.ndarray:
+    """Mirrors :attr:`LipoBattery.state_of_charge` row-wise."""
+    soc = 1.0 - used_mah / battery.capacity_mah
+    return np.where(soc > 0.0, soc, 0.0)
+
+
+def ocv_rows(battery: LipoBattery, used_mah: np.ndarray) -> np.ndarray:
+    """Mirrors :meth:`LipoBattery.open_circuit_voltage_v` row-wise."""
+    soc = soc_rows(battery, used_mah)
+    full = 4.05 + (soc - 0.9) / 0.1 * (constants.LIPO_CELL_FULL_V - 4.05)
+    mid = 3.70 + (soc - 0.15) / 0.75 * (4.05 - 3.70)
+    low = constants.LIPO_CELL_EMPTY_V + soc / 0.15 * (
+        3.70 - constants.LIPO_CELL_EMPTY_V
+    )
+    cell_v = np.where(soc > 0.9, full, np.where(soc > 0.15, mid, low))
+    return cell_v * battery.cells
+
+
+def terminal_voltage_rows(
+    battery: LipoBattery, ocv: np.ndarray, load_current_a, fault_resistance_ohm
+) -> np.ndarray:
+    """Mirrors :meth:`LipoBattery.terminal_voltage_v` from ``ocv_rows``."""
+    resistance = (
+        battery.internal_resistance_ohm_per_cell * battery.cells
+        + fault_resistance_ohm
+    )
+    sagged = ocv - load_current_a * resistance
+    return np.where(sagged > 0.0, sagged, 0.0)
+
+
+def draw_rows(
+    battery: LipoBattery, used_mah: np.ndarray, current_a: np.ndarray, dt: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Mirrors ``draw(min(current, max_continuous_current_a), dt)``: the new
+    ``used_mah`` rows and the rows whose draw would pass the drain limit
+    (the scalar raises :class:`BatteryDepletedError` there)."""
+    ceiling = battery.max_continuous_current_a
+    draw = np.where(current_a < ceiling, current_a, ceiling)
+    drawn_mah = draw * dt / 3.6
+    remaining = battery.usable_mah - used_mah
+    remaining = np.where(remaining > 0.0, remaining, 0.0)
+    return used_mah + drawn_mah, drawn_mah > remaining + 1e-9

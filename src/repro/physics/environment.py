@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +72,76 @@ class Wind:
     def reset(self) -> None:
         self._state = [0.0, 0.0, 0.0]
         self._rng = np.random.default_rng(self.seed)
+
+
+class WindRows:
+    """The batched twin of :meth:`Wind.step` over N vehicles, each row on
+    its own generator seeded as its ``Wind``.
+
+    The winds must share mean, gust and correlation parameters (only the
+    seeds may differ).  ``commit(dst, src, mask)`` writes the masked rows
+    of the gust state in place.
+    """
+
+    def __init__(self, winds: Sequence[Wind], dt: float,
+                 commit: Callable[[np.ndarray, np.ndarray, np.ndarray], None]):
+        first = winds[0]
+        for wind in winds:
+            if (
+                tuple(wind.mean_m_s) != tuple(first.mean_m_s)
+                or wind.gust_speed_m_s != first.gust_speed_m_s
+                or wind.correlation_time_s != first.correlation_time_s
+            ):
+                raise ValueError(
+                    "ensemble winds must share mean/gust/correlation "
+                    "(only seeds may differ)"
+                )
+        self.winds = list(winds)
+        self.states = np.zeros((len(self.winds), 3))
+        self.gens = [np.random.default_rng(wind.seed) for wind in self.winds]
+        self.gusty = first.gust_speed_m_s > 0
+        self._commit = commit
+        self._mean = np.asarray(first.mean_m_s, dtype=float)
+        self._alpha = math.exp(-dt / first.correlation_time_s)
+        self._noise_scale = first.gust_speed_m_s * math.sqrt(
+            1.0 - self._alpha * self._alpha
+        )
+        self._block: Optional[np.ndarray] = None
+        self._block_pos = 0
+
+    def draw_block(self, live: np.ndarray, ticks: int) -> None:
+        """Pregenerate ``ticks`` steps of every live row's noise.
+
+        A ``standard_normal(3k)`` block equals k sequential
+        ``standard_normal(3)`` draws, in values and generator state.
+        """
+        block = np.zeros((len(self.gens), ticks, 3))
+        for i in np.flatnonzero(live):
+            block[i] = self.gens[i].standard_normal(3 * ticks).reshape(ticks, 3)
+        self._block = block
+        self._block_pos = 0
+
+    def _normals(self, live: np.ndarray) -> np.ndarray:
+        """Next noise draw per row, from the pregenerated block while one
+        lasts, else drawn row by row."""
+        block = self._block
+        if block is not None and self._block_pos < block.shape[1]:
+            normals = block[:, self._block_pos, :]
+            self._block_pos += 1
+            return normals
+        normals = np.zeros((len(self.gens), 3))
+        for i in np.flatnonzero(live):
+            normals[i] = self.gens[i].standard_normal(3)
+        return normals
+
+    def airspeed(self, velocity: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Advance the live rows' gusts one tick; air-relative velocities."""
+        if self.gusty:
+            gust = self._alpha * self.states + self._noise_scale * self._normals(
+                live
+            )
+            self._commit(self.states, gust, live)
+        return velocity - (self._mean + self.states)
 
 
 @dataclass(frozen=True)

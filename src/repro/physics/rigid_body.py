@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -310,3 +310,201 @@ class QuadcopterBody:
         self.state = state.copy() if state is not None else QuadcopterState()
         if self.wind is not None:
             self.wind.reset()
+
+
+# -- row kernels --------------------------------------------------------------
+#
+# The batched twins of the functions above, over (N, k) rows of N vehicles,
+# bit for bit per row (DESIGN.md §Performance).  ``np.linalg.norm`` is NOT
+# bit-identical to an explicit sqrt-of-dot on this BLAS, but the matmul
+# dot-trick below is: it reuses the fused reduction the scalar norm performs.
+
+#: [0, 0, g]: gravity compensation, and the specific force of gravity the
+#: IMU reads, broadcast over rows.
+GRAVITY_ROW = np.array([0.0, 0.0, constants.GRAVITY_M_S2])
+
+
+def rows_norm(v: np.ndarray) -> np.ndarray:
+    """Per-row Euclidean norm, bit-identical to ``np.linalg.norm(row)``."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def quaternion_to_rotation_rows(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(N,4) quaternions -> (N,3,3) rotations into ``out``; mirrors
+    quaternion_to_rotation."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    out[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    out[:, 0, 1] = 2 * (x * y - w * z)
+    out[:, 0, 2] = 2 * (x * z + w * y)
+    out[:, 1, 0] = 2 * (x * y + w * z)
+    out[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    out[:, 1, 2] = 2 * (y * z - w * x)
+    out[:, 2, 0] = 2 * (x * z - w * y)
+    out[:, 2, 1] = 2 * (y * z + w * x)
+    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return out
+
+
+#: Column orders of ``np.cross``'s three components: ``cp0 = a1*b2 - a2*b1``,
+#: ``cp1 = a2*b0 - a0*b2``, ``cp2 = a0*b1 - a1*b0``.
+_CROSS_LEFT = np.array([1, 2, 0])
+_CROSS_RIGHT = np.array([2, 0, 1])
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.cross(a, b)`` in its own operation order, bit for bit,
+    without its ``moveaxis`` bookkeeping."""
+    return a[:, _CROSS_LEFT] * b[:, _CROSS_RIGHT] - a[:, _CROSS_RIGHT] * b[
+        :, _CROSS_LEFT
+    ]
+
+
+def quaternion_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton product; mirrors quaternion_multiply exactly.
+
+    The full product is kept even when callers pass ``b[:, 0] == 0`` (the
+    omega quaternion): the scalar path computes the ``aw*bw`` terms too, and
+    signed zeros must match.
+    """
+    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    out = np.empty_like(a)
+    out[:, 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[:, 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[:, 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[:, 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
+
+
+def quaternion_from_euler_rows(euler: np.ndarray) -> np.ndarray:
+    """(N,3) ZYX Euler -> (N,4) quaternions; mirrors quaternion_from_euler.
+
+    ``np.cos``/``np.sin`` agree bitwise with ``math.cos``/``math.sin`` on
+    this platform, so the half-angle chain vectorizes directly.
+    """
+    cr, sr = np.cos(euler[:, 0] / 2), np.sin(euler[:, 0] / 2)
+    cp, sp = np.cos(euler[:, 1] / 2), np.sin(euler[:, 1] / 2)
+    cy, sy = np.cos(euler[:, 2] / 2), np.sin(euler[:, 2] / 2)
+    out = np.empty((euler.shape[0], 4))
+    out[:, 0] = cr * cp * cy + sr * sp * sy
+    out[:, 1] = sr * cp * cy - cr * sp * sy
+    out[:, 2] = cr * sp * cy + sr * cp * sy
+    out[:, 3] = cr * cp * sy - sr * sp * cy
+    return out
+
+
+def euler_from_quaternion_rows(
+    q: np.ndarray, indices: List[int], out: np.ndarray
+) -> np.ndarray:
+    """(N,4) quaternions -> (N,3) ZYX Euler into ``out``; mirrors
+    euler_from_quaternion.
+
+    Neither ``math.asin``/``np.arcsin`` nor ``math.atan2``/``np.arctan2``
+    are bit-identical pairs on this platform, so all three angles run as a
+    per-row Python loop over ``indices``, on floats read through
+    ``.tolist()``; other rows are set to zero.  Only the operand arithmetic
+    is vectorized.
+    """
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    roll_y = (2 * (w * x + y * z)).tolist()
+    roll_x = (1 - 2 * (x * x + y * y)).tolist()
+    sin_pitch = (2 * (w * y - z * x)).tolist()
+    yaw_y = (2 * (w * z + x * y)).tolist()
+    yaw_x = (1 - 2 * (y * y + z * z)).tolist()
+    n = q.shape[0]
+    roll, pitch, yaw = [0.0] * n, [0.0] * n, [0.0] * n
+    for i in indices:
+        roll[i] = math.atan2(roll_y[i], roll_x[i])
+        pitch[i] = math.asin(max(-1.0, min(1.0, sin_pitch[i])))
+        yaw[i] = math.atan2(yaw_y[i], yaw_x[i])
+    out[:, 0] = roll
+    out[:, 1] = pitch
+    out[:, 2] = yaw
+    return out
+
+
+class BodyRows:
+    """The rigid-body registers of N vehicles and the batched twin of
+    :meth:`QuadcopterBody.step`, reading mass, inertia and drag from the
+    one ``body`` every row flies.  ``commit(dst, src, mask)`` writes a
+    register's masked rows in place."""
+
+    def __init__(self, body: QuadcopterBody, n: int,
+                 commit: Callable[[np.ndarray, np.ndarray, np.ndarray], None]):
+        self.body = body
+        self._commit = commit
+        self.pos = np.zeros((n, 3))
+        self.vel = np.zeros((n, 3))
+        self.quat = np.zeros((n, 4))
+        self.quat[:, 0] = 1.0
+        self.omega = np.zeros((n, 3))
+        # Per-tick scratch: every step overwrites the same entries (the zero
+        # columns of the thrust and omega-quaternion blocks stay zero), and
+        # no reference to it outlives the step.
+        self._rotation = np.empty((n, 3, 3))
+        self._torque = np.empty((n, 3))
+        self._thrust_col = np.zeros((n, 3, 1))
+        self._omega_quat = np.zeros((n, 4))
+        # The body's float constants as the rows the kernel broadcasts.
+        self._arm_x = np.array(body._arm_x)
+        self._arm_y = np.array(body._arm_y)
+        self._principal_inertia = np.array(body._inertia_diag)
+        self._gravity = np.array([0.0, 0.0, body._gravity_z])
+
+    def rotation(self) -> np.ndarray:
+        """World-from-body rotations of the current quaternions (scratch)."""
+        return quaternion_to_rotation_rows(self.quat, self._rotation)
+
+    def step(
+        self, thrusts: np.ndarray, rotation: np.ndarray, airspeed: np.ndarray,
+        dt: float, live: np.ndarray,
+    ) -> None:
+        """Advance the ``live`` rows by ``dt`` under ``thrusts``."""
+        body = self.body
+        total_thrust = np.sum(thrusts, axis=1)
+        torque = self._torque
+        torque[:, 0] = np.sum(self._arm_y * thrusts, axis=1)
+        torque[:, 1] = -np.sum(self._arm_x * thrusts, axis=1)
+        torque[:, 2] = np.sum(ROTOR_SPIN * thrusts, axis=1) * TORQUE_THRUST_RATIO_M
+
+        thrust_col = self._thrust_col
+        thrust_col[:, 2, 0] = total_thrust
+        thrust_world = np.matmul(rotation, thrust_col)[:, :, 0]
+
+        speed = rows_norm(airspeed)
+        magnitude = (
+            0.5 * body.environment.air_density * body.drag_coefficient_area
+            * speed * speed
+        )
+        drag = (-magnitude[:, None] * airspeed) / speed[:, None]
+        drag = np.where((speed == 0.0)[:, None], 0.0, drag)
+
+        acceleration = (thrust_world + self._gravity + drag) / body.mass_kg
+        new_vel = self.vel + acceleration * dt
+        new_pos = self.pos + new_vel * dt
+        below = new_pos[:, 2] < 0.0
+        if below.any():
+            new_pos[:, 2] = np.where(below, 0.0, new_pos[:, 2])
+            new_vel[:, 2] = np.where(
+                below & (new_vel[:, 2] < 0.0), 0.0, new_vel[:, 2]
+            )
+
+        omega = self.omega
+        assert body.inertia_kg_m2 is not None  # materialized in __post_init__
+        inertia_omega = np.matmul(body.inertia_kg_m2, omega[:, :, None])[:, :, 0]
+        rhs = torque - cross_rows(omega, inertia_omega)
+        # np.linalg.solve on the diagonal inertia, bit for bit up to the sign
+        # of a zero, which never reaches omega: rates start at +0.0.
+        omega_dot = rhs / self._principal_inertia
+        new_omega = omega + omega_dot * dt
+
+        omega_quat = self._omega_quat
+        omega_quat[:, 1:4] = new_omega
+        q_dot = 0.5 * quaternion_multiply_rows(self.quat, omega_quat)
+        new_quat = self.quat + q_dot * dt
+        new_quat = new_quat / rows_norm(new_quat)[:, None]
+        commit = self._commit
+        commit(self.vel, new_vel, live)
+        commit(self.pos, new_pos, live)
+        commit(self.omega, new_omega, live)
+        commit(self.quat, new_quat, live)

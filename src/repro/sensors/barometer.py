@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -70,3 +70,20 @@ class Barometer:
         self.samples = 0
         self.frozen = False
         self._last_altitude_m = 0.0
+
+
+def sample_barometer_rows(
+    baro: Barometer, altitude_m: np.ndarray, frozen: np.ndarray,
+    gens: Sequence[np.random.Generator], lanes: List[int],
+    last_altitude_m: np.ndarray,
+) -> np.ndarray:
+    """The batched twin of :meth:`Barometer.sample` over the ``lanes`` rows,
+    in place in ``last_altitude_m``: a frozen row skips its draw and keeps
+    its stale altitude, as the scalar sensor does."""
+    is_frozen = frozen.tolist()
+    altitudes = altitude_m.tolist()
+    for i in lanes:
+        if not is_frozen[i]:
+            noise = float(gens[i].normal(0.0, baro.noise_m))
+            last_altitude_m[i] = (altitudes[i] + baro.bias_m) + noise
+    return last_altitude_m

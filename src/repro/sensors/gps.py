@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -63,3 +63,24 @@ class Gps:
 
 class GpsUnavailableError(RuntimeError):
     """Raised when a GPS fix is requested in a denied environment."""
+
+
+def sample_gps_rows(
+    gps: Gps, position_m: np.ndarray, gens: Sequence[np.random.Generator],
+    fixed: List[int],
+) -> np.ndarray:
+    """The batched twin of :meth:`Gps.sample` for the ``fixed`` rows (the
+    others stay zero): a denied row is left out of ``fixed`` and skips its
+    draws, as the scalar receiver raises before drawing."""
+    positions = np.zeros(position_m.shape)
+    rows = position_m.tolist()
+    hnoise, vnoise = gps.horizontal_noise_m, gps.vertical_noise_m
+    for i in fixed:
+        gen = gens[i]
+        x, y, z = rows[i]
+        positions[i] = (
+            x + gen.normal(0.0, hnoise),
+            y + gen.normal(0.0, hnoise),
+            z + gen.normal(0.0, vnoise),
+        )
+    return positions

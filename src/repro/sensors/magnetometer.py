@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.markers import hot_path
-from repro.physics.rigid_body import QuadcopterState
+from repro.physics.rigid_body import QuadcopterState, euler_from_quaternion_rows
 
 MAG_RATE_HZ = 10.0
 
@@ -56,3 +56,16 @@ class Magnetometer:
     def reset(self) -> None:
         self._rng = np.random.default_rng(self.seed)
         self.samples = 0
+
+
+def sample_magnetometer_rows(
+    mag: Magnetometer, quaternion: np.ndarray,
+    gens: Sequence[np.random.Generator], lanes: List[int], noise: np.ndarray,
+) -> np.ndarray:
+    """The batched twin of :meth:`Magnetometer.sample` over the ``lanes``
+    rows of (N,4) ``quaternion``, drawing into the ``noise`` scratch."""
+    euler = euler_from_quaternion_rows(quaternion, lanes, np.empty((len(gens), 3)))
+    for i in lanes:
+        noise[i] = gens[i].normal(0.0, mag.noise_rad)
+    measured = (euler[:, 2] + mag.hard_iron_bias_rad) + noise
+    return (measured + math.pi) % (2.0 * math.pi) - math.pi

@@ -28,7 +28,6 @@ from repro.sim.power_trace import (
 from repro.sim.ensemble import (
     EnsembleFlightSimulator,
     LaneSim,
-    clear_ensemble_scratch,
     hover_gust_monte_carlo,
 )
 from repro.sim.simulator import DroneModel, FlightSimulator, SimSample
@@ -61,7 +60,6 @@ __all__ = [
     "FlightSimulator",
     "LaneSim",
     "SimSample",
-    "clear_ensemble_scratch",
     "hover_gust_monte_carlo",
     "TelemetryLog",
     "TelemetryRecord",

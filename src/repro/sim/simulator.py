@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -250,7 +250,7 @@ class FlightSimulator:
         self.body.step(thrusts, dt)
 
         power = self.electrical_power_w(thrusts)
-        current = power / max(1.0, battery.terminal_voltage_v(0.0))
+        current = bus_current_a(power, battery.terminal_voltage_v(0.0))
         self._last_current_a = current
         try:
             battery.draw(min(current, battery.max_continuous_current_a), dt)
@@ -301,19 +301,66 @@ class FlightSimulator:
 
     def average_power_w(self, since_s: float = 0.0) -> float:
         """Mean recorded electrical power after ``since_s``."""
-        powers = [s.electrical_power_w for s in self.samples if s.time_s >= since_s]
-        if not powers:
-            raise ValueError("no samples recorded in the requested window")
-        return float(np.mean(powers))
+        return mean_power_w(self.samples, since_s)
 
     def hover_position_error_m(self, target_m: np.ndarray, since_s: float) -> float:
         """RMS position error against ``target_m`` after ``since_s``."""
-        target = np.asarray(target_m, dtype=float)
-        errors = [
-            float(np.linalg.norm(s.position_m - target))
-            for s in self.samples
-            if s.time_s >= since_s
-        ]
-        if not errors:
-            raise ValueError("no samples recorded in the requested window")
-        return float(np.sqrt(np.mean(np.square(errors))))
+        return rms_position_error_m(self.samples, target_m, since_s)
+
+
+def mean_power_w(samples: Sequence[SimSample], since_s: float = 0.0) -> float:
+    """Mean electrical power of the ``samples`` recorded at or after ``since_s``."""
+    powers = [s.electrical_power_w for s in samples if s.time_s >= since_s]
+    if not powers:
+        raise ValueError("no samples recorded in the requested window")
+    return float(np.mean(powers))
+
+
+def rms_position_error_m(
+    samples: Sequence[SimSample], target_m, since_s: float
+) -> float:
+    """RMS distance to ``target_m`` of the ``samples`` at or after ``since_s``."""
+    target = np.asarray(target_m, dtype=float)
+    errors = [
+        float(np.linalg.norm(s.position_m - target))
+        for s in samples
+        if s.time_s >= since_s
+    ]
+    if not errors:
+        raise ValueError("no samples recorded in the requested window")
+    return float(np.sqrt(np.mean(np.square(errors))))
+
+
+@hot_path
+def bus_current_a(power_w: float, no_load_v: float) -> float:
+    """The pack current that delivers ``power_w`` at the no-load terminal
+    voltage ``no_load_v``, floored at 1 V so a flat pack cannot divide by 0."""
+    return power_w / max(1.0, no_load_v)
+
+
+# -- row kernels: the batched twins of FlightSimulator.step's voltage-sag
+# ceiling, electrical power and bus current, bit for bit per row.
+
+
+def thrust_ceiling_rows(
+    sim: FlightSimulator, thrusts: np.ndarray, terminal_v: np.ndarray
+) -> np.ndarray:
+    """``thrusts`` capped per row by the sagged pack voltage ``terminal_v``."""
+    voltage_ratio = terminal_v / sim._full_voltage_v
+    capped = np.where(voltage_ratio < 1.0, voltage_ratio, 1.0)
+    ceiling = sim._max_thrust_n * np.float_power(capped, 2)
+    return np.minimum(thrusts, ceiling[:, None])
+
+
+def electrical_power_rows(sim: FlightSimulator, thrusts: np.ndarray) -> np.ndarray:
+    """Mirrors :meth:`FlightSimulator.electrical_power_w` row-wise."""
+    clipped = np.maximum(thrusts, 0.0)
+    ideal_w = clipped * np.sqrt(clipped) / sim._induced_power_denom
+    propulsion = np.sum(ideal_w / (sim._hover_eff * 1.0), axis=1)
+    return (propulsion + sim.model.compute_power_w) + sim.model.sensors_power_w
+
+
+def bus_current_rows(power_w: np.ndarray, no_load_v: np.ndarray) -> np.ndarray:
+    """Mirrors :func:`bus_current_a` row-wise (a NaN voltage floors to 1 V,
+    as ``max(1.0, nan)`` does)."""
+    return power_w / np.where(no_load_v > 1.0, no_load_v, 1.0)

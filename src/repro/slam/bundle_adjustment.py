@@ -150,38 +150,32 @@ def _refine_landmarks(
     """
     from repro.slam import kernels
 
-    kf_cos = [math.cos(k.yaw_rad) for k in keyframes]
-    kf_sin = [math.sin(k.yaw_rad) for k in keyframes]
-    landmarks = []
-    pixels = []
-    positions = []
-    cos_yaw = []
-    sin_yaw = []
-    rows = []
-    for point_row, point in enumerate(point_list):
-        for kf_index, keyframe in enumerate(keyframes):
-            pixel = keyframe.observations.get(point.point_id)
-            if pixel is None:
-                continue
-            landmarks.append(point.position_m)
-            pixels.append(pixel)
-            positions.append(keyframe.position_m)
-            cos_yaw.append(kf_cos[kf_index])
-            sin_yaw.append(kf_sin[kf_index])
-            rows.append(point_row)
-    pair_count = len(landmarks)
-    if pair_count == 0:
+    # Gather each keyframe's observed points, then stable-sort the pairs by
+    # point: keyframe-minor within each point, as the oracle stacks them.
+    row_of = {point.point_id: row for row, point in enumerate(point_list)}
+    pairs = []
+    for kf_index, keyframe in enumerate(keyframes):
+        for point_id, pixel in keyframe.observations.items():
+            row = row_of.get(point_id)
+            if row is not None:
+                pairs.append((row, kf_index, pixel))
+    if not pairs:
         return 0
+    pairs.sort(key=lambda pair: pair[0])
+    rows = np.array([row for row, _, _ in pairs], dtype=np.int64)
+    frames = np.array([kf_index for _, kf_index, _ in pairs], dtype=np.int64)
+    kf_cos = np.array([math.cos(k.yaw_rad) for k in keyframes])
+    kf_sin = np.array([math.sin(k.yaw_rad) for k in keyframes])
     idx, residuals, jacobians = kernels.landmark_blocks(
-        np.asarray(landmarks, dtype=float).reshape(pair_count, 3),
-        np.asarray(positions, dtype=float).reshape(pair_count, 3),
-        np.asarray(cos_yaw, dtype=float),
-        np.asarray(sin_yaw, dtype=float),
-        np.asarray(pixels, dtype=float).reshape(pair_count, 2),
+        np.array([point_list[row].position_m for row, _, _ in pairs], dtype=float),
+        np.array([keyframes[kf].position_m for _, kf, _ in pairs], dtype=float),
+        kf_cos[frames],
+        kf_sin[frames],
+        np.array([pixel for _, _, pixel in pairs], dtype=float),
         camera,
     )
     point_count = len(point_list)
-    rows_valid = np.asarray(rows, dtype=np.int64)[idx]
+    rows_valid = rows[idx]
     block_jtj = np.einsum("mia,mib->mab", jacobians, jacobians)
     block_jtr = np.einsum("mia,mi->ma", jacobians, residuals)
     normals = np.zeros((point_count, 3, 3))

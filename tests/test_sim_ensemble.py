@@ -12,7 +12,6 @@ here is exact equality, never ``allclose``.
 import numpy as np
 import pytest
 
-import repro
 from repro.chaos import (
     CampaignConfig,
     generate_campaign,
@@ -29,7 +28,6 @@ from repro.control.estimation import InsEkf
 from repro.faults.scenarios import DEFAULT_MODEL
 from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.physics.environment import Wind
-from repro.sim import ensemble as ensemble_module
 from repro.sim.ensemble import EnsembleFlightSimulator, hover_gust_monte_carlo
 from repro.sim.simulator import DroneModel, FlightSimulator
 from tests.equivalence import BLAS, LIBM, golden
@@ -76,13 +74,13 @@ def _lane_ekf(lane):
     of its ensemble rows with the same attribute names."""
     if not lane.attached:
         return lane.defect().ekf
-    ens, index = lane._ens, lane._index
+    rows, index = lane._ens._ekf, lane._index
     snapshot = InsEkf()
-    snapshot.state = ens._ekf_state[index]
-    snapshot.covariance = ens._ekf_cov[index]
-    snapshot.flops = int(ens._ekf_flops[index])
-    snapshot.predictions = int(ens._ekf_predictions[index])
-    snapshot.corrections = int(ens._ekf_corrections[index])
+    snapshot.state = rows.state[index]
+    snapshot.covariance = rows.cov[index]
+    snapshot.flops = int(rows.flops[index])
+    snapshot.predictions = int(rows.predictions[index])
+    snapshot.corrections = int(rows.corrections[index])
     return snapshot
 
 
@@ -495,16 +493,3 @@ class TestEnsembleApi:
         assert [r.metrics() for r in results] == [
             run_trial(spec, config).metrics() for spec in specs
         ]
-
-    def test_clear_all_caches_drops_ensemble_scratch(self):
-        ens = EnsembleFlightSimulator(
-            _model(), n_lanes=2, physics_rate_hz=RATE_HZ, use_ekf=True
-        )
-        ens.set_lane_target(0, TARGETS[0])
-        ens.run_for(0.2)
-        assert ensemble_module._SCRATCH
-        repro.clear_all_caches()
-        assert not ensemble_module._SCRATCH
-        # The pool repopulates transparently on the next run.
-        ens.run_for(0.2)
-        assert ensemble_module._SCRATCH
