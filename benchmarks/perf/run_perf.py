@@ -99,7 +99,7 @@ CORUN_QUANTUM_SLAM = 16_000
 #: The ensemble campaign benchmark: a fault-free 64-trial chaos campaign at
 #: the simulator's top physics rate, serial scalar loop vs one vectorized
 #: ensemble group.  Fault-free isolates the physics-stepping speedup — no
-#: trial defects mid-flight, so the ensemble carries all 64 lanes end to end.
+#: trial crashes, so no lane is frozen and all 64 step to the end.
 ENSEMBLE_TRIALS = 64
 ENSEMBLE_DURATION_S = 30.0
 ENSEMBLE_PHYSICS_RATE_HZ = 500.0

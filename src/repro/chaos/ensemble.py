@@ -51,19 +51,17 @@ def run_trials_ensemble(
         use_ekf=[spec.use_ekf for spec in specs],
         sensor_seeds=[spec.sensor_seed for spec in specs],
     )
-    lanes = [ensemble.lane(index) for index in range(len(specs))]
-    harnesses = [LaneHarness(spec, config, lane) for spec, lane in zip(specs, lanes)]
+    harnesses = [
+        LaneHarness(spec, config, ensemble.lane(index))
+        for index, spec in enumerate(specs)
+    ]
 
     def burst(duration_s: float) -> None:
-        """Freeze newly crashed lanes, step the attached lanes together,
-        then each defected lane on its own backend."""
+        """Freeze newly crashed lanes, then step the live lanes together."""
         for index, harness in enumerate(harnesses):
             if not harness.alive and ensemble.live[index]:
                 ensemble.freeze_lane(index)
         if ensemble.live.any():
             ensemble.run_for(duration_s)
-        for harness, lane in zip(harnesses, lanes):
-            if harness.alive and not lane.attached:
-                lane.run_for(duration_s)
 
     return fly(harnesses, burst, config)

@@ -10,26 +10,21 @@ Each layer's batched kernel sits beside its scalar twin and reads that
 twin's constants, matrices and schedule from the ensemble's template
 :class:`FlightSimulator` (DESIGN.md lists where each lives).  This module
 keeps the lane masks and the masked commit, the lockstep order of one
-tick, lane bookkeeping, defection and the ``Lane*`` facades.
+tick, lane bookkeeping and the ``Lane*`` facades.
 
 The contract is **bit-for-bit** per lane against the scalar oracle
 (DESIGN.md §Performance), noise streams included: lane *i* owns the sensor
 and wind generators its scalar simulator would own and draws exactly what
-scalar trial *i* draws, when it draws.
-
-Defection
----------
-A lane that hits an unvectorizable path (an injected SLAM position fix, a
-velocity target, or an explicit :meth:`LaneSim.defect`) detaches into a
-freshly materialized scalar :class:`FlightSimulator` and continues
-bit-for-bit: every row, schedule deadline, PID register, counter, and RNG
-state transfers exactly.  The lane facade the autopilot holds switches
-backends, so fault-injector closures that captured facade components (or
-the mixer's ``motor_health`` row view) keep working across the switch.
+scalar trial *i* draws, when it draws.  Every lane flies inside the
+ensemble from start to end; :meth:`EnsembleFlightSimulator.materialize_lane`
+copies one lane's rows into a scalar :class:`FlightSimulator` without
+detaching it, which is how the tests prove the rows hold the lane's whole
+scalar state.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -61,8 +56,7 @@ class EnsembleFlightSimulator:
     flies EKF and truth-state trials together: the EKF runs under the mask
     of its lanes, and the controller reads each lane's own estimate or its
     own truth.  Per-lane divergence — injected faults, failsafe ladders,
-    deaths — is handled by masking; a lane that needs a scalar-only feature
-    defects via its :class:`LaneSim` facade.
+    deaths — is handled by masking.
 
     ``winds`` (optional) gives every lane its own seeded
     :class:`~repro.physics.environment.Wind`; all winds must share mean /
@@ -140,10 +134,8 @@ class EnsembleFlightSimulator:
         self._last_current = np.zeros(n)
 
         # -- lane bookkeeping --------------------------------------------------
-        #: attached & not frozen: lanes the collective step advances.
+        #: Lanes not frozen: the lanes the collective step advances.
         self.live = np.ones(n, dtype=bool)
-        #: still backed by the ensemble arrays (False once defected).
-        self.attached = np.ones(n, dtype=bool)
         self._uniform = True
         #: Sentinel all-true mask: commits called with *this exact array*
         #: take the unmasked fast path.  Partial masks (EKF ok-sets, GPS
@@ -159,8 +151,8 @@ class EnsembleFlightSimulator:
         """Write ``src`` into ``dst`` on masked rows, in place.
 
         In-place (``np.copyto``) so the row views held by lane facades and
-        fault-injector closures stay valid; dead and defected lanes' rows
-        are never touched.
+        fault-injector closures stay valid; frozen lanes' rows are never
+        touched.
         """
         if mask is self._full:
             np.copyto(dst, src)
@@ -176,6 +168,7 @@ class EnsembleFlightSimulator:
 
     def freeze_lane(self, index: int) -> None:
         """Stop advancing a lane (its trial ended); state stays readable."""
+        self._check_lane(index)
         self.live[index] = False
         self._refresh_uniform()
 
@@ -185,10 +178,10 @@ class EnsembleFlightSimulator:
         """Advance every live lane one physics tick, in lockstep.
 
         Mirrors FlightSimulator.step op for op: sense -> estimate -> control
-        -> actuate -> meter.  Masked lanes (dead/defected) produce garbage in
-        intermediate arrays that the masked commits discard; errstate
-        suppresses the resulting spurious warnings (the scalar path never
-        evaluates those lanes at all).
+        -> actuate -> meter.  Frozen lanes produce garbage in intermediate
+        arrays that the masked commits discard; errstate suppresses the
+        resulting spurious warnings (the scalar path never evaluates those
+        lanes at all).
         """
         live = self._full if self._uniform else self.live
         if not self._uniform and not bool(live.any()):
@@ -310,9 +303,7 @@ class EnsembleFlightSimulator:
     def lane(self, index: int) -> "LaneSim":
         """Persistent scalar-simulator facade over one lane.
 
-        The same object is returned for repeated calls, so closures that
-        capture it (fault-injector restores, autopilot references) stay
-        valid across a mid-flight defection to the scalar backend.
+        The same object is returned for repeated calls.
         """
         self._check_lane(index)
         facade = self._lanes[index]
@@ -327,28 +318,27 @@ class EnsembleFlightSimulator:
                 f"lane index {index} out of range [0, {self.n_lanes})"
             )
 
-    # -- defection ----------------------------------------------------------------
+    # -- scalar copy --------------------------------------------------------------
 
     def materialize_lane(self, index: int) -> FlightSimulator:
-        """Detach one lane into a scalar :class:`FlightSimulator`, bit-for-bit.
+        """Copy one live lane into a scalar :class:`FlightSimulator`, bit-for-bit.
 
         Every array row, schedule deadline, PID register, counter, and RNG
-        state transfers exactly, so the scalar simulator continues the
-        trajectory the ensemble would have produced.  The lane's ensemble
-        slots go dead (masked out of every subsequent kernel); its
-        ``motor_health`` row and samples list are *shared* with the scalar
-        backend so facade references keep working.
+        state is copied, so the scalar simulator continues the trajectory
+        the lane flies on in the ensemble.  The lane stays in the ensemble;
+        the copy owns its generators, samples list and ``motor_health`` row,
+        so neither side's flight moves the other.
         """
         self._check_lane(index)
-        if not self.attached[index]:
-            raise RuntimeError(f"lane {index} already defected")
         if not self.live[index]:
-            raise RuntimeError(f"lane {index} is dead")
+            raise RuntimeError(f"lane {index} is frozen")
 
         wind: Optional[Wind] = None
         if self._wind is not None:
             # The lane's wind parameters, gust state and generator.
-            wind = replace(self._wind.winds[index], _rng=self._wind.gens[index])
+            wind = replace(
+                self._wind.winds[index], _rng=deepcopy(self._wind.gens[index])
+            )
             wind._state = self._wind.states[index].tolist()
 
         rows = self._sensors
@@ -365,9 +355,7 @@ class EnsembleFlightSimulator:
         sim._last_current_a = float(self._last_current[index])
         sim.depleted = bool(self.depleted[index])
         sim.ekf_resets = int(self._ekf.resets[index])
-        # Shared list: the scalar backend appends to the same telemetry the
-        # ensemble recorded, so lane(i).samples is seamless across the switch.
-        sim.samples = self._sample_rows[index]
+        sim.samples = list(self._sample_rows[index])
 
         body = self._body
         state = sim.body.state
@@ -421,10 +409,7 @@ class EnsembleFlightSimulator:
         mixer = thrust.mixer
         mixer.mixes = int(cascade.mixes[index])
         mixer.saturations = int(cascade.saturations[index])
-        # Row VIEW, not a copy: injector restore closures write through the
-        # facade's motor_health array in place, and the facade always hands
-        # out this row.
-        mixer.motor_health = cascade.motor_health[index]
+        mixer.motor_health = cascade.motor_health[index].copy()
 
         schedule = rows.suite
         suite = sim.sensors
@@ -439,26 +424,19 @@ class EnsembleFlightSimulator:
         imu._last_velocity = (
             rows.imu_last_vel[index].tolist() if rows.imu_has_last else None
         )
-        imu._rng = rows.imu_gens[index]
+        imu._rng = deepcopy(rows.imu_gens[index])
         baro = suite.barometer
         baro.samples = int(rows.baro_samples[index])
         baro.frozen = bool(rows.baro_frozen[index])
         baro._last_altitude_m = float(rows.baro_last_alt[index])
-        baro._rng = rows.baro_gens[index]
+        baro._rng = deepcopy(rows.baro_gens[index])
         gps = suite.gps
         gps.samples = int(rows.gps_samples[index])
         gps.available = bool(rows.gps_available[index])
-        gps._rng = rows.gps_gens[index]
+        gps._rng = deepcopy(rows.gps_gens[index])
         mag = suite.magnetometer
         mag.samples = int(rows.mag_samples[index])
-        mag._rng = rows.mag_gens[index]
-
-        self.live[index] = False
-        self.attached[index] = False
-        self._refresh_uniform()
-        facade = self._lanes[index]
-        if facade is not None:
-            facade._scalar = sim
+        mag._rng = deepcopy(rows.mag_gens[index])
         return sim
 
 
@@ -476,17 +454,12 @@ class LaneGps:
     @property
     def available(self) -> bool:
         lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.sensors.gps.available
         return bool(lane._ens._sensors.gps_available[lane._index])
 
     @available.setter
     def available(self, value: bool) -> None:
         lane = self._lane
-        if lane._scalar is not None:
-            lane._scalar.sensors.gps.available = value
-        else:
-            lane._ens._sensors.gps_available[lane._index] = bool(value)
+        lane._ens._sensors.gps_available[lane._index] = bool(value)
 
 
 class LaneImu:
@@ -504,34 +477,24 @@ class LaneImu:
     @property
     def accel_bias_m_s2(self) -> Tuple[float, float, float]:
         lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.sensors.imu.accel_bias_m_s2
         return lane._ens._sensors.accel_bias_obj[lane._index]
 
     @accel_bias_m_s2.setter
     def accel_bias_m_s2(self, value) -> None:
         lane = self._lane
-        if lane._scalar is not None:
-            lane._scalar.sensors.imu.accel_bias_m_s2 = value
-        else:
-            lane._ens._sensors.accel_bias_obj[lane._index] = value
-            lane._ens._sensors.accel_bias[lane._index] = np.asarray(value)
+        lane._ens._sensors.accel_bias_obj[lane._index] = value
+        lane._ens._sensors.accel_bias[lane._index] = np.asarray(value)
 
     @property
     def gyro_bias_rad_s(self) -> Tuple[float, float, float]:
         lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.sensors.imu.gyro_bias_rad_s
         return lane._ens._sensors.gyro_bias_obj[lane._index]
 
     @gyro_bias_rad_s.setter
     def gyro_bias_rad_s(self, value) -> None:
         lane = self._lane
-        if lane._scalar is not None:
-            lane._scalar.sensors.imu.gyro_bias_rad_s = value
-        else:
-            lane._ens._sensors.gyro_bias_obj[lane._index] = value
-            lane._ens._sensors.gyro_bias[lane._index] = np.asarray(value)
+        lane._ens._sensors.gyro_bias_obj[lane._index] = value
+        lane._ens._sensors.gyro_bias[lane._index] = np.asarray(value)
 
 
 class LaneBarometer:
@@ -543,17 +506,12 @@ class LaneBarometer:
     @property
     def frozen(self) -> bool:
         lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.sensors.barometer.frozen
         return bool(lane._ens._sensors.baro_frozen[lane._index])
 
     @frozen.setter
     def frozen(self, value: bool) -> None:
         lane = self._lane
-        if lane._scalar is not None:
-            lane._scalar.sensors.barometer.frozen = value
-        else:
-            lane._ens._sensors.baro_frozen[lane._index] = bool(value)
+        lane._ens._sensors.baro_frozen[lane._index] = bool(value)
 
 
 class LaneSensors:
@@ -567,8 +525,6 @@ class LaneSensors:
 
     def gps_fix_age_s(self) -> float:
         lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.sensors.gps_fix_age_s()
         rows = lane._ens._sensors
         return float(rows.suite._time_s - rows.last_gps_fix[lane._index])
 
@@ -578,80 +534,51 @@ class LaneBattery:
 
     def __init__(self, lane: "LaneSim"):
         self._lane = lane
-
-    @property
-    def capacity_mah(self) -> float:
-        lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.battery.capacity_mah
-        return lane._ens._template.battery.capacity_mah
+        self.capacity_mah = lane._ens._template.battery.capacity_mah
 
     @property
     def state_of_charge(self) -> float:
         lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.battery.state_of_charge
-        ens = lane._ens
-        used = float(ens._used_mah[lane._index])
-        return max(0.0, 1.0 - used / ens._template.battery.capacity_mah)
+        used = float(lane._ens._used_mah[lane._index])
+        return max(0.0, 1.0 - used / self.capacity_mah)
 
     @property
     def fault_resistance_ohm(self) -> float:
         lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.battery.fault_resistance_ohm
         return float(lane._ens._fault_res[lane._index])
 
     @fault_resistance_ohm.setter
     def fault_resistance_ohm(self, value: float) -> None:
         lane = self._lane
-        if lane._scalar is not None:
-            lane._scalar.battery.fault_resistance_ohm = value
-        else:
-            lane._ens._fault_res[lane._index] = value
+        lane._ens._fault_res[lane._index] = value
 
     def inject_drain(self, drain_mah: float) -> None:
-        lane = self._lane
-        if lane._scalar is not None:
-            lane._scalar.battery.inject_drain(drain_mah)
-            return
         if drain_mah < 0:
             raise ValueError(f"drain cannot be negative, got {drain_mah}")
-        ens = lane._ens
-        used = float(ens._used_mah[lane._index])
-        capacity = ens._template.battery.capacity_mah
-        ens._used_mah[lane._index] = min(capacity, used + drain_mah)
+        lane = self._lane
+        used = float(lane._ens._used_mah[lane._index])
+        lane._ens._used_mah[lane._index] = min(self.capacity_mah, used + drain_mah)
 
 
 class LaneMixer:
     """Facade over one lane's mixer statistics and motor-health row.
 
-    ``motor_health`` is always the lane's row *view* into the ensemble
-    array — the same memory the scalar backend's mixer is handed at
-    defection — so injector restores that write it in place work across
-    the backend switch.
+    ``motor_health`` is the lane's row *view* into the ensemble array, so
+    injector restores that write it in place reach the mixer kernel.
     """
 
     def __init__(self, lane: "LaneSim"):
         self._lane = lane
-
-    @property
-    def motor_health(self) -> np.ndarray:
-        lane = self._lane
-        return lane._ens._cascade.motor_health[lane._index]
+        self.motor_health = lane._ens._cascade.motor_health[lane._index]
 
     @property
     def mixes(self) -> int:
         lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.controller.thrust_controller.mixer.mixes
         return int(lane._ens._cascade.mixes[lane._index])
 
     @property
     def saturations(self) -> int:
         lane = self._lane
-        if lane._scalar is not None:
-            return lane._scalar.controller.thrust_controller.mixer.saturations
         return int(lane._ens._cascade.saturations[lane._index])
 
     def set_motor_health(self, motor_index: int, factor: float) -> None:
@@ -677,40 +604,29 @@ class LaneController:
 
 
 class LaneBody:
-    """Facade over one lane's rigid-body state."""
+    """Facade over one lane's rigid-body state: row views, not copies."""
 
     def __init__(self, lane: "LaneSim"):
-        self._lane = lane
-        body = lane._ens._body
-        self._view = QuadcopterState(
-            position_m=body.pos[lane._index],
-            velocity_m_s=body.vel[lane._index],
-            quaternion=body.quat[lane._index],
-            angular_velocity_rad_s=body.omega[lane._index],
+        body, index = lane._ens._body, lane._index
+        self.state = QuadcopterState(
+            position_m=body.pos[index],
+            velocity_m_s=body.vel[index],
+            quaternion=body.quat[index],
+            angular_velocity_rad_s=body.omega[index],
         )
-
-    @property
-    def state(self) -> QuadcopterState:
-        scalar = self._lane._scalar
-        if scalar is not None:
-            return scalar.body.state
-        return self._view
 
 
 class LaneSim:
     """One ensemble lane presented through the ``FlightSimulator`` surface.
 
     The autopilot, fault injectors, and safety monitor all drive a trial
-    through this object.  While the lane is attached, reads and writes go
-    to the ensemble's arrays; after :meth:`defect` they delegate to the
-    materialized scalar simulator — the references callers hold (including
-    closures capturing sub-facades) never change.
+    through this object; its reads and writes go to the ensemble's arrays.
+    The lane is stepped only by :meth:`EnsembleFlightSimulator.run_for`.
     """
 
     def __init__(self, ensemble: EnsembleFlightSimulator, index: int):
         self._ens = ensemble
         self._index = index
-        self._scalar: Optional[FlightSimulator] = None
         self.sensors = LaneSensors(self)
         self.battery = LaneBattery(self)
         self.controller = LaneController(self)
@@ -730,65 +646,28 @@ class LaneSim:
     def use_ekf(self) -> bool:
         return bool(self._ens.ekf_lanes[self._index])
 
-    @property
-    def attached(self) -> bool:
-        """True while this lane still steps inside the ensemble."""
-        return self._scalar is None
-
     # -- state ---------------------------------------------------------------
 
     @property
     def time_s(self) -> float:
-        if self._scalar is not None:
-            return self._scalar.time_s
         return self._ens.time_s
 
     @property
     def depleted(self) -> bool:
-        if self._scalar is not None:
-            return self._scalar.depleted
         return bool(self._ens.depleted[self._index])
 
     @property
     def ekf_resets(self) -> int:
-        if self._scalar is not None:
-            return self._scalar.ekf_resets
         return int(self._ens._ekf.resets[self._index])
 
     @property
     def samples(self) -> List[SimSample]:
-        # One list either way: a defected lane's simulator appends to it.
         return self._ens._sample_rows[self._index]
 
     # -- commands ------------------------------------------------------------
 
     def goto(self, position_m, yaw_rad: float = 0.0) -> None:
-        if self._scalar is not None:
-            self._scalar.goto(position_m, yaw_rad)
-        else:
-            self._ens.set_lane_target(self._index, position_m, yaw_rad)
-
-    def set_velocity(self, velocity_m_s, yaw_rad: float = 0.0) -> None:
-        """Velocity targets are per-lane scalar control flow: defect first."""
-        self.defect().set_velocity(velocity_m_s, yaw_rad)
-
-    def inject_position_fix(self, position_m, noise_m: float = 0.05) -> None:
-        """External (e.g. SLAM) fixes are unvectorizable: defect first."""
-        self.defect().inject_position_fix(position_m, noise_m)
-
-    def run_for(self, duration_s: float) -> None:
-        if self._scalar is None:
-            raise RuntimeError(
-                "lane is attached to the ensemble; step it via "
-                "EnsembleFlightSimulator.run_for (or defect() first)"
-            )
-        self._scalar.run_for(duration_s)
-
-    def defect(self) -> FlightSimulator:
-        """Detach from the ensemble into a scalar simulator (idempotent)."""
-        if self._scalar is None:
-            self._scalar = self._ens.materialize_lane(self._index)
-        return self._scalar
+        self._ens.set_lane_target(self._index, position_m, yaw_rad)
 
     # -- derived metrics ------------------------------------------------------
 

@@ -70,10 +70,10 @@ def _assert_samples_equal(samples, ref_samples) -> None:
 
 
 def _lane_ekf(lane):
-    """One lane's EKF: the scalar backend's once defected, else a snapshot
-    of its ensemble rows with the same attribute names."""
-    if not lane.attached:
-        return lane.defect().ekf
+    """A scalar simulator's EKF, or a snapshot of an ensemble lane's EKF
+    rows with the same attribute names."""
+    if isinstance(lane, FlightSimulator):
+        return lane.ekf
     rows, index = lane._ens._ekf, lane._index
     snapshot = InsEkf()
     snapshot.state = rows.state[index]
@@ -244,17 +244,37 @@ class TestFaultFacades:
             )
 
 
-class TestMidFlightDefection:
-    def test_defected_lane_and_survivors_stay_bitwise(self):
+class TestMaterializedCopy:
+    @pytest.mark.parametrize(
+        "use_ekf",
+        [
+            pytest.param(False, id="truth-only"),
+            pytest.param(MIXED_EKF, id="mixed-ekf"),
+        ],
+    )
+    def test_copy_and_ensemble_fly_on_bitwise(self, use_ekf):
+        """A mid-flight copy of lane 1 and the whole ensemble both fly on
+        bit for bit with their scalar twins: the lane's rows hold its whole
+        scalar state, and the copy shares no generator, list or row with
+        the lane it was copied from."""
         model = _model()
         ens = EnsembleFlightSimulator(
             model,
             n_lanes=3,
             physics_rate_hz=RATE_HZ,
+            use_ekf=use_ekf,
             winds=[_wind(20 + i) for i in range(3)],
+            sensor_seeds=SENSOR_SEEDS,
         )
+        flags = use_ekf if isinstance(use_ekf, list) else [use_ekf] * 3
         scalars = [
-            FlightSimulator(model, physics_rate_hz=RATE_HZ, wind=_wind(20 + i))
+            FlightSimulator(
+                model,
+                physics_rate_hz=RATE_HZ,
+                use_ekf=flags[i],
+                wind=_wind(20 + i),
+                sensor_seed=SENSOR_SEEDS[i],
+            )
             for i in range(3)
         ]
         for index, target in enumerate(TARGETS):
@@ -264,58 +284,26 @@ class TestMidFlightDefection:
         for sim in scalars:
             sim.run_for(1.5)
 
-        deserter = ens.lane(1)
-        materialized = deserter.defect()
-        assert not deserter.attached
-        assert deserter.defect() is materialized  # idempotent
-        for chunk_s in (1.0, 0.5):
-            ens.run_for(chunk_s)
-            deserter.run_for(chunk_s)  # facade delegates to the scalar sim
-            for sim in scalars:
-                sim.run_for(chunk_s)
-        for index, sim in enumerate(scalars):
-            _assert_lane_matches(ens.lane(index), sim)
-
-    def test_ekf_lane_defects_from_mixed_group_bitwise(self):
-        """An EKF lane leaves a mixed group as a scalar EKF simulator that
-        draws on, from the lane's own sensor generators."""
-        model = _model()
-        ens = EnsembleFlightSimulator(
-            model,
-            n_lanes=3,
-            physics_rate_hz=RATE_HZ,
-            use_ekf=MIXED_EKF,
-            sensor_seeds=SENSOR_SEEDS[::-1],
+        copy = ens.materialize_lane(1)
+        assert ens.live.all()
+        assert copy.use_ekf is flags[1]
+        assert copy.sensor_seed == SENSOR_SEEDS[1]
+        assert not np.shares_memory(
+            copy.controller.thrust_controller.mixer.motor_health,
+            ens.lane(1).controller.thrust_controller.mixer.motor_health,
         )
-        scalars = [
-            FlightSimulator(
-                model, physics_rate_hz=RATE_HZ, use_ekf=flag, sensor_seed=seed
-            )
-            for flag, seed in zip(MIXED_EKF, SENSOR_SEEDS[::-1])
-        ]
-        for index, target in enumerate(TARGETS):
-            ens.set_lane_target(index, target)
-            scalars[index].goto(target)
-        ens.run_for(1.5)
-        for sim in scalars:
-            sim.run_for(1.5)
-
-        deserter = ens.lane(1)
-        materialized = deserter.defect()
-        assert materialized.use_ekf is True
-        assert materialized.sensor_seed == SENSOR_SEEDS[::-1][1]
         for chunk_s in (1.0, 0.5):
             ens.run_for(chunk_s)
-            deserter.run_for(chunk_s)
+            copy.run_for(chunk_s)
             for sim in scalars:
                 sim.run_for(chunk_s)
         for index, sim in enumerate(scalars):
             _assert_lane_matches(ens.lane(index), sim)
+        _assert_lane_matches(copy, scalars[1])
 
-    def test_attached_lane_refuses_run_for(self):
-        ens = EnsembleFlightSimulator(_model(), n_lanes=1, physics_rate_hz=RATE_HZ)
-        with pytest.raises(RuntimeError, match="attached"):
-            ens.lane(0).run_for(0.1)
+        ens.freeze_lane(1)
+        with pytest.raises(RuntimeError, match="lane 1 is frozen"):
+            ens.materialize_lane(1)
 
 
 class TestChaosCampaignEquivalence:
@@ -407,6 +395,35 @@ class TestEnsembleApi:
             _model(), n_lanes=2, physics_rate_hz=RATE_HZ, use_ekf=True
         )
         assert [uniform.lane(i).use_ekf for i in range(2)] == [True, True]
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_freeze_lane_rejects_an_out_of_range_index(self, index):
+        ens = EnsembleFlightSimulator(_model(), n_lanes=3, physics_rate_hz=RATE_HZ)
+        with pytest.raises(IndexError, match="out of range"):
+            ens.freeze_lane(index)
+        assert ens.live.tolist() == [True, True, True]
+
+    def test_lane_surface_exists_on_the_scalar_simulator(self):
+        """``LaneHarness`` casts a lane to ``FlightSimulator``: every public
+        name of ``LaneSim`` and of its ``Lane*`` sub-facades must exist on
+        the matching scalar object."""
+        ens = EnsembleFlightSimulator(_model(), n_lanes=1, physics_rate_hz=RATE_HZ)
+        sim = FlightSimulator(_model(), physics_rate_hz=RATE_HZ)
+        missing = []
+
+        def walk(facade, scalar, path):
+            for name in dir(facade):
+                if name.startswith("_"):
+                    continue
+                if not hasattr(scalar, name):
+                    missing.append(f"{path}.{name}")
+                    continue
+                value = getattr(facade, name)
+                if type(value).__module__ == EnsembleFlightSimulator.__module__:
+                    walk(value, getattr(scalar, name), f"{path}.{name}")
+
+        walk(ens.lane(0), sim, "lane")
+        assert missing == []
 
     def test_use_ekf_sequence_length_must_match_lanes(self):
         with pytest.raises(ValueError, match="use_ekf"):
