@@ -22,6 +22,7 @@ from repro.faults import perception_scenarios
 from repro.platforms.profiles import rpi4_profile, tx2_profile
 from repro.resilience import (
     OffloadSupervisor,
+    degradation_study,
     fallback_tier_costs,
     rpi4_compute_thermal,
     run_perception_scenario,
@@ -40,13 +41,7 @@ RESULTS_JSON = pathlib.Path(__file__).resolve().parent.parent / "results" / (
 @pytest.fixture(scope="module")
 def study_pairs():
     """(supervised, baseline) outcomes over the perception fault matrix."""
-    return [
-        (
-            run_perception_scenario(scenario, supervised=True),
-            run_perception_scenario(scenario, supervised=False),
-        )
-        for scenario in perception_scenarios()
-    ]
+    return degradation_study()
 
 
 def test_supervised_pipeline_recovers(study_pairs):

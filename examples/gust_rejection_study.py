@@ -7,8 +7,8 @@ response time and airframe inertia — is the limit, not computation.  Even
 INDI, the state-of-the-art gust-rejection technique, runs at 500 Hz.
 
 This example flies the reference drone in gusty wind at several inner-loop
-rates and with both a classic PID cascade and an INDI rate loop, then
-prints the hover accuracy of each configuration.
+rates with the classic PID cascade, then prints the hover accuracy of
+each configuration.
 
 Run:  python examples/gust_rejection_study.py
 """

@@ -13,11 +13,9 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import baseline as baseline_mod
-from repro.analysis import cache as cache_mod
 from repro.analysis.base import ALL_RULES
 from repro.analysis.runner import (
     analyze_paths,
-    discover,
     format_human,
     format_json,
     list_rules,
@@ -64,11 +62,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="FILE",
         help="also write the full JSON report to FILE (for CI artifacts)",
     )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="reuse results from FILE when no analyzed file changed",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -87,15 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     try:
-        violations = None
-        cache_key = None
-        if args.cache:
-            cache_key = cache_mod.run_key(discover(args.paths), rules)
-            violations = cache_mod.load(args.cache, cache_key)
-        if violations is None:
-            violations = analyze_paths(args.paths, rules=rules)
-            if args.cache and cache_key is not None:
-                cache_mod.store(args.cache, cache_key, violations)
+        violations = analyze_paths(args.paths, rules=rules)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ import ast
 from typing import Optional, List, Sequence, Set
 
 from repro.analysis.base import Checker, SourceFile, Violation
+from repro.analysis.graph import attribute_chain
 
 #: np.random attributes that are fine: they construct seeded generators.
 _SEEDED_CONSTRUCTORS = {
@@ -77,7 +78,7 @@ class DeterminismChecker(Checker):
         node: ast.Call,
         random_aliases: Set[str],
     ) -> None:
-        chain = _attribute_chain(node.func)
+        chain = attribute_chain(node.func)
         if len(chain) < 2:
             return
         head, tail = chain[0], chain[-1]
@@ -128,19 +129,6 @@ class DeterminismChecker(Checker):
                 "iteration over an unordered set; wrap in sorted(...) so the "
                 "visit order is stable across runs",
             )
-
-
-def _attribute_chain(node: ast.expr) -> List[str]:
-    """``a.b.c`` -> ["a", "b", "c"]; empty when the head is not a Name."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
 
 
 def _stdlib_random_aliases(tree: ast.AST) -> Set[str]:

@@ -14,8 +14,8 @@ The injector wraps a :class:`~repro.slam.dataset.SyntheticSequence` and
 duck-types the surface :class:`~repro.slam.pipeline.SlamPipeline` consumes,
 so a faulted sequence drops into the pipeline unchanged.  Corruption is
 deterministic: each frame's noise comes from a generator seeded by
-``(seed, frame index)``, independent of generation order, and the wrapped
-sequence's own stateful generator is consumed exactly as in a clean run.
+``(seed, frame index)``, and the wrapped sequence hands out the same clean
+frame ``i`` whatever order frames are read in.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class PerceptionFaultInjector:
     def landmarks_m(self) -> np.ndarray:
         return self.sequence.landmarks_m
 
-    def descriptor_for(self, landmark_id: int, noise_bits: int = 0) -> np.ndarray:
-        return self.sequence.descriptor_for(landmark_id, noise_bits)
+    def descriptor_for(self, landmark_id: int) -> np.ndarray:
+        return self.sequence.descriptor_for(landmark_id)
 
     def generate_frame(self, index: int) -> Frame:
         """Render the clean frame, then land every active perception fault."""

@@ -12,14 +12,11 @@ rate on the onboard platform.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
-from repro.exec.policy import ExecutionPolicy
 from repro.faults.perception import (
     PerceptionFaultInjector,
     PerceptionScenario,
@@ -152,56 +149,15 @@ def run_perception_scenario(
     )
 
 
-def _scenario_pair(
-    name: str,
-) -> Tuple[DegradationOutcome, DegradationOutcome]:
-    """(supervised, baseline) outcomes for one *named* default scenario.
-
-    Module-level and keyed by name so it crosses the process boundary:
-    :class:`PerceptionScenario` carries a lambda ``schedule_factory`` and
-    cannot be pickled, but its name regenerates it deterministically.
-    """
-    for scenario in perception_scenarios():
-        if scenario.name == name:
-            return (
-                run_perception_scenario(scenario, supervised=True),
-                run_perception_scenario(scenario, supervised=False),
-            )
-    raise KeyError(f"unknown perception scenario: {name!r}")
-
-
-def degradation_study(
-    scenarios: Optional[Tuple[PerceptionScenario, ...]] = None,
-    runner: Optional[ParallelSweepRunner] = None,
-    journal: Optional[Union[str, "os.PathLike[str]"]] = None,
-) -> Tuple[Tuple[DegradationOutcome, DegradationOutcome], ...]:
-    """(supervised, baseline) outcome pairs over the scenario matrix.
-
-    With a ``runner`` (or a ``journal`` path) the study executes through
-    the fault-tolerant layer of :mod:`repro.exec`: scenarios are mapped by
-    name through :class:`repro.core.parallel.ParallelSweepRunner`, so a
-    killed study resumes from its checkpoint journal and a poison scenario
-    is quarantined instead of aborting the matrix.  The runner path only
-    supports scenarios from :func:`perception_scenarios` (they are
-    regenerated by name inside the workers).
-    """
-    matrix = scenarios if scenarios is not None else perception_scenarios()
-    if runner is None and journal is None:
-        return tuple(
-            (
-                run_perception_scenario(scenario, supervised=True),
-                run_perception_scenario(scenario, supervised=False),
-            )
-            for scenario in matrix
+def degradation_study() -> Tuple[Tuple[DegradationOutcome, DegradationOutcome], ...]:
+    """(supervised, baseline) outcome pairs over the perception fault matrix."""
+    return tuple(
+        (
+            run_perception_scenario(scenario, supervised=True),
+            run_perception_scenario(scenario, supervised=False),
         )
-    if runner is None:
-        runner = ParallelSweepRunner(
-            SweepRunnerConfig(parallel=False, policy=ExecutionPolicy())
-        )
-    pairs = runner.map(
-        _scenario_pair, [scenario.name for scenario in matrix], journal=journal
+        for scenario in perception_scenarios()
     )
-    return tuple(pair for pair in pairs if isinstance(pair, tuple))
 
 
 # -- tier pricing -----------------------------------------------------------------

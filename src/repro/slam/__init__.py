@@ -10,7 +10,6 @@ from repro.slam.bundle_adjustment import (
 from repro.slam.dataset import (
     EUROC_SEQUENCES,
     FRAME_RATE_HZ,
-    CachedSequence,
     CameraModel,
     Difficulty,
     Frame,
@@ -71,7 +70,6 @@ __all__ = [
     "Frame",
     "SequenceSpec",
     "SyntheticSequence",
-    "CachedSequence",
     "all_sequence_names",
     "cached_sequence",
     "clear_sequence_cache",

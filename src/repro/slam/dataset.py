@@ -112,7 +112,7 @@ def _yaw_rotation(yaw: float) -> np.ndarray:
 
 @dataclass
 class SyntheticSequence:
-    """A fully generated sequence: landmarks, trajectory, frames on demand."""
+    """A fully generated sequence: landmarks, trajectory, memoized frames."""
 
     spec: SequenceSpec
     seed: int = 11
@@ -137,6 +137,7 @@ class SyntheticSequence:
             0, 2**31 - 1, size=self.spec.landmark_count
         )
         self._rng = rng
+        self._frames: List[Frame] = []
 
     @property
     def frame_count(self) -> int:
@@ -152,24 +153,43 @@ class SyntheticSequence:
         yaw = omega * t + math.pi / 2.0  # tangent heading
         return np.array([x, y, z]), yaw
 
-    def descriptor_for(self, landmark_id: int, noise_bits: int = 0) -> np.ndarray:
-        """The canonical ORB-like descriptor of a landmark, with bit noise."""
+    def descriptor_for(self, landmark_id: int) -> np.ndarray:
+        """The canonical (noise-free) ORB-like descriptor of a landmark."""
         if not 0 <= landmark_id < self.spec.landmark_count:
             raise ValueError(f"landmark id out of range: {landmark_id}")
         rng = np.random.default_rng(int(self._descriptor_seeds[landmark_id]))
-        descriptor = rng.integers(0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8)
-        if noise_bits > 0:
-            flip = self._rng.integers(0, DESCRIPTOR_BYTES * 8, size=noise_bits)
-            for bit in flip:
-                descriptor[bit // 8] ^= np.uint8(1 << (bit % 8))
-        return descriptor
+        return rng.integers(0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8)
 
     def generate_frame(self, index: int) -> Frame:
-        """Render frame ``index``: visible landmarks plus spurious detections."""
+        """Frame ``index`` of the canonical in-order pass, as a private copy.
+
+        Frames draw their noise from the sequence's one generator, so the
+        first access renders frames 0..index in order and memoizes them:
+        frame ``index`` is the same whatever order frames are read in.
+        Callers own the returned arrays and may mutate them.
+        """
         if not 0 <= index < self.frame_count:
             raise ValueError(
                 f"frame index {index} out of range [0, {self.frame_count})"
             )
+        while len(self._frames) <= index:
+            self._frames.append(self._render(len(self._frames)))
+        frame = self._frames[index]
+        return Frame(
+            index=frame.index,
+            timestamp_s=frame.timestamp_s,
+            true_position_m=frame.true_position_m.copy(),
+            true_yaw_rad=frame.true_yaw_rad,
+            landmark_ids=frame.landmark_ids.copy(),
+            keypoints_px=frame.keypoints_px.copy(),
+            descriptors=frame.descriptors.copy(),
+        )
+
+    def _render(self, index: int) -> Frame:
+        """Render frame ``index``: visible landmarks plus spurious detections.
+
+        Consumes the sequence generator, so it must run in index order.
+        """
         t = index / FRAME_RATE_HZ
         position, yaw = self.true_pose(t)
         rotation = _yaw_rotation(yaw)
@@ -191,9 +211,13 @@ class SyntheticSequence:
                 continue
             u += float(self._rng.normal(0.0, self.spec.pixel_noise))
             v += float(self._rng.normal(0.0, self.spec.pixel_noise))
+            descriptor = self.descriptor_for(landmark_id)
+            flips = self._rng.integers(0, DESCRIPTOR_BYTES * 8, size=noise_bits)
+            for bit in flips:
+                descriptor[bit // 8] ^= np.uint8(1 << (bit % 8))
             ids.append(landmark_id)
             pixels.append((u, v))
-            descriptors.append(self.descriptor_for(landmark_id, noise_bits))
+            descriptors.append(descriptor)
         # Spurious detections: clutter that matching must reject.
         spurious = int(0.05 * len(ids)) + 2
         for _ in range(spurious):
@@ -232,95 +256,22 @@ def load_sequence(name: str, seed: int = 11) -> SyntheticSequence:
     return SyntheticSequence(spec=EUROC_SEQUENCES[key], seed=seed)
 
 
-class CachedSequence:
-    """Frame-memoizing view of a :class:`SyntheticSequence`.
-
-    ``SyntheticSequence.generate_frame`` consumes the sequence's stateful
-    RNG, so frame ``i`` is only reproducible when frames 0..i-1 were drawn
-    first.  This wrapper pins that canonical order: frames are generated
-    lazily 0, 1, 2, ... regardless of the access pattern, cached, and handed
-    out as defensive copies (callers — e.g. perception fault injectors —
-    mutate frames in place).  Descriptor queries are restricted to the
-    noise-free form, which is a pure function of the landmark id and does
-    not touch the RNG.
-    """
-
-    def __init__(self, sequence: SyntheticSequence):
-        self._sequence = sequence
-        self._frames: List[Frame] = []
-
-    @property
-    def spec(self) -> SequenceSpec:
-        return self._sequence.spec
-
-    @property
-    def seed(self) -> int:
-        return self._sequence.seed
-
-    @property
-    def camera(self) -> CameraModel:
-        return self._sequence.camera
-
-    @property
-    def landmarks_m(self) -> np.ndarray:
-        return self._sequence.landmarks_m
-
-    @property
-    def frame_count(self) -> int:
-        return self._sequence.frame_count
-
-    def true_pose(self, t: float) -> Tuple[np.ndarray, float]:
-        return self._sequence.true_pose(t)
-
-    def descriptor_for(self, landmark_id: int, noise_bits: int = 0) -> np.ndarray:
-        if noise_bits > 0:
-            raise ValueError(
-                "noisy descriptors consume the sequence RNG and would break "
-                "frame memoization; use load_sequence() for noisy queries"
-            )
-        return self._sequence.descriptor_for(landmark_id)
-
-    def generate_frame(self, index: int) -> Frame:
-        if not 0 <= index < self.frame_count:
-            raise ValueError(
-                f"frame index {index} out of range [0, {self.frame_count})"
-            )
-        while len(self._frames) <= index:
-            self._frames.append(
-                self._sequence.generate_frame(len(self._frames))
-            )
-        frame = self._frames[index]
-        return Frame(
-            index=frame.index,
-            timestamp_s=frame.timestamp_s,
-            true_position_m=frame.true_position_m.copy(),
-            true_yaw_rad=frame.true_yaw_rad,
-            landmark_ids=frame.landmark_ids.copy(),
-            keypoints_px=frame.keypoints_px.copy(),
-            descriptors=frame.descriptors.copy(),
-        )
-
-    def frames(self) -> Iterator[Frame]:
-        for index in range(self.frame_count):
-            yield self.generate_frame(index)
-
-
 #: (name, seed)-keyed memo for :func:`cached_sequence`.
-_SEQUENCE_CACHE: Dict[Tuple[str, int], CachedSequence] = {}
+_SEQUENCE_CACHE: Dict[Tuple[str, int], SyntheticSequence] = {}
 
 
-def cached_sequence(name: str, seed: int = 11) -> CachedSequence:
+def cached_sequence(name: str, seed: int = 11) -> SyntheticSequence:
     """Memoized :func:`load_sequence` (mirrors ``cached_catalog``).
 
     Benches and tests re-run the same sequences constantly; regenerating
     hundreds of frames of projected landmarks each time dominated their
-    setup cost.  Frames come out as defensive copies, so sharing the cache
-    across callers is safe even for mutating consumers.
+    setup cost.  Frames come out as defensive copies, so sharing one
+    sequence across callers is safe even for mutating consumers.
     """
     key = (name.strip().upper(), seed)
     sequence = _SEQUENCE_CACHE.get(key)
     if sequence is None:
-        sequence = CachedSequence(load_sequence(name, seed=seed))
+        sequence = load_sequence(name, seed=seed)
         _SEQUENCE_CACHE[key] = sequence
     return sequence
 

@@ -447,9 +447,8 @@ class SlamPipeline:
 def run_slam(sequence_name: str, max_frames: Optional[int] = None, seed: int = 11) -> SlamRunResult:
     """Convenience wrapper: load a sequence and run the pipeline.
 
-    Uses the frame-memoizing sequence cache: the pipeline consumes frames in
-    canonical 0..N order, so repeated runs (benches, resilience ladders)
-    see bit-identical frames without regenerating them.
+    Uses the ``(name, seed)``-keyed sequence cache, so repeated runs
+    (benches, resilience ladders) reuse the rendered frames.
     """
     from repro.slam.dataset import cached_sequence
 

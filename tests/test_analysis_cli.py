@@ -1,7 +1,7 @@
 """CLI and plumbing contract tests for ``python -m repro.analysis``.
 
 Exit codes, the baseline gate (fail only on NEW violations), the JSON
-report artifact, the result cache, and discovery pruning.
+report artifact, and discovery pruning.
 """
 
 import json
@@ -11,9 +11,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from repro.analysis import analyze_paths
 from repro.analysis import baseline as baseline_mod
-from repro.analysis import cache as cache_mod
 from repro.analysis.base import Violation
 from repro.analysis.runner import discover
 
@@ -148,42 +146,6 @@ class TestBaselineModule:
 
     def test_missing_file_is_an_empty_baseline(self, tmp_path):
         assert baseline_mod.load(str(tmp_path / "absent.json")) == Counter()
-
-
-class TestResultCache:
-    def test_cache_round_trip(self, tmp_path):
-        files = [str(FIXTURES / "purity_bad.py")]
-        key = cache_mod.run_key(files, None)
-        assert cache_mod.load(str(tmp_path / "c.json"), key) is None  # cold
-        violations = analyze_paths(files)
-        cache_mod.store(str(tmp_path / "c.json"), key, violations)
-        assert cache_mod.load(str(tmp_path / "c.json"), key) == violations
-
-    def test_key_tracks_content_and_rules(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n", encoding="utf-8")
-        key_a = cache_mod.run_key([str(target)], None)
-        assert cache_mod.run_key([str(target)], ["purity"]) != key_a
-        target.write_text("x = 2\n", encoding="utf-8")
-        assert cache_mod.run_key([str(target)], None) != key_a
-
-    def test_stale_key_misses(self, tmp_path):
-        cache_file = tmp_path / "c.json"
-        cache_mod.store(str(cache_file), "key-a", [_violation()])
-        assert cache_mod.load(str(cache_file), "key-b") is None
-
-    def test_corrupt_cache_misses(self, tmp_path):
-        cache_file = tmp_path / "c.json"
-        cache_file.write_text("not json", encoding="utf-8")
-        assert cache_mod.load(str(cache_file), "any") is None
-
-    def test_cli_cache_flag_is_stable_across_runs(self, tmp_path):
-        cache_file = tmp_path / "c.json"
-        first = run_cli("--cache", cache_file, FIXTURES / "purity_bad.py")
-        second = run_cli("--cache", cache_file, FIXTURES / "purity_bad.py")
-        assert first.returncode == second.returncode == 1
-        assert first.stdout == second.stdout
-        assert json.loads(cache_file.read_text(encoding="utf-8"))["violations"]
 
 
 class TestDiscover:

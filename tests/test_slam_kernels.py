@@ -297,7 +297,7 @@ class TestBundleAdjustEquivalence:
                                  engine="scalar")
 
 
-class TestCachedSequence:
+class TestFrameMemo:
     def test_same_object_per_key(self):
         assert cached_sequence("MH01") is cached_sequence("MH01")
         assert cached_sequence("MH01") is not cached_sequence("MH01", seed=7)
@@ -307,22 +307,31 @@ class TestCachedSequence:
         clear_sequence_cache()
         assert cached_sequence("MH02") is not first
 
-    def test_out_of_order_access_is_deterministic(self):
-        """Frame N from a cold cache equals fresh in-order frame N: the
-        cache generates frames in canonical 0..N order regardless of the
-        access pattern, so the sequence RNG stream never diverges."""
+    @pytest.mark.parametrize("source", [load_sequence, cached_sequence])
+    def test_out_of_order_access_is_deterministic(self, source):
+        """Frame N read first equals frame N of a fresh in-order pass: the
+        sequence renders frames in canonical 0..N order whatever the
+        access pattern, so its RNG stream never diverges."""
         clear_sequence_cache()
-        cached = cached_sequence("MH03", seed=19)
-        jumped = cached.generate_frame(5)
+        sequence = source("MH03", seed=19)
+        jumped = sequence.generate_frame(5)
         fresh = load_sequence("MH03", seed=19)
         in_order = [fresh.generate_frame(i) for i in range(6)][5]
         assert np.array_equal(jumped.landmark_ids, in_order.landmark_ids)
         assert np.array_equal(jumped.keypoints_px, in_order.keypoints_px)
         assert np.array_equal(jumped.descriptors, in_order.descriptors)
-        # Earlier frames were materialized along the way and stay correct.
-        frame0 = cached.generate_frame(0)
+        # Earlier frames were rendered along the way and stay correct.
+        frame0 = sequence.generate_frame(0)
         fresh0 = load_sequence("MH03", seed=19).generate_frame(0)
         assert np.array_equal(frame0.descriptors, fresh0.descriptors)
+
+    def test_reread_returns_the_same_frame(self):
+        sequence = load_sequence("MH03", seed=19)
+        first = sequence.generate_frame(0)
+        again = sequence.generate_frame(0)
+        assert np.array_equal(first.landmark_ids, again.landmark_ids)
+        assert np.array_equal(first.keypoints_px, again.keypoints_px)
+        assert np.array_equal(first.descriptors, again.descriptors)
 
     def test_defensive_copies(self):
         cached = cached_sequence("MH01")
@@ -332,14 +341,6 @@ class TestCachedSequence:
         again = cached.generate_frame(2)
         assert again.descriptors.any()
         assert (again.keypoints_px >= 0).any()
-
-    def test_noisy_descriptor_queries_rejected(self):
-        cached = cached_sequence("MH01")
-        landmark_id = int(cached.generate_frame(0).landmark_ids.max())
-        clean = cached.descriptor_for(landmark_id)
-        assert clean.shape == (32,)
-        with pytest.raises(ValueError, match="noisy"):
-            cached.descriptor_for(landmark_id, noise_bits=2)
 
     def test_out_of_range_rejected(self):
         cached = cached_sequence("MH01")
