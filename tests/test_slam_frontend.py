@@ -1,13 +1,17 @@
 """Unit tests: synthetic EuRoC dataset, feature extraction, matching."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.slam.dataset import (
+    DESCRIPTOR_BYTES,
     EUROC_SEQUENCES,
     FRAME_RATE_HZ,
     CameraModel,
     Difficulty,
+    Frame,
     all_sequence_names,
     load_sequence,
 )
@@ -20,7 +24,7 @@ from repro.slam.matching import (
     match_by_projection,
     match_features,
 )
-from tests.equivalence import HAMMING_DISTANCE_MATRIX
+from tests.equivalence import BLAS, HAMMING_DISTANCE_MATRIX, LIBM, golden
 
 
 class TestDataset:
@@ -101,6 +105,66 @@ class TestDataset:
             sequence.generate_frame(-1)
         with pytest.raises(ValueError):
             sequence.generate_frame(10_000)
+
+
+def frame_digest(frame: Frame) -> str:
+    """A short hash of every bit of ``frame``, byte order fixed."""
+    digest = hashlib.sha256()
+    for array in (np.array([frame.timestamp_s, frame.true_yaw_rad]),
+                  frame.true_position_m, frame.landmark_ids,
+                  frame.keypoints_px, frame.descriptors):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        big = array.dtype.newbyteorder(">")
+        digest.update(np.ascontiguousarray(array, dtype=big).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestRenderGolden:
+    """Rendered frames held ``bitwise`` to vectors under ``tests/fixtures/slam/``.
+
+    One sequence per difficulty (2, 5 and 10 noise bits): its first, middle
+    and last frames whole, and a digest of every frame.  The render's
+    per-landmark camera transform is a BLAS matvec and the trajectory is
+    libm trigonometry, so the bits depend on both.
+    """
+
+    @pytest.mark.parametrize("name", ["MH01", "MH03", "V203"])
+    def test_frames(self, name):
+        sequence = load_sequence(name)
+        count = sequence.frame_count
+
+        def render():
+            frames = [sequence.generate_frame(index) for index in range(count)]
+            return {
+                "frames": [frames[0], frames[count // 2], frames[-1]],
+                "digests": [frame_digest(frame) for frame in frames],
+            }
+
+        result = golden(f"slam/dataset/{name}", render, uses=(BLAS, LIBM))
+        assert len(result["digests"]) == count
+
+
+class TestDescriptorTable:
+    def test_rows_are_the_landmark_seeds_draws(self):
+        sequence = load_sequence("MH03")
+        for landmark_id in range(sequence.spec.landmark_count):
+            seed = int(sequence._descriptor_seeds[landmark_id])
+            expected = np.random.default_rng(seed).integers(
+                0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8)
+            assert np.array_equal(sequence.descriptor_for(landmark_id), expected)
+        with pytest.raises(ValueError):
+            sequence.descriptor_for(sequence.spec.landmark_count)
+
+    def test_mutating_a_descriptor_changes_nothing(self):
+        sequence, reference = load_sequence("MH03"), load_sequence("MH03")
+        for landmark_id in range(sequence.spec.landmark_count):
+            sequence.descriptor_for(landmark_id)[:] ^= np.uint8(0xFF)
+        for landmark_id in range(sequence.spec.landmark_count):
+            assert np.array_equal(sequence.descriptor_for(landmark_id),
+                                  reference.descriptor_for(landmark_id))
+        for index in range(0, sequence.frame_count, 13):
+            assert frame_digest(sequence.generate_frame(index)) == \
+                frame_digest(reference.generate_frame(index))
 
 
 class TestFeatureExtraction:

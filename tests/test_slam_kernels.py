@@ -51,8 +51,9 @@ from tests.equivalence import (
 
 MAP_FRAMES = 45
 GROUP = "slam"
-#: The built map and everything solved on it went through LAPACK solves and
-#: libm trigonometry.
+#: Synthesized frames went through the render's BLAS matvecs and libm
+#: trigonometry, and the built map and everything solved on it through
+#: LAPACK solves too: a case fed frame pixels depends on both.
 BOTH = (BLAS, LIBM)
 
 
@@ -389,7 +390,7 @@ class TestGoldenVectors:
         start = positions[0] + np.array([0.05, -0.03, 0.02])
         idx, residuals, jacobians = golden(
             f"{GROUP}/blocks/pose_sequence", kernels.pose_blocks, landmarks,
-            pixels, start, yaws[0] + 0.01, sequence.camera, uses=(LIBM,))
+            pixels, start, yaws[0] + 0.01, sequence.camera, uses=BOTH)
         assert 3 not in idx and idx.size == landmarks.shape[0] - 1
         assert residuals.shape == (idx.size, 2)
         assert jacobians.shape == (idx.size, 2, 4)
@@ -413,7 +414,7 @@ class TestGoldenVectors:
             landmarks + 0.01, positions,
             np.array([math.cos(yaw) for yaw in yaws]),
             np.array([math.sin(yaw) for yaw in yaws]),
-            pixels, sequence.camera, uses=(LIBM,))
+            pixels, sequence.camera, uses=BOTH)
         assert idx.size == landmarks.shape[0]
         assert jacobians.shape == (idx.size, 2, 3)
 
