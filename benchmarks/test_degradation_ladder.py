@@ -33,7 +33,9 @@ from repro.resilience import (
 
 from conftest import print_table
 
-RESULTS_JSON = pathlib.Path(__file__).resolve().parent.parent / "results" / (
+#: Host-dependent floats, so the artifact goes to the git-ignored
+#: ``.benchmarks/`` directory, not the tracked ``results/``.
+RESULTS_JSON = pathlib.Path(__file__).resolve().parent.parent / ".benchmarks" / (
     "degradation_ladder.json"
 )
 

@@ -16,7 +16,8 @@ execution report is written next to the campaign artifacts as
 ``execution.json``.
 
 Exit status: 0 on success, 1 when ``--replay-failures`` finds a replay
-mismatch (a broken determinism contract), 2 on usage errors.
+mismatch (a broken determinism contract), 2 on usage errors, among them a
+``--resume`` whose journal was written with other campaign options.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.chaos.runner import (
 )
 from repro.chaos.triage import CampaignReport, triage
 from repro.core.parallel import SweepRunnerConfig
+from repro.exec.errors import JournalMismatchError
 from repro.exec.policy import ExecutionPolicy
 
 
@@ -103,7 +105,9 @@ def _write_artifacts(
     print(f"wrote {report_path} and {len(failed)} black-box trace(s)")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's options; campaign defaults come from :class:`CampaignConfig`."""
+    defaults = CampaignConfig()
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
         description=(
@@ -111,21 +115,28 @@ def main(argv: Optional[List[str]] = None) -> int:
             "black-box traces, and deterministic replay."
         ),
     )
-    parser.add_argument("--seed", type=int, default=2021, help="campaign seed")
-    parser.add_argument("--trials", type=int, default=50, help="trial count")
     parser.add_argument(
-        "--duration", type=float, default=30.0, help="per-trial flight seconds"
+        "--seed", type=int, default=defaults.campaign_seed, help="campaign seed"
+    )
+    parser.add_argument(
+        "--trials", type=int, default=defaults.trials, help="trial count"
+    )
+    parser.add_argument(
+        "--duration",
+        type=float,
+        default=defaults.duration_s,
+        help="per-trial flight seconds",
     )
     parser.add_argument(
         "--physics-rate",
         type=float,
-        default=200.0,
+        default=defaults.physics_rate_hz,
         help="physics rate in Hz (>= 100)",
     )
     parser.add_argument(
         "--max-faults",
         type=int,
-        default=3,
+        default=defaults.max_faults,
         help="max compound faults per trial",
     )
     parser.add_argument(
@@ -170,7 +181,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="SECONDS",
         help="per-group wall-clock budget before a hung worker is killed",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint PATH", file=sys.stderr)
@@ -213,12 +228,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.chunk_timeout is not None
             else None
         )
-        run = run_campaign_supervised(
-            config,
-            runner_config,
-            journal_path=args.checkpoint,
-            policy=policy,
-        )
+        try:
+            run = run_campaign_supervised(
+                config,
+                runner_config,
+                journal_path=args.checkpoint,
+                policy=policy,
+            )
+        except JournalMismatchError as exc:
+            print(
+                f"error: {exc}; resume with the options the journal was "
+                "written with",
+                file=sys.stderr,
+            )
+            return 2
         results = run.results
         if run.execution is not None:
             print(

@@ -58,7 +58,9 @@ class CampaignConfig:
     trials: int = 50
     #: Per-trial flight duration (includes the takeoff settle).
     duration_s: float = 30.0
-    physics_rate_hz: float = 200.0
+    #: The simulator's floor.  The attitude loop and the 200 Hz IMU tick
+    #: at this rate, inside the paper's 50-500 Hz inner-loop range.
+    physics_rate_hz: float = 100.0
     control_step_s: float = 0.1
     takeoff_altitude_m: float = 4.0
     settle_s: float = 5.0

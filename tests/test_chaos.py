@@ -36,7 +36,7 @@ from repro.chaos import (
 from repro.chaos.campaign import EKF_KINDS, LINK_KINDS
 from repro.chaos.recorder import BlackBoxTrace, TickRecord
 from repro.chaos.runner import TrialResult, VERDICT_CRASH, VERDICT_SAFE, VERDICT_VIOLATION
-from repro.chaos.__main__ import main as chaos_main
+from repro.chaos.__main__ import build_parser, main as chaos_main
 from repro.faults.envelope import DEFAULT_CRASH_ENVELOPE, CrashEnvelope
 from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.sim.simulator import DroneModel, FlightSimulator
@@ -620,6 +620,27 @@ class TestChaosCli:
             captured.err
         )
         assert "trials=4" in captured.out
+
+    def test_campaign_defaults_come_from_the_config(self):
+        """The CLI keeps no second copy of the campaign defaults."""
+        args = build_parser().parse_args([])
+        defaults = CampaignConfig()
+        assert args.physics_rate == defaults.physics_rate_hz
+        assert (args.seed, args.trials, args.duration, args.max_faults) == (
+            defaults.campaign_seed,
+            defaults.trials,
+            defaults.duration_s,
+            defaults.max_faults,
+        )
+
+    def test_resume_with_other_options_is_a_usage_error(self, tmp_path, capsys):
+        """A journal written at another physics rate is not resumed."""
+        journal = str(tmp_path / "journal.jsonl")
+        common = ["--trials", "1", "--duration", "6.5", "--inline",
+                  "--checkpoint", journal]
+        assert chaos_main(common + ["--physics-rate", "200"]) == 0
+        assert chaos_main(common + ["--resume"]) == 2
+        assert "belongs to a different run" in capsys.readouterr().err
 
     def test_invalid_config_is_a_usage_error(self, capsys):
         assert chaos_main(["--trials", "0"]) == 2

@@ -8,7 +8,7 @@ re-flown from its recorded seeds and schedule — or from its serialized
 black-box trace alone — reproduces the identical safety verdict, violated
 invariant, and outcome metrics bit-for-bit.
 
-The campaign runs at 200 Hz physics, the ``CampaignConfig`` default.
+The campaign flies the ``CampaignConfig`` default physics rate.
 """
 
 import pytest
@@ -27,12 +27,11 @@ from repro.chaos import (
 from repro.chaos.recorder import BlackBoxTrace
 from repro.core.parallel import SweepRunnerConfig
 
-#: The acceptance campaign: 200 trials, fixed seed, short flights at 200 Hz.
+#: The acceptance campaign: 200 trials, fixed seed, short flights.
 ACCEPTANCE_CONFIG = CampaignConfig(
     campaign_seed=2021,
     trials=200,
     duration_s=8.0,
-    physics_rate_hz=200.0,
     settle_s=3.0,
     min_onset_s=2.0,
     mission_half_extent_m=3.5,

@@ -9,9 +9,18 @@ acceleration read 2.0 at 100 Hz, and the filter integrated the doubled
 reading over half the elapsed time, so the estimate diverged.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.chaos import (
+    CampaignConfig,
+    VERDICT_SAFE,
+    generate_trial,
+    run_trials_ensemble,
+)
+from repro.faults.schedule import FaultSchedule
 from repro.physics.rigid_body import QuadcopterState
 from repro.sensors.imu import Imu
 from repro.sensors.suite import SensorSuite
@@ -87,3 +96,16 @@ def test_ekf_waypoint_flight_at_100_hz():
         worst_m = max(worst_m, float(error))
     assert sim.ekf_resets == 0
     assert worst_m < 1.0
+
+
+def test_fault_free_campaign_trials_are_safe_at_the_default_rate():
+    """Campaign defaults with the schedules emptied: EKF and truth-state
+    lanes fly one ensemble group, and every trial holds every invariant."""
+    config = CampaignConfig()
+    specs = [
+        replace(generate_trial(config, index), schedule=FaultSchedule(),
+                use_ekf=index % 2 == 0)
+        for index in range(8)
+    ]
+    results = run_trials_ensemble(specs, config)
+    assert [r.verdict for r in results] == [VERDICT_SAFE] * len(specs)

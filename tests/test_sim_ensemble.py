@@ -33,8 +33,8 @@ from repro.sim.simulator import DroneModel, FlightSimulator
 from tests.equivalence import BLAS, LIBM, golden
 
 #: Keep the raw-stepping tests at the campaign default rate — cheap, and
-#: the rate the chaos equivalence below exercises anyway.
-RATE_HZ = 200.0
+#: the rate campaigns fly.
+RATE_HZ = CampaignConfig.physics_rate_hz
 
 TARGETS = ([2.0, 0.0, 4.0], [0.0, -3.0, 5.0], [-1.0, 1.0, 6.0])
 
@@ -306,31 +306,42 @@ class TestMaterializedCopy:
             ens.materialize_lane(1)
 
 
+def _assert_campaign_matches_reference(config, vector):
+    """Fingerprints (and crash traces) of the campaign match the scalar
+    reference ``run_trial`` per spec and replay, and the vector pins them
+    across commits."""
+    scalar = [run_trial(spec, config) for spec in generate_campaign(config)]
+    ensemble = run_campaign(config, ensemble_width=3)
+    assert [r.metrics() for r in scalar] == [r.metrics() for r in ensemble]
+    for ref, got in zip(scalar, ensemble):
+        assert (ref.trace is None) == (got.trace is None)
+        if ref.trace is not None:
+            assert ref.trace.fingerprint() == got.trace.fingerprint()
+    assert verify_replay(ensemble[0], config)
+    golden(
+        vector,
+        lambda: (
+            [r.metrics() for r in scalar],
+            [None if r.trace is None else r.trace.fingerprint()
+             for r in scalar],
+        ),
+        uses=(BLAS, LIBM),
+    )
+
+
 class TestChaosCampaignEquivalence:
     def test_engines_produce_identical_campaigns(self):
-        """Fingerprints (and crash traces) of the campaign match the scalar
-        reference ``run_trial`` per spec, and replay."""
-        config = CampaignConfig(campaign_seed=77, trials=8, duration_s=12.0)
-        scalar = [run_trial(spec, config) for spec in generate_campaign(config)]
-        ensemble = run_campaign(config, ensemble_width=3)
-        assert [r.metrics() for r in scalar] == [
-            r.metrics() for r in ensemble
-        ]
-        for ref, got in zip(scalar, ensemble):
-            assert (ref.trace is None) == (got.trace is None)
-            if ref.trace is not None:
-                assert ref.trace.fingerprint() == got.trace.fingerprint()
-        assert verify_replay(ensemble[0], config)
-        # The campaign and its reference agree; the vector pins them across
-        # commits.
-        golden(
-            "chaos/campaign/seed77_8_trials",
-            lambda: (
-                [r.metrics() for r in scalar],
-                [None if r.trace is None else r.trace.fingerprint()
-                 for r in scalar],
-            ),
-            uses=(BLAS, LIBM),
+        config = CampaignConfig(
+            campaign_seed=77, trials=8, duration_s=12.0, physics_rate_hz=200.0
+        )
+        _assert_campaign_matches_reference(config, "chaos/campaign/seed77_8_trials")
+
+    def test_engines_produce_identical_campaigns_at_100_hz(self):
+        config = CampaignConfig(
+            campaign_seed=77, trials=8, duration_s=12.0, physics_rate_hz=100.0
+        )
+        _assert_campaign_matches_reference(
+            config, "chaos/campaign/seed77_8_trials_100_hz"
         )
 
     def test_64_trial_campaign_replays_identically(self):
