@@ -9,6 +9,7 @@ command/telemetry paths the real stack uses.
 
 from __future__ import annotations
 
+import binascii
 import enum
 import struct
 from dataclasses import dataclass, field
@@ -65,14 +66,18 @@ class Message:
         return body + struct.pack("<H", _checksum(body))
 
 
+#: Every byte value with its bit order reversed.
+_REFLECTED = bytes(int(f"{value:08b}"[::-1], 2) for value in range(256))
+
+
 def _checksum(data: bytes) -> int:
-    """X.25-style CRC-16 (the accumulation MAVLink uses)."""
-    crc = 0xFFFF
-    for byte in data:
-        tmp = byte ^ (crc & 0xFF)
-        tmp = (tmp ^ (tmp << 4)) & 0xFF
-        crc = ((crc >> 8) ^ (tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)) & 0xFFFF
-    return crc
+    """X.25-style CRC-16 (the accumulation MAVLink uses: CRC-16/MCRF4XX).
+
+    MCRF4XX is the bit-reflected twin of the CRC-16 ``binascii.crc_hqx``
+    computes, so it is that CRC of the bit-reversed bytes, bit-reversed.
+    """
+    crc = binascii.crc_hqx(data.translate(_REFLECTED), 0xFFFF)
+    return _REFLECTED[crc & 0xFF] << 8 | _REFLECTED[crc >> 8]
 
 
 class FrameError(ValueError):

@@ -1,7 +1,7 @@
 """CLI: ``python -m repro.chaos`` — run a chaos campaign end to end.
 
 Flies a fixed-seed campaign, triages the failures, writes the campaign
-report plus one black-box trace per failed trial, and (with
+report and config plus one black-box trace per failed trial, and (with
 ``--replay-failures``) re-flies every failure from its recorded seeds and
 schedule to verify bit-for-bit determinism.
 
@@ -23,6 +23,7 @@ mismatch (a broken determinism contract), 2 on usage errors, among them a
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
@@ -79,10 +80,14 @@ def _format_report(report: CampaignReport) -> str:
 
 def _write_artifacts(
     output_dir: str,
+    config: CampaignConfig,
     report: CampaignReport,
     results: List[TrialResult],
     run: Optional[CampaignRun] = None,
 ) -> None:
+    """Write ``campaign.json`` (the report and the full config: with a
+    trace file it is all a replay needs), ``execution.json`` and one
+    trace per failed trial."""
     os.makedirs(output_dir, exist_ok=True)
     if run is not None and run.execution is not None:
         execution_path = os.path.join(output_dir, "execution.json")
@@ -91,7 +96,7 @@ def _write_artifacts(
     traces_dir = os.path.join(output_dir, "traces")
     report_path = os.path.join(output_dir, "campaign.json")
     with open(report_path, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json(indent=2))
+        json.dump({**report.to_dict(), "config": config.to_dict()}, handle, indent=2)
     failed = [result for result in results if result.trace is not None]
     if failed:
         os.makedirs(traces_dir, exist_ok=True)
@@ -268,7 +273,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(_format_report(report))
 
     if args.output:
-        _write_artifacts(args.output, report, results, run)
+        _write_artifacts(args.output, config, report, results, run)
 
     if args.replay_failures:
         failed = [result for result in results if result.failed]

@@ -14,7 +14,7 @@ failure triage possible at hundreds-of-trials scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -93,6 +93,18 @@ class CampaignConfig:
             raise ValueError(
                 f"probability out of range: {self.open_window_probability}"
             )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Every field; the limits and the envelope as nested dicts."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "CampaignConfig":
+        return cls(**{
+            **data,
+            "limits": SafetyLimits(**data["limits"]),
+            "envelope": CrashEnvelope(**data["envelope"]),
+        })
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ has the final seconds of every failure at full resolution.
 On a violation or crash the runner freezes the buffer into a
 :class:`BlackBoxTrace`: a JSON document carrying the trial's identity
 ``(campaign_seed, trial_index)``, its link and sensor seeds, its exact fault
-schedule, the verdict,
+schedule, the campaign settings its flight schedule depends on, the verdict,
 and the recorded ticks — everything the deterministic replay harness needs
-to re-fly the trial bit-for-bit from the trace file alone.
+to re-fly the trial bit-for-bit from the trace file and the campaign's
+config.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from repro.chaos.invariants import Violation
 from repro.faults.schedule import FaultSchedule
 
 #: Black-box trace format version (bump on incompatible schema changes).
-TRACE_FORMAT = 2
+#: Format 3 records the :data:`REPLAY_FIELDS`.
+TRACE_FORMAT = 3
+
+#: The ``CampaignConfig`` fields that set a trial's physics rate and
+#: flight schedule: a trace records them, and a replay under a config that
+#: differs in one of them is refused (it would fly another flight).
+REPLAY_FIELDS = ("physics_rate_hz", "duration_s", "settle_s", "control_step_s")
 
 
 def _vec3(values: Any) -> Tuple[float, float, float]:
@@ -132,6 +139,11 @@ class BlackBoxTrace:
     sensor_seed: Optional[int]
     verdict: str
     schedule: FaultSchedule
+    #: The :data:`REPLAY_FIELDS` of the campaign config the trial flew.
+    physics_rate_hz: float
+    duration_s: float
+    settle_s: float
+    control_step_s: float
     violation: Optional[Violation] = None
     events: Tuple[Tuple[float, str], ...] = ()
     ticks: List[TickRecord] = field(default_factory=list)
@@ -146,6 +158,7 @@ class BlackBoxTrace:
             "sensor_seed": self.sensor_seed,
             "verdict": self.verdict,
             "schedule": self.schedule.to_jsonable(),
+            "config": {name: getattr(self, name) for name in REPLAY_FIELDS},
             "violation": (
                 None if self.violation is None else self.violation.to_dict()
             ),
@@ -166,6 +179,7 @@ class BlackBoxTrace:
             )
         violation = data.get("violation")
         sensor_seed = data["sensor_seed"]
+        config = data["config"]
         return cls(
             campaign_seed=int(data["campaign_seed"]),
             trial_index=int(data["trial_index"]),
@@ -173,6 +187,10 @@ class BlackBoxTrace:
             sensor_seed=None if sensor_seed is None else int(sensor_seed),
             verdict=str(data["verdict"]),
             schedule=FaultSchedule.from_jsonable(data["schedule"]),
+            physics_rate_hz=float(config["physics_rate_hz"]),
+            duration_s=float(config["duration_s"]),
+            settle_s=float(config["settle_s"]),
+            control_step_s=float(config["control_step_s"]),
             violation=None if violation is None else Violation.from_dict(violation),
             events=tuple(
                 (float(time_s), str(text)) for time_s, text in data.get("events", [])

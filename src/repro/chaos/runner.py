@@ -37,7 +37,7 @@ from repro.autopilot.mavlink import Link, MessageType
 from repro.autopilot.offload import PoseStalenessWatchdog
 from repro.chaos.campaign import CampaignConfig, TrialSpec, generate_campaign
 from repro.chaos.invariants import SafetyMonitor, Violation
-from repro.chaos.recorder import BlackBoxTrace, FlightRecorder
+from repro.chaos.recorder import REPLAY_FIELDS, BlackBoxTrace, FlightRecorder
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.report import ExecutionReport, QuarantineRecord
@@ -140,6 +140,7 @@ class LaneHarness:
         lane: FlightSimulator | LaneSim,
     ):
         self.spec = spec
+        self.config = config
         self.lane = lane
         # A lane facade exposes the full FlightSimulator surface the
         # autopilot/injector/monitor stack reads and writes.
@@ -202,6 +203,7 @@ class LaneHarness:
                 sensor_seed=spec.sensor_seed,
                 verdict=verdict,
                 schedule=spec.schedule,
+                **{name: getattr(self.config, name) for name in REPLAY_FIELDS},
                 violation=monitor.first_violation,
                 events=tuple(autopilot.events),
                 ticks=list(self.recorder.ticks),
@@ -311,14 +313,26 @@ def replay_trial(
     Accepts a prior result, a black-box trace loaded from disk, or a bare
     spec; the replay is a fresh closed-loop flight, so comparing its
     :meth:`TrialResult.metrics` against the original is a true end-to-end
-    determinism check, not a cache read.
+    determinism check, not a cache read.  A trace (or a result carrying
+    one) is checked against ``config`` first: a :class:`ValueError` names
+    the first :data:`~repro.chaos.recorder.REPLAY_FIELDS` field that
+    differs, since replaying there would fly another flight.
     """
+    trace: Optional[BlackBoxTrace] = None
     if isinstance(source, TrialResult):
-        spec = source.spec
+        spec, trace = source.spec, source.trace
     elif isinstance(source, BlackBoxTrace):
-        spec = _spec_from_trace(source)
+        spec, trace = _spec_from_trace(source), source
     else:
         spec = source
+    if trace is not None:
+        for name in REPLAY_FIELDS:
+            flown, given = getattr(trace, name), getattr(config, name)
+            if flown != given:
+                raise ValueError(
+                    f"trace of trial {trace.trial_index} was flown with "
+                    f"{name}={flown!r}, but the replay config has {given!r}"
+                )
     return run_trial(spec, config)
 
 

@@ -142,6 +142,9 @@ class EnsembleFlightSimulator:
         #: fix masks) are always fresh arrays and always go masked.
         self._full = np.ones(n, dtype=bool)
         self._all_lanes = list(range(n))
+        # Telemetry: one row block per record tick, turned into each
+        # lane's samples on the first read after it (``_samples``).
+        self._blocks: List[tuple] = []
         self._sample_rows: List[List[SimSample]] = [[] for _ in range(n)]
         self._lanes: List[Optional["LaneSim"]] = [None] * n
 
@@ -229,27 +232,14 @@ class EnsembleFlightSimulator:
 
         if self.time_s + 1e-12 >= self._next_record_s:
             self._next_record_s = self.time_s + template._record_period_s
-            voltage = terminal_voltage_rows(
-                battery, ocv_rows(battery, self._used_mah), current, self._fault_res
-            ).tolist()
-            soc = soc_rows(battery, self._used_mah).tolist()
-            powers = power.tolist()
-            euler = euler_from_quaternion_rows(
-                body.quat, lanes, np.empty((self.n_lanes, 3))
-            )
-            for i in lanes:
-                self._sample_rows[i].append(
-                    SimSample(
-                        time_s=self.time_s,
-                        position_m=body.pos[i].copy(),
-                        velocity_m_s=body.vel[i].copy(),
-                        euler_rad=euler[i],
-                        motor_thrusts_n=thrusts[i].copy(),
-                        electrical_power_w=powers[i],
-                        battery_voltage_v=voltage[i],
-                        battery_soc=soc[i],
-                    )
-                )
+            # The registers are overwritten in place by later steps, so
+            # copy them; thrusts, power and current are this step's own
+            # arrays, which nothing writes after it.
+            self._blocks.append((
+                self.time_s, lanes, body.pos.copy(), body.vel.copy(),
+                body.quat.copy(), thrusts, power, current,
+                self._used_mah.copy(), self._fault_res.copy(),
+            ))
 
     def _estimate(
         self, readings: RowReadings, live: np.ndarray
@@ -276,6 +266,51 @@ class EnsembleFlightSimulator:
             np.where(ekf_rows, est_vel, body.vel),
             np.where(ekf_rows, est_quat, body.quat),
         )
+
+    def _samples(self) -> List[List[SimSample]]:
+        """Every lane's samples, extended by the blocks recorded since the
+        last read.
+
+        Each sample keeps the bits :meth:`FlightSimulator.step` records:
+        the row kernels below are elementwise, so running them once over
+        the stacked blocks gives every row what a per-tick call would.
+        """
+        blocks = self._blocks
+        if not blocks:
+            return self._sample_rows
+        self._blocks = []
+        times, lanes, *rows = zip(*blocks)
+        pos, vel, quat, thrusts, power, current, used, fault = map(
+            np.concatenate, rows
+        )
+        starts = range(0, len(times) * self.n_lanes, self.n_lanes)
+        battery = self._template.battery
+        euler = euler_from_quaternion_rows(
+            quat,
+            [start + i for start, recorded in zip(starts, lanes) for i in recorded],
+            np.empty((len(quat), 3)),
+        )
+        powers = power.tolist()
+        voltage = terminal_voltage_rows(
+            battery, ocv_rows(battery, used), current, fault
+        ).tolist()
+        soc = soc_rows(battery, used).tolist()
+        for start, time_s, recorded in zip(starts, times, lanes):
+            for i in recorded:
+                row = start + i
+                self._sample_rows[i].append(
+                    SimSample(
+                        time_s=time_s,
+                        position_m=pos[row],
+                        velocity_m_s=vel[row],
+                        euler_rad=euler[row],
+                        motor_thrusts_n=thrusts[row],
+                        electrical_power_w=powers[row],
+                        battery_voltage_v=voltage[row],
+                        battery_soc=soc[row],
+                    )
+                )
+        return self._sample_rows
 
     def run_for(self, duration_s: float) -> None:
         """Step all live lanes for ``duration_s`` simulated seconds."""
@@ -355,7 +390,7 @@ class EnsembleFlightSimulator:
         sim._last_current_a = float(self._last_current[index])
         sim.depleted = bool(self.depleted[index])
         sim.ekf_resets = int(self._ekf.resets[index])
-        sim.samples = list(self._sample_rows[index])
+        sim.samples = list(self._samples()[index])
 
         body = self._body
         state = sim.body.state
@@ -662,7 +697,7 @@ class LaneSim:
 
     @property
     def samples(self) -> List[SimSample]:
-        return self._ens._sample_rows[self._index]
+        return self._ens._samples()[self._index]
 
     # -- commands ------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from repro.autopilot.mavlink import (
     Link,
     Message,
     MessageType,
+    _checksum,
     decode,
 )
 from repro.sim.simulator import DroneModel, FlightSimulator
@@ -44,6 +45,32 @@ class TestMavlink:
         frame[2] ^= 0xFF
         with pytest.raises(FrameError):
             decode(bytes(frame))
+
+    def test_checksum_is_crc16_mcrf4xx(self):
+        """The CRC-16/MCRF4XX check value, and the byte-at-a-time X.25
+        accumulation MAVLink specifies, on frames of 0-300 bytes."""
+        assert _checksum(b"123456789") == 0x6F91
+
+        def byte_loop(data: bytes) -> int:
+            crc = 0xFFFF
+            for byte in data:
+                tmp = byte ^ (crc & 0xFF)
+                tmp = (tmp ^ (tmp << 4)) & 0xFF
+                crc = ((crc >> 8) ^ (tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)) & 0xFFFF
+            return crc
+
+        rng = np.random.default_rng(29)
+        for length in list(range(80)) + rng.integers(80, 301, size=60).tolist():
+            frame = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+            assert _checksum(frame) == byte_loop(frame), length
+
+    def test_single_bit_flip_rejected(self):
+        frame = Message(MessageType.STATE_REPORT, (1.0, -2.5, 3.25)).encode()
+        for bit in range(8 * len(frame)):
+            corrupted = bytearray(frame)
+            corrupted[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(FrameError, match="checksum mismatch"):
+                decode(bytes(corrupted))
 
     def test_short_frame_rejected(self):
         with pytest.raises(FrameError):

@@ -34,8 +34,10 @@ from repro.chaos import (
     trial_rng,
 )
 from repro.chaos.campaign import EKF_KINDS, LINK_KINDS
-from repro.chaos.recorder import BlackBoxTrace, TickRecord
-from repro.chaos.runner import TrialResult, VERDICT_CRASH, VERDICT_SAFE, VERDICT_VIOLATION
+from repro.chaos.recorder import REPLAY_FIELDS, BlackBoxTrace, TickRecord
+from repro.chaos.runner import (
+    TrialResult, VERDICT_CRASH, VERDICT_SAFE, VERDICT_VIOLATION, replay_trial,
+)
 from repro.chaos.__main__ import build_parser, main as chaos_main
 from repro.faults.envelope import DEFAULT_CRASH_ENVELOPE, CrashEnvelope
 from repro.faults.schedule import FaultKind, FaultSchedule
@@ -197,6 +199,15 @@ class TestCampaignGenerator:
         spec = generate_trial(CONFIG, 2)
         restored = TrialSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
+
+    def test_config_serialization_roundtrip(self):
+        config = CampaignConfig(
+            campaign_seed=4, duration_s=12.5, physics_rate_hz=200.0,
+            limits=SafetyLimits(fence_half_extent_m=9.0),
+            envelope=CrashEnvelope(hard_landing_speed_m_s=2.5),
+        )
+        data = json.loads(json.dumps(config.to_dict()))
+        assert CampaignConfig.from_dict(data) == config
 
     def test_spec_roundtrip_preserves_open_ended_window(self):
         schedule = FaultSchedule().add(FaultKind.LINK_BLACKOUT, start_s=4.0)
@@ -442,6 +453,10 @@ class TestFlightRecorder:
             sensor_seed=1234,
             verdict=VERDICT_VIOLATION,
             schedule=schedule,
+            physics_rate_hz=200.0,
+            duration_s=12.0,
+            settle_s=5.0,
+            control_step_s=0.1,
             violation=Violation(
                 invariant="geofence-box", time_s=4.5, detail="excursion",
                 active_faults=("link_blackout",), failsafe="DEGRADED",
@@ -454,34 +469,60 @@ class TestFlightRecorder:
         restored = BlackBoxTrace.from_json(trace.to_json(indent=2))
         assert restored.fingerprint() == trace.fingerprint()
         assert restored.sensor_seed == 1234
+        assert (restored.physics_rate_hz, restored.duration_s) == (200.0, 12.0)
+        assert (restored.settle_s, restored.control_step_s) == (5.0, 0.1)
         assert restored.schedule.events[0].end_s == math.inf
         assert isinstance(restored.ticks[0], TickRecord)
 
     def test_unknown_trace_format_rejected(self):
         data = _trace_dict()
         data["format"] = 99
-        with pytest.raises(ValueError, match="format 99: expected 2"):
+        with pytest.raises(ValueError, match="format 99: expected 3"):
             BlackBoxTrace.from_dict(data)
 
-    @pytest.mark.parametrize("found", [1, None])
+    @pytest.mark.parametrize(
+        "field, flown",
+        [("physics_rate_hz", 200.0), ("duration_s", 20.0), ("settle_s", 4.0),
+         ("control_step_s", 0.05)],
+    )
+    def test_replay_refuses_a_config_the_trace_was_not_flown_with(
+        self, field, flown
+    ):
+        """Replaying a trace under other flight settings would fly another
+        flight: the error names the field, before anything flies."""
+        trace = BlackBoxTrace.from_dict(_trace(**{field: flown}).to_dict())
+        with pytest.raises(ValueError, match=rf"{field}={flown}"):
+            replay_trial(trace, CampaignConfig())
+
+    @pytest.mark.parametrize("found", [1, 2, None])
     def test_old_or_missing_trace_format_rejected(self, found):
-        """Format 1 carried no sensor seed, and a trace with no ``format``
-        key is not taken for current: both name found and expected."""
+        """Format 1 carried no sensor seed and format 2 no replay config,
+        and a trace with no ``format`` key is not taken for current: all
+        name found and expected."""
         data = _trace_dict()
         del data["sensor_seed"]
+        del data["config"]
         if found is None:
             del data["format"]
         else:
             data["format"] = found
-        with pytest.raises(ValueError, match=rf"format {found}: expected 2"):
+        with pytest.raises(ValueError, match=rf"format {found}: expected 3"):
             BlackBoxTrace.from_dict(data)
 
 
-def _trace_dict() -> dict:
+def _trace(**config) -> BlackBoxTrace:
+    """A crash trace flown at ``CampaignConfig`` defaults, except for the
+    replay fields in ``config``."""
+    defaults = CampaignConfig()
     return BlackBoxTrace(
         campaign_seed=1, trial_index=0, link_seed=0, sensor_seed=None,
         verdict=VERDICT_CRASH, schedule=FaultSchedule(),
-    ).to_dict()
+        **{name: config.get(name, getattr(defaults, name)) for name in REPLAY_FIELDS},
+    )
+
+
+def _trace_dict() -> dict:
+    return _trace().to_dict()
 
 
 # -- triage ---------------------------------------------------------------------
@@ -588,6 +629,9 @@ class TestChaosCli:
         assert code == 0
         report = json.loads((output_dir / "campaign.json").read_text())
         assert report["trials"] == 3
+        assert CampaignConfig.from_dict(report["config"]) == CampaignConfig(
+            campaign_seed=3, trials=3, duration_s=6.5
+        )
         traces = sorted((output_dir / "traces").glob("trial_*.json")) if (
             output_dir / "traces"
         ).exists() else []

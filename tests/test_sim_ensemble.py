@@ -28,6 +28,7 @@ from repro.control.estimation import InsEkf
 from repro.faults.scenarios import DEFAULT_MODEL
 from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.physics.environment import Wind
+from repro.sim import ensemble as sim_ensemble
 from repro.sim.ensemble import EnsembleFlightSimulator, hover_gust_monte_carlo
 from repro.sim.simulator import DroneModel, FlightSimulator
 from tests.equivalence import BLAS, LIBM, golden
@@ -304,6 +305,93 @@ class TestMaterializedCopy:
         ens.freeze_lane(1)
         with pytest.raises(RuntimeError, match="lane 1 is frozen"):
             ens.materialize_lane(1)
+
+
+def _paired_flights(n_lanes: int):
+    """An ensemble and its scalar twins, lanes on their own targets and
+    sensor seeds, EKF and truth-state lanes mixed."""
+    model = _model()
+    flags = MIXED_EKF[:n_lanes]
+    seeds = SENSOR_SEEDS[:n_lanes]
+    ens = EnsembleFlightSimulator(
+        model, n_lanes=n_lanes, physics_rate_hz=RATE_HZ, use_ekf=flags,
+        sensor_seeds=seeds,
+    )
+    scalars = [
+        FlightSimulator(
+            model, physics_rate_hz=RATE_HZ, use_ekf=flag, sensor_seed=seed
+        )
+        for flag, seed in zip(flags, seeds)
+    ]
+    for index in range(n_lanes):
+        ens.set_lane_target(index, TARGETS[index])
+        scalars[index].goto(TARGETS[index])
+    return ens, scalars
+
+
+class TestRecording:
+    """The ensemble records row blocks and builds samples on read; what a
+    reader sees is exactly the scalar simulator's samples."""
+
+    def test_reads_mid_flight_extend_one_list(self):
+        ens, scalars = _paired_flights(3)
+        for sim in [ens, *scalars]:
+            sim.run_for(0.75)
+        first = [ens.lane(index).samples for index in range(3)]
+        for lane_samples, sim in zip(first, scalars):
+            _assert_samples_equal(lane_samples, sim.samples)
+        for sim in [ens, *scalars]:
+            sim.run_for(0.5)
+        for index, sim in enumerate(scalars):
+            assert ens.lane(index).samples is first[index]
+            _assert_samples_equal(first[index], sim.samples)
+
+    def test_frozen_lane_gains_no_samples(self):
+        ens, scalars = _paired_flights(2)
+        for sim in [ens, *scalars]:
+            sim.run_for(0.5)
+        ens.freeze_lane(1)
+        ens.run_for(0.5)
+        scalars[0].run_for(0.5)
+        _assert_samples_equal(ens.lane(1).samples, scalars[1].samples)
+        _assert_samples_equal(ens.lane(0).samples, scalars[0].samples)
+        assert len(ens.lane(0).samples) > len(ens.lane(1).samples)
+
+    def test_materialized_copy_gets_the_built_samples(self):
+        ens, scalars = _paired_flights(2)
+        for sim in [ens, *scalars]:
+            sim.run_for(0.5)
+        copy = ens.materialize_lane(1)
+        lane_samples = ens.lane(1).samples
+        assert copy.samples is not lane_samples
+        _assert_samples_equal(copy.samples, scalars[1].samples)
+        _assert_samples_equal(lane_samples, scalars[1].samples)
+        copy.run_for(0.5)
+        assert len(lane_samples) == len(scalars[1].samples)
+
+    def test_chaos_group_builds_no_sample(self, monkeypatch):
+        """A chaos trial judges its black box, so its lane's telemetry
+        stays in row blocks."""
+        built = []
+
+        class CountingEnsemble(EnsembleFlightSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        def refuse(**fields):
+            raise AssertionError("a chaos group built a SimSample")
+
+        monkeypatch.setattr(
+            chaos_ensemble, "EnsembleFlightSimulator", CountingEnsemble
+        )
+        monkeypatch.setattr(sim_ensemble, "SimSample", refuse)
+        config = CampaignConfig(campaign_seed=3, trials=3, duration_s=8.0)
+        results = run_trials_ensemble(generate_campaign(config), config)
+        assert len(results) == 3
+        [ens] = built
+        assert ens._blocks
+        assert ens._sample_rows == [[], [], []]
 
 
 def _assert_campaign_matches_reference(config, vector):
