@@ -86,7 +86,7 @@ def main() -> None:
     print()
     print("== Replay from the trace file alone ==")
     restored = BlackBoxTrace.from_json(worst.trace.to_json())
-    replayed = replay_trial(restored, CONFIG)
+    replayed = replay_trial(restored, restored.config)
     print(f"identical metrics:     {replayed.metrics() == worst.metrics()}")
     print(
         "identical trace:       "

@@ -40,22 +40,3 @@ PAPER_TITLE = "Quantifying the Design-Space Tradeoffs in Autonomous Drones"
 PAPER_VENUE = "ASPLOS 2021"
 PAPER_DOI = "10.1145/3445814.3446721"
 
-
-def clear_all_caches() -> None:
-    """Drop every module-level memo cache in the library.
-
-    One hook for test isolation and long-lived processes: the per-wheelbase
-    propeller constants, the generated component catalog, the catalog
-    regression fits, and the synthetic SLAM sequences.  Imports are
-    deferred so calling this never pulls in subpackages the process has not
-    already paid for.
-    """
-    from repro.components.catalog import clear_catalog_cache
-    from repro.core.batch import _WHEELBASE_CONSTANTS_CACHE
-    from repro.core.tradeoffs import clear_fit_cache
-    from repro.slam.dataset import clear_sequence_cache
-
-    _WHEELBASE_CONSTANTS_CACHE.clear()
-    clear_catalog_cache()
-    clear_fit_cache()
-    clear_sequence_cache()

@@ -2,8 +2,8 @@
 
 Flies a fixed-seed campaign, triages the failures, writes the campaign
 report and config plus one black-box trace per failed trial, and (with
-``--replay-failures``) re-flies every failure from its recorded seeds and
-schedule to verify bit-for-bit determinism.
+``--replay-failures``) re-flies every failure from its recorded spec to
+verify bit-for-bit determinism.
 
 With ``--checkpoint PATH`` the campaign runs under the fault-tolerant
 execution layer (:mod:`repro.exec`): every completed ensemble group of
@@ -40,6 +40,7 @@ from repro.chaos.triage import CampaignReport, triage
 from repro.core.parallel import SweepRunnerConfig
 from repro.exec.errors import JournalMismatchError
 from repro.exec.policy import ExecutionPolicy
+from repro.sim.simulator import MIN_PHYSICS_RATE_HZ
 
 
 def _format_report(report: CampaignReport) -> str:
@@ -85,9 +86,9 @@ def _write_artifacts(
     results: List[TrialResult],
     run: Optional[CampaignRun] = None,
 ) -> None:
-    """Write ``campaign.json`` (the report and the full config: with a
-    trace file it is all a replay needs), ``execution.json`` and one
-    trace per failed trial."""
+    """Write ``campaign.json`` (the report and the full config),
+    ``execution.json`` and one trace per failed trial; each trace records
+    its trial's spec and config, so it replays from its file alone."""
     os.makedirs(output_dir, exist_ok=True)
     if run is not None and run.execution is not None:
         execution_path = os.path.join(output_dir, "execution.json")
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--physics-rate",
         type=float,
         default=defaults.physics_rate_hz,
-        help="physics rate in Hz (>= 100)",
+        help=f"physics rate in Hz (>= {MIN_PHYSICS_RATE_HZ:g})",
     )
     parser.add_argument(
         "--max-faults",

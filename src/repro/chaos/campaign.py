@@ -22,6 +22,7 @@ import numpy as np
 from repro.chaos.invariants import SafetyLimits
 from repro.faults.envelope import DEFAULT_CRASH_ENVELOPE, CrashEnvelope
 from repro.faults.schedule import FaultKind, FaultSchedule
+from repro.sim.simulator import MIN_PHYSICS_RATE_HZ
 
 #: Fault kinds the chaos sampler draws from: every closed-loop kind the
 #: injector can land in the simulator stack.  Perception kinds act on SLAM
@@ -82,6 +83,11 @@ class CampaignConfig:
             raise ValueError(f"campaign needs at least one trial: {self.trials}")
         if self.max_faults <= 0:
             raise ValueError(f"max_faults must be positive: {self.max_faults}")
+        if self.physics_rate_hz < MIN_PHYSICS_RATE_HZ:
+            raise ValueError(
+                f"physics rate {self.physics_rate_hz} Hz is below the "
+                f"simulator's {MIN_PHYSICS_RATE_HZ:g} Hz floor"
+            )
         if self.duration_s <= self.settle_s:
             raise ValueError(
                 f"duration {self.duration_s} s must exceed the "

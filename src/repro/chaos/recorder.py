@@ -8,12 +8,11 @@ hard ``maxlen``, so a thousand-trial campaign holds memory flat and still
 has the final seconds of every failure at full resolution.
 
 On a violation or crash the runner freezes the buffer into a
-:class:`BlackBoxTrace`: a JSON document carrying the trial's identity
-``(campaign_seed, trial_index)``, its link and sensor seeds, its exact fault
-schedule, the campaign settings its flight schedule depends on, the verdict,
-and the recorded ticks — everything the deterministic replay harness needs
-to re-fly the trial bit-for-bit from the trace file and the campaign's
-config.
+:class:`BlackBoxTrace`: a JSON document carrying the trial's
+:class:`~repro.chaos.campaign.TrialSpec` and the whole
+:class:`~repro.chaos.campaign.CampaignConfig` it flew under, the verdict,
+and the recorded ticks.  The trace file alone is a complete flight plan:
+``replay_trial(trace, trace.config)`` re-flies the trial bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,17 +23,12 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.autopilot.arducopter import Autopilot
+from repro.chaos.campaign import CampaignConfig, TrialSpec
 from repro.chaos.invariants import Violation
-from repro.faults.schedule import FaultSchedule
 
 #: Black-box trace format version (bump on incompatible schema changes).
-#: Format 3 records the :data:`REPLAY_FIELDS`.
-TRACE_FORMAT = 3
-
-#: The ``CampaignConfig`` fields that set a trial's physics rate and
-#: flight schedule: a trace records them, and a replay under a config that
-#: differs in one of them is refused (it would fly another flight).
-REPLAY_FIELDS = ("physics_rate_hz", "duration_s", "settle_s", "control_step_s")
+#: Format 4 records the whole trial spec and campaign config.
+TRACE_FORMAT = 4
 
 
 def _vec3(values: Any) -> Tuple[float, float, float]:
@@ -131,19 +125,11 @@ class FlightRecorder:
 
 @dataclass
 class BlackBoxTrace:
-    """A dumped black box: trial identity + schedule + verdict + ticks."""
+    """A dumped black box: the trial's spec and config + verdict + ticks."""
 
-    campaign_seed: int
-    trial_index: int
-    link_seed: int
-    sensor_seed: Optional[int]
+    spec: TrialSpec
+    config: CampaignConfig
     verdict: str
-    schedule: FaultSchedule
-    #: The :data:`REPLAY_FIELDS` of the campaign config the trial flew.
-    physics_rate_hz: float
-    duration_s: float
-    settle_s: float
-    control_step_s: float
     violation: Optional[Violation] = None
     events: Tuple[Tuple[float, str], ...] = ()
     ticks: List[TickRecord] = field(default_factory=list)
@@ -152,13 +138,9 @@ class BlackBoxTrace:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "format": TRACE_FORMAT,
-            "campaign_seed": self.campaign_seed,
-            "trial_index": self.trial_index,
-            "link_seed": self.link_seed,
-            "sensor_seed": self.sensor_seed,
+            "spec": self.spec.to_dict(),
+            "config": self.config.to_dict(),
             "verdict": self.verdict,
-            "schedule": self.schedule.to_jsonable(),
-            "config": {name: getattr(self, name) for name in REPLAY_FIELDS},
             "violation": (
                 None if self.violation is None else self.violation.to_dict()
             ),
@@ -178,19 +160,10 @@ class BlackBoxTrace:
                 f"unsupported trace format {found!r}: expected {TRACE_FORMAT}"
             )
         violation = data.get("violation")
-        sensor_seed = data["sensor_seed"]
-        config = data["config"]
         return cls(
-            campaign_seed=int(data["campaign_seed"]),
-            trial_index=int(data["trial_index"]),
-            link_seed=int(data["link_seed"]),
-            sensor_seed=None if sensor_seed is None else int(sensor_seed),
+            spec=TrialSpec.from_dict(data["spec"]),
+            config=CampaignConfig.from_dict(data["config"]),
             verdict=str(data["verdict"]),
-            schedule=FaultSchedule.from_jsonable(data["schedule"]),
-            physics_rate_hz=float(config["physics_rate_hz"]),
-            duration_s=float(config["duration_s"]),
-            settle_s=float(config["settle_s"]),
-            control_step_s=float(config["control_step_s"]),
             violation=None if violation is None else Violation.from_dict(violation),
             events=tuple(
                 (float(time_s), str(text)) for time_s, text in data.get("events", [])
@@ -205,13 +178,14 @@ class BlackBoxTrace:
 
     def fingerprint(self) -> Tuple:
         """Bit-for-bit comparison key used by the replay determinism check."""
+        spec = self.spec
         return (
-            self.campaign_seed,
-            self.trial_index,
-            self.link_seed,
-            self.sensor_seed,
+            spec.campaign_seed,
+            spec.trial_index,
+            spec.link_seed,
+            spec.sensor_seed,
             self.verdict,
-            tuple(self.schedule.events),
+            tuple(spec.schedule.events),
             self.violation,
             self.events,
             tuple(self.ticks),

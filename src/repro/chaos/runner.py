@@ -6,8 +6,8 @@ sampled compound fault schedule, watched by the
 :class:`~repro.chaos.recorder.FlightRecorder`.  The runner's contract is
 strict determinism: a :class:`TrialResult` is a pure function of
 ``(TrialSpec, CampaignConfig)``, which is what lets
-:func:`replay_trial` re-fly any failure from its recorded seeds and
-schedule and assert bit-for-bit equality of verdicts and metrics.
+:func:`replay_trial` re-fly any failure from its recorded spec and
+config and assert bit-for-bit equality of verdicts and metrics.
 
 Every campaign flies in ensemble groups through
 :func:`repro.chaos.ensemble.run_trials_ensemble`, one group per work item
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
@@ -37,7 +37,7 @@ from repro.autopilot.mavlink import Link, MessageType
 from repro.autopilot.offload import PoseStalenessWatchdog
 from repro.chaos.campaign import CampaignConfig, TrialSpec, generate_campaign
 from repro.chaos.invariants import SafetyMonitor, Violation
-from repro.chaos.recorder import REPLAY_FIELDS, BlackBoxTrace, FlightRecorder
+from repro.chaos.recorder import BlackBoxTrace, FlightRecorder
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.report import ExecutionReport, QuarantineRecord
@@ -197,13 +197,9 @@ class LaneHarness:
         trace: Optional[BlackBoxTrace] = None
         if verdict != VERDICT_SAFE:
             trace = BlackBoxTrace(
-                campaign_seed=spec.campaign_seed,
-                trial_index=spec.trial_index,
-                link_seed=spec.link_seed,
-                sensor_seed=spec.sensor_seed,
+                spec=spec,
+                config=self.config,
                 verdict=verdict,
-                schedule=spec.schedule,
-                **{name: getattr(self.config, name) for name in REPLAY_FIELDS},
                 violation=monitor.first_violation,
                 events=tuple(autopilot.events),
                 ticks=list(self.recorder.ticks),
@@ -308,54 +304,31 @@ def replay_trial(
     source: Union["TrialResult", BlackBoxTrace, TrialSpec],
     config: CampaignConfig,
 ) -> TrialResult:
-    """Re-fly a trial from its recorded seeds and schedule.
+    """Re-fly a trial from its recorded spec.
 
     Accepts a prior result, a black-box trace loaded from disk, or a bare
     spec; the replay is a fresh closed-loop flight, so comparing its
     :meth:`TrialResult.metrics` against the original is a true end-to-end
     determinism check, not a cache read.  A trace (or a result carrying
-    one) is checked against ``config`` first: a :class:`ValueError` names
-    the first :data:`~repro.chaos.recorder.REPLAY_FIELDS` field that
-    differs, since replaying there would fly another flight.
+    one) replays only under the config it records: a :class:`ValueError`
+    names the first field where ``config`` differs, before anything flies.
     """
-    trace: Optional[BlackBoxTrace] = None
     if isinstance(source, TrialResult):
         spec, trace = source.spec, source.trace
     elif isinstance(source, BlackBoxTrace):
-        spec, trace = _spec_from_trace(source), source
+        spec, trace = source.spec, source
     else:
-        spec = source
+        spec, trace = source, None
     if trace is not None:
-        for name in REPLAY_FIELDS:
-            flown, given = getattr(trace, name), getattr(config, name)
+        for item in fields(config):
+            flown = getattr(trace.config, item.name)
+            given = getattr(config, item.name)
             if flown != given:
                 raise ValueError(
-                    f"trace of trial {trace.trial_index} was flown with "
-                    f"{name}={flown!r}, but the replay config has {given!r}"
+                    f"trace of trial {spec.trial_index} was flown with "
+                    f"{item.name}={flown!r}, but the replay config has {given!r}"
                 )
     return run_trial(spec, config)
-
-
-def _spec_from_trace(trace: BlackBoxTrace) -> TrialSpec:
-    """Rebuild the trial spec a trace was flown under.
-
-    Harness flags are re-derived from the schedule's kinds — the same rule
-    the campaign generator applied — so the trace file alone suffices.
-    """
-    from repro.chaos.campaign import EKF_KINDS, LINK_KINDS
-    from repro.faults.schedule import FaultKind
-
-    kinds = {event.kind for event in trace.schedule.events}
-    return TrialSpec(
-        campaign_seed=trace.campaign_seed,
-        trial_index=trace.trial_index,
-        link_seed=trace.link_seed,
-        sensor_seed=trace.sensor_seed,
-        schedule=trace.schedule,
-        use_ekf=any(kind in kinds for kind in EKF_KINDS),
-        heartbeats=any(kind in kinds for kind in LINK_KINDS),
-        offload=FaultKind.OFFLOAD_STALL in kinds,
-    )
 
 
 def verify_replay(result: TrialResult, config: CampaignConfig) -> bool:

@@ -1,7 +1,6 @@
-"""Flight simulation: multirate scheduler, closed-loop simulator, missions,
-power traces (Figure 16), and telemetry."""
+"""Flight simulation: closed-loop simulator, missions, power traces
+(Figure 16), and telemetry."""
 
-from repro.sim.clock import MultirateScheduler, ScheduledTask
 from repro.sim.missions import (
     Mission,
     MissionPhase,
@@ -34,8 +33,6 @@ from repro.sim.simulator import DroneModel, FlightSimulator, SimSample
 from repro.sim.telemetry import TelemetryLog, TelemetryRecord
 
 __all__ = [
-    "MultirateScheduler",
-    "ScheduledTask",
     "Mission",
     "MissionPhase",
     "PhaseKind",

@@ -32,6 +32,10 @@ from repro.physics.rigid_body import (
 )
 from repro.sensors.suite import SensorSuite
 
+#: The lowest physics rate a simulator flies at: EKF-in-the-loop position
+#: error is held under 1 m only down to this rate.
+MIN_PHYSICS_RATE_HZ = 100.0
+
 
 @dataclass(frozen=True)
 class DroneModel:
@@ -102,11 +106,12 @@ class FlightSimulator:
         record_rate_hz: float = 50.0,
         sensor_seed: Optional[int] = None,
     ):
-        if physics_rate_hz < 100.0:
+        if physics_rate_hz < MIN_PHYSICS_RATE_HZ:
             raise ValueError(
-                f"physics rate {physics_rate_hz} Hz is below the 100 Hz floor: "
+                f"physics rate {physics_rate_hz} Hz is below the "
+                f"{MIN_PHYSICS_RATE_HZ:g} Hz floor: "
                 "EKF-in-the-loop position error is held under 1 m only down "
-                "to 100 Hz (tests/test_ekf_low_rate.py::"
+                "to the floor (tests/test_ekf_low_rate.py::"
                 "test_ekf_waypoint_flight_at_100_hz) and grows below it"
             )
         self.model = model

@@ -10,6 +10,7 @@ scale lives in ``test_chaos_replay.py``.
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from repro.chaos import (
     trial_rng,
 )
 from repro.chaos.campaign import EKF_KINDS, LINK_KINDS
-from repro.chaos.recorder import REPLAY_FIELDS, BlackBoxTrace, TickRecord
+from repro.chaos.recorder import BlackBoxTrace, TickRecord
 from repro.chaos.runner import (
     TrialResult, VERDICT_CRASH, VERDICT_SAFE, VERDICT_VIOLATION, replay_trial,
 )
@@ -194,6 +195,8 @@ class TestCampaignGenerator:
             CampaignConfig(open_window_probability=1.5)
         with pytest.raises(ValueError):
             CampaignConfig(max_faults=0)
+        with pytest.raises(ValueError, match="below the simulator's 100 Hz"):
+            CampaignConfig(physics_rate_hz=50.0)
 
     def test_spec_serialization_roundtrip(self):
         spec = generate_trial(CONFIG, 2)
@@ -446,17 +449,19 @@ class TestFlightRecorder:
         for _ in range(3):
             recorder.record(autopilot)
         schedule = FaultSchedule().add(FaultKind.LINK_BLACKOUT, start_s=2.0)
+        spec = TrialSpec(
+            campaign_seed=7, trial_index=3, link_seed=42, schedule=schedule,
+            use_ekf=False, heartbeats=True, offload=False, sensor_seed=1234,
+        )
+        config = CampaignConfig(
+            campaign_seed=7, duration_s=12.0, physics_rate_hz=200.0,
+            mission_half_extent_m=3.5,
+            limits=SafetyLimits(fence_half_extent_m=9.0),
+        )
         trace = BlackBoxTrace(
-            campaign_seed=7,
-            trial_index=3,
-            link_seed=42,
-            sensor_seed=1234,
+            spec=spec,
+            config=config,
             verdict=VERDICT_VIOLATION,
-            schedule=schedule,
-            physics_rate_hz=200.0,
-            duration_s=12.0,
-            settle_s=5.0,
-            control_step_s=0.1,
             violation=Violation(
                 invariant="geofence-box", time_s=4.5, detail="excursion",
                 active_faults=("link_blackout",), failsafe="DEGRADED",
@@ -468,56 +473,72 @@ class TestFlightRecorder:
         )
         restored = BlackBoxTrace.from_json(trace.to_json(indent=2))
         assert restored.fingerprint() == trace.fingerprint()
-        assert restored.sensor_seed == 1234
-        assert (restored.physics_rate_hz, restored.duration_s) == (200.0, 12.0)
-        assert (restored.settle_s, restored.control_step_s) == (5.0, 0.1)
-        assert restored.schedule.events[0].end_s == math.inf
+        assert restored.spec == spec
+        assert restored.config == config
+        assert restored.spec.schedule.events[0].end_s == math.inf
         assert isinstance(restored.ticks[0], TickRecord)
 
     def test_unknown_trace_format_rejected(self):
         data = _trace_dict()
         data["format"] = 99
-        with pytest.raises(ValueError, match="format 99: expected 3"):
+        with pytest.raises(ValueError, match="format 99: expected 4"):
             BlackBoxTrace.from_dict(data)
 
     @pytest.mark.parametrize(
         "field, flown",
-        [("physics_rate_hz", 200.0), ("duration_s", 20.0), ("settle_s", 4.0),
-         ("control_step_s", 0.05)],
+        [
+            ("physics_rate_hz", 200.0),
+            ("duration_s", 20.0),
+            ("settle_s", 4.0),
+            ("control_step_s", 0.05),
+            ("mission_half_extent_m", 3.5),
+            ("takeoff_altitude_m", 6.0),
+            ("recorder_maxlen", 50),
+            ("limits", SafetyLimits(fence_half_extent_m=9.0)),
+            ("envelope", CrashEnvelope(hard_landing_speed_m_s=2.5)),
+        ],
     )
     def test_replay_refuses_a_config_the_trace_was_not_flown_with(
         self, field, flown
     ):
-        """Replaying a trace under other flight settings would fly another
-        flight: the error names the field, before anything flies."""
+        """Replaying a trace under another config would fly another flight
+        or judge it by other rules: the error names the field, before
+        anything flies."""
         trace = BlackBoxTrace.from_dict(_trace(**{field: flown}).to_dict())
-        with pytest.raises(ValueError, match=rf"{field}={flown}"):
+        with pytest.raises(ValueError, match=re.escape(f"{field}={flown!r}")):
             replay_trial(trace, CampaignConfig())
 
-    @pytest.mark.parametrize("found", [1, 2, None])
-    def test_old_or_missing_trace_format_rejected(self, found):
-        """Format 1 carried no sensor seed and format 2 no replay config,
-        and a trace with no ``format`` key is not taken for current: all
-        name found and expected."""
+    def test_trace_below_the_physics_floor_fails_to_load(self):
         data = _trace_dict()
-        del data["sensor_seed"]
+        data["config"]["physics_rate_hz"] = 50.0
+        with pytest.raises(ValueError, match="below the simulator's 100 Hz"):
+            BlackBoxTrace.from_dict(data)
+
+    @pytest.mark.parametrize("found", [1, 2, 3, None])
+    def test_old_or_missing_trace_format_rejected(self, found):
+        """Format 1 carried no sensor seed, format 2 no replay config and
+        format 3 only four config fields, and a trace with no ``format``
+        key is not taken for current: all name found and expected."""
+        data = _trace_dict()
+        del data["spec"]
         del data["config"]
         if found is None:
             del data["format"]
         else:
             data["format"] = found
-        with pytest.raises(ValueError, match=rf"format {found}: expected 3"):
+        with pytest.raises(ValueError, match=rf"format {found}: expected 4"):
             BlackBoxTrace.from_dict(data)
 
 
 def _trace(**config) -> BlackBoxTrace:
     """A crash trace flown at ``CampaignConfig`` defaults, except for the
-    replay fields in ``config``."""
-    defaults = CampaignConfig()
+    fields in ``config``."""
+    spec = TrialSpec(
+        campaign_seed=1, trial_index=0, link_seed=0, schedule=FaultSchedule(),
+        use_ekf=False, heartbeats=False, offload=False,
+    )
     return BlackBoxTrace(
-        campaign_seed=1, trial_index=0, link_seed=0, sensor_seed=None,
-        verdict=VERDICT_CRASH, schedule=FaultSchedule(),
-        **{name: config.get(name, getattr(defaults, name)) for name in REPLAY_FIELDS},
+        spec=spec, config=CampaignConfig(**config), verdict=VERDICT_CRASH
     )
 
 
@@ -690,3 +711,16 @@ class TestChaosCli:
         assert chaos_main(["--trials", "0"]) == 2
         assert chaos_main(["--duration", "3.0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_physics_rate_below_the_floor_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        """Refused before anything flies, so no journal is left behind to
+        block the corrected rerun."""
+        journal = tmp_path / "journal.jsonl"
+        assert chaos_main([
+            "--physics-rate", "50", "--trials", "1", "--duration", "6",
+            "--inline", "--checkpoint", str(journal),
+        ]) == 2
+        assert "below the simulator's 100 Hz floor" in capsys.readouterr().err
+        assert not journal.exists()

@@ -67,9 +67,9 @@ def test_traces_exist_exactly_for_failures(campaign_results):
     for result in campaign_results:
         if result.failed:
             assert result.trace is not None
-            assert result.trace.trial_index == result.spec.trial_index
+            assert result.trace.spec.trial_index == result.spec.trial_index
             assert result.trace.verdict == result.verdict
-            assert result.trace.sensor_seed == result.spec.sensor_seed
+            assert result.trace.spec.sensor_seed == result.spec.sensor_seed
         else:
             assert result.trace is None
 
@@ -96,7 +96,8 @@ def test_replay_from_serialized_trace_alone(campaign_results):
         assert result.trace is not None
         restored = BlackBoxTrace.from_json(result.trace.to_json())
         assert restored.fingerprint() == result.trace.fingerprint()
-        replayed = replay_trial(restored, ACCEPTANCE_CONFIG)
+        assert restored.config == ACCEPTANCE_CONFIG
+        replayed = replay_trial(restored, restored.config)
         assert replayed.metrics() == result.metrics()
         assert replayed.trace is not None
         assert replayed.trace.fingerprint() == result.trace.fingerprint()

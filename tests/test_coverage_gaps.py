@@ -11,7 +11,6 @@ from repro.core.design import DroneDesign
 from repro.core.tradeoffs import FitComparison
 from repro.physics.rigid_body import QuadcopterBody
 from repro.platforms.accelerator import navion_asic, zynq_ba_accelerator
-from repro.sim.clock import MultirateScheduler
 from repro.sim.missions import PhaseKind, figure16_mission
 from repro.slam.features import OrbExtractor
 from repro.slam.dataset import Frame, load_sequence
@@ -89,17 +88,6 @@ class TestControllerMisc:
         )
         with pytest.raises(ValueError):
             controller.set_attitude_target(np.zeros(3), -1.0)
-
-
-class TestSchedulerLateness:
-    def test_lateness_tracked_for_offgrid_periods(self):
-        """A 300 Hz task on a 1 kHz grid cannot fire exactly on period —
-        the scheduler must report the induced lateness."""
-        scheduler = MultirateScheduler(tick_rate_hz=1000.0)
-        task = scheduler.add_task("odd", 300.0, lambda dt: None)
-        scheduler.run_for(1.0)
-        assert task.executions == pytest.approx(300, abs=5)
-        assert task.max_lateness_s < 2.0 / 1000.0  # within two ticks
 
 
 class TestAcceleratorComparison:

@@ -11,7 +11,6 @@ from repro.components.battery import make_battery
 from repro.core.explorer import SweepResult
 from repro.core.metrics import FlightTimeEstimate
 from repro.platforms.profiles import PlatformProfile, rpi4_profile
-from repro.sim.clock import MultirateScheduler
 from repro.sim.simulator import DroneModel, FlightSimulator
 from repro.slam.dataset import load_sequence
 from repro.slam.map import SlamMap
@@ -194,19 +193,6 @@ class TestProfileValidation:
                 power_overhead_w=1.0, weight_overhead_g=1.0,
                 integration_cost="Low", fabrication_cost="Low",
             )
-
-
-class TestSchedulerEdges:
-    def test_zero_elapsed_rates_undefined(self):
-        scheduler = MultirateScheduler()
-        with pytest.raises(ValueError):
-            scheduler.measured_rates_hz()
-
-    def test_find_task(self):
-        scheduler = MultirateScheduler()
-        task = scheduler.add_task("a", 10.0, lambda dt: None)
-        assert scheduler.find_task("a") is task
-        assert scheduler.find_task("missing") is None
 
 
 class TestSweepResultEdges:

@@ -1,10 +1,9 @@
-"""Unit/integration tests: scheduler, flight simulator, missions, power
-traces, and telemetry."""
+"""Unit/integration tests: flight simulator, missions, power traces, and
+telemetry."""
 
 import numpy as np
 import pytest
 
-from repro.sim.clock import MultirateScheduler
 from repro.sim.missions import (
     Mission,
     MissionPhase,
@@ -31,50 +30,6 @@ def model_450() -> DroneModel:
         mass_kg=1.071, wheelbase_mm=450.0, battery_cells=3,
         battery_capacity_mah=3000.0,
     )
-
-
-class TestScheduler:
-    def test_rates_are_respected(self):
-        scheduler = MultirateScheduler(tick_rate_hz=1000.0)
-        counts = {"fast": 0, "slow": 0}
-        scheduler.add_task("fast", 200.0, lambda dt: counts.__setitem__(
-            "fast", counts["fast"] + 1))
-        scheduler.add_task("slow", 10.0, lambda dt: counts.__setitem__(
-            "slow", counts["slow"] + 1))
-        scheduler.run_for(2.0)
-        assert counts["fast"] == pytest.approx(400, abs=2)
-        assert counts["slow"] == pytest.approx(20, abs=1)
-
-    def test_callback_receives_period(self):
-        scheduler = MultirateScheduler(tick_rate_hz=1000.0)
-        periods = []
-        scheduler.add_task("t", 100.0, periods.append)
-        scheduler.run_for(0.1)
-        assert all(p == pytest.approx(0.01) for p in periods)
-
-    def test_task_faster_than_tick_rejected(self):
-        scheduler = MultirateScheduler(tick_rate_hz=100.0)
-        with pytest.raises(ValueError):
-            scheduler.add_task("too-fast", 200.0, lambda dt: None)
-
-    def test_duplicate_names_rejected(self):
-        scheduler = MultirateScheduler()
-        scheduler.add_task("a", 10.0, lambda dt: None)
-        with pytest.raises(ValueError):
-            scheduler.add_task("a", 10.0, lambda dt: None)
-
-    def test_remove_task(self):
-        scheduler = MultirateScheduler()
-        scheduler.add_task("a", 10.0, lambda dt: None)
-        scheduler.remove_task("a")
-        with pytest.raises(KeyError):
-            scheduler.remove_task("a")
-
-    def test_measured_rates(self):
-        scheduler = MultirateScheduler(tick_rate_hz=1000.0)
-        scheduler.add_task("a", 50.0, lambda dt: None)
-        scheduler.run_for(1.0)
-        assert scheduler.measured_rates_hz()["a"] == pytest.approx(50.0, rel=0.05)
 
 
 class TestFlightSimulator:
