@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Performance benchmark runner: grid evaluation, simulator, SLAM, platform.
+"""Performance benchmark runner: Figure 10 sweep, simulator, SLAM, platform.
 
 Times the hot paths of the repository and writes/compares baselines:
 
-* ``BENCH_sweep.json`` — the Figure 10 design-space grid (3 wheelbases x
-  3 cell counts x 29 capacities = 261 points) evaluated by the scalar
-  oracle (one ``DroneDesign.evaluate()`` per point) and by the vectorized
-  engine (one ``evaluate_batch`` call).
+* ``BENCH_sweep.json`` — one end-to-end Figure 10 sweep: the design-space
+  grid (3 wheelbases x 3 cell counts x 29 capacities = 261 points, one
+  ``DroneDesign.evaluate()`` each) through ``sweep_all_wheelbases`` plus
+  the ``computation_footprint`` of every wheelbase.
 * ``BENCH_sim.json`` — a 30 s closed-loop simulator run of the paper's
   test drone, and a 10-frame SLAM pipeline step.
 * ``BENCH_slam.json`` — global bundle adjustment on a converged MH01 map
@@ -21,9 +21,8 @@ Times the hot paths of the repository and writes/compares baselines:
   group, with cross-engine fingerprint, ``verify_replay``, and
   steady-state allocation-budget checks.
 
-Each scalar-vs-batch pair records its speedup; the grid speedup is gated
-by ``--min-speedup``, the SLAM/platform kernel speedups by
-``--min-kernel-speedup``, and the campaign speedup by
+Each scalar-vs-batch pair records its speedup; the SLAM/platform kernel
+speedups are gated by ``--min-kernel-speedup`` and the campaign speedup by
 ``--min-ensemble-speedup``.
 
 Usage::
@@ -59,13 +58,10 @@ from repro import oracles
 from repro.chaos.campaign import CampaignConfig, TrialSpec
 from repro.chaos.ensemble import run_trials_ensemble
 from repro.chaos.runner import TrialResult, run_trial, verify_replay
-from repro.core.batch import evaluate_batch
-from repro.core.design import DroneDesign
-from repro.core.equations import InfeasibleDesignError
 from repro.core.explorer import (
-    CAPACITY_SWEEP_MAH,
-    FIG10_CELL_COUNTS,
     FIG10_WHEELBASES_MM,
+    computation_footprint,
+    sweep_all_wheelbases,
 )
 from repro.faults.scenarios import DEFAULT_MODEL
 from repro.faults.schedule import FaultSchedule
@@ -120,41 +116,14 @@ ALLOC_CHECK_LANES = 16
 SUITES = ("sweep", "sim", "slam", "platform")
 
 
-def _fig10_grid_arrays():
-    cells = np.repeat(
-        np.asarray(FIG10_CELL_COUNTS, dtype=np.int64), len(CAPACITY_SWEEP_MAH)
-    )
-    capacities = np.tile(
-        np.asarray(CAPACITY_SWEEP_MAH, dtype=float), len(FIG10_CELL_COUNTS)
-    )
-    wheelbases = np.concatenate(
-        [np.full(cells.size, wb) for wb in FIG10_WHEELBASES_MM]
-    )
-    return wheelbases, np.tile(cells, 3), np.tile(capacities, 3)
+def sweep_workload(runs: int, warmup: int) -> TimingResult:
+    """One end-to-end Figure 10 sweep: every wheelbase, then its footprint."""
 
+    def fig10() -> None:
+        for sweep in sweep_all_wheelbases().values():
+            computation_footprint(sweep)
 
-def sweep_workloads(runs: int, warmup: int) -> List[TimingResult]:
-    """Scalar-oracle vs batched-engine evaluation of the Figure 10 grid."""
-    wheelbases, cells, capacities = _fig10_grid_arrays()
-
-    def scalar_grid() -> None:
-        for wb, cell_count, capacity in zip(wheelbases, cells, capacities):
-            try:
-                DroneDesign(
-                    wheelbase_mm=float(wb),
-                    battery_cells=int(cell_count),
-                    battery_capacity_mah=float(capacity),
-                ).evaluate()
-            except InfeasibleDesignError:
-                pass
-
-    def batch_grid() -> None:
-        evaluate_batch(wheelbases, cells, capacities)
-
-    return [
-        time_callable("scalar_grid_eval", scalar_grid, warmup=warmup, runs=runs),
-        time_callable("batch_grid_eval", batch_grid, warmup=warmup, runs=runs),
-    ]
+    return time_callable("fig10_sweep", fig10, warmup=warmup, runs=runs)
 
 
 def sim_workload(runs: int, warmup: int) -> TimingResult:
@@ -401,12 +370,6 @@ def main(argv: List[str]) -> int:
         help="fractional median regression allowed in --compare mode",
     )
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=10.0,
-        help="required batch-vs-scalar grid speedup (0 disables the check)",
-    )
-    parser.add_argument(
         "--min-kernel-speedup",
         type=float,
         default=5.0,
@@ -446,27 +409,14 @@ def main(argv: List[str]) -> int:
     failed = False
 
     if "sweep" in suites:
-        print("timing design-space grid evaluation (261-point Figure 10 grid)...")
-        sweep_results = sweep_workloads(runs=args.sweep_runs, warmup=5)
-        speedup = _pair_speedup(sweep_results, "scalar_grid_eval",
-                                "batch_grid_eval")
+        print("timing the Figure 10 sweep (261-point grid + footprints)...")
+        sweep_results = [sweep_workload(runs=args.sweep_runs, warmup=5)]
         _print_results(sweep_results)
-        print(f"  batch speedup over scalar: {speedup:.1f}x")
         written.append((
             "BENCH_sweep.json",
             sweep_results,
-            {
-                "speedup": speedup,
-                "grid_points": 261,
-                "wheelbases_mm": list(FIG10_WHEELBASES_MM),
-            },
+            {"grid_points": 261, "wheelbases_mm": list(FIG10_WHEELBASES_MM)},
         ))
-        if args.min_speedup > 0 and speedup < args.min_speedup:
-            print(
-                f"FAIL: batch speedup {speedup:.1f}x below required "
-                f"{args.min_speedup:.1f}x"
-            )
-            failed = True
 
     if "sim" in suites:
         print(f"timing {SIM_DURATION_S:.0f} s simulator run...")

@@ -7,20 +7,19 @@ closure.  This example sweeps a custom corner of the space: a drone that
 must carry a 150 g payload and fly at least 18 minutes, and asks which
 configurations qualify and how much compute power they can afford.
 
-The whole grid evaluates in one call to the vectorized engine
-(`repro.core.batch`); pass ``--simulate`` to confirm the frontier picks
-with short closed-loop simulator runs fanned out across worker processes
+Each grid point closes through `DroneDesign.evaluate`, one design at a
+time; pass ``--simulate`` to confirm the frontier picks with short
+closed-loop simulator runs fanned out across worker processes
 (`repro.core.parallel.ParallelSweepRunner`).
 
 Run:  python examples/design_space_explorer.py [--simulate]
 """
 
+import itertools
 import sys
 
-import numpy as np
-
-from repro.core.batch import BatchEvaluation, evaluate_batch
-from repro.core.equations import gained_flight_time_min
+from repro.core.design import DroneDesign
+from repro.core.equations import InfeasibleDesignError, gained_flight_time_min
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.sim.simulator import DroneModel, FlightSimulator
 
@@ -30,47 +29,53 @@ COMPUTE_BUDGETS_W = (3.0, 10.0, 20.0)
 
 WHEELBASES_MM = (200.0, 450.0, 800.0)
 CELL_COUNTS = (3, 4, 6)
-CAPACITIES_MAH = np.arange(2000.0, 8001.0, 1000.0)
+CAPACITIES_MAH = (2000.0, 3000.0, 4000.0, 5000.0, 6000.0, 7000.0, 8000.0)
 
 
-def sweep() -> BatchEvaluation:
-    """Evaluate the full wheelbase x cells x capacity x chip grid at once."""
-    wheelbase, cells, capacity, compute_w = (
-        grid.ravel()
-        for grid in np.meshgrid(
-            np.asarray(WHEELBASES_MM),
-            np.asarray(CELL_COUNTS),
-            CAPACITIES_MAH,
-            np.asarray(COMPUTE_BUDGETS_W),
-            indexing="ij",
+def sweep() -> list:
+    """Every wheelbase x cells x capacity x chip point as a (design,
+    evaluation) pair; an infeasible point's evaluation is ``None``."""
+    grid = []
+    for wheelbase_mm, cells, capacity_mah, compute_w in itertools.product(
+        WHEELBASES_MM, CELL_COUNTS, CAPACITIES_MAH, COMPUTE_BUDGETS_W
+    ):
+        design = DroneDesign(
+            wheelbase_mm=wheelbase_mm,
+            battery_cells=cells,
+            battery_capacity_mah=capacity_mah,
+            compute_power_w=compute_w,
+            compute_weight_g=20.0 + 3.0 * compute_w,
+            payload_g=PAYLOAD_G,
         )
-    )
-    return evaluate_batch(
-        wheelbase,
-        cells.astype(np.int64),
-        capacity,
-        compute_power_w=compute_w,
-        compute_weight_g=20.0 + 3.0 * compute_w,
-        payload_g=PAYLOAD_G,
-    )
+        try:
+            grid.append((design, design.evaluate()))
+        except InfeasibleDesignError:
+            grid.append((design, None))
+    return grid
 
 
-def frontier_indices(batch: BatchEvaluation) -> list:
+def qualifying_points(grid: list) -> list:
+    """The feasible points that fly at least ``REQUIRED_MINUTES``."""
+    return [
+        (design, evaluation)
+        for design, evaluation in grid
+        if evaluation is not None
+        and evaluation.flight_time_min >= REQUIRED_MINUTES
+    ]
+
+
+def frontier(qualifying: list) -> list:
     """Lightest qualifying point per (wheelbase, chip) pair."""
-    qualifying = np.flatnonzero(
-        batch.feasible & (batch.flight_time_min >= REQUIRED_MINUTES)
-    )
     seen = set()
     picks = []
-    for index in qualifying[np.argsort(batch.total_weight_g[qualifying])]:
-        key = (
-            float(batch.grid.wheelbase_mm[index]),
-            float(batch.grid.compute_power_w[index]),
-        )
+    for design, evaluation in sorted(
+        qualifying, key=lambda point: point[1].total_weight_g
+    ):
+        key = (design.wheelbase_mm, design.compute_power_w)
         if key in seen:
             continue
         seen.add(key)
-        picks.append(int(index))
+        picks.append((design, evaluation))
     return picks
 
 
@@ -93,52 +98,48 @@ def _simulate_point(args) -> float:
 
 def main() -> None:
     simulate = "--simulate" in sys.argv[1:]
-    batch = sweep()
-    qualifying = int(
-        np.count_nonzero(
-            batch.feasible & (batch.flight_time_min >= REQUIRED_MINUTES)
-        )
-    )
+    grid = sweep()
+    qualifying = qualifying_points(grid)
     print(f"requirement: carry {PAYLOAD_G:.0f} g for {REQUIRED_MINUTES:.0f}+ min")
-    print(f"{qualifying} of {batch.size} configurations qualify\n")
+    print(f"{len(qualifying)} of {len(grid)} configurations qualify\n")
 
-    picks = frontier_indices(batch)
+    picks = frontier(qualifying)
     headers = (f"{'frame':>7s} {'battery':>12s} {'chip':>6s} {'weight':>8s} "
                f"{'flight':>8s} {'compute%':>9s} {'recoverable':>12s}")
-    measured = {}
+    measured = []
     if simulate:
         runner = ParallelSweepRunner(SweepRunnerConfig(chunk_size=2))
         jobs = [
             (
-                float(batch.total_weight_g[i]) / 1000.0,
-                float(batch.grid.wheelbase_mm[i]),
-                int(batch.grid.battery_cells[i]),
-                float(batch.grid.battery_capacity_mah[i]),
-                float(batch.grid.compute_power_w[i]),
-                float(batch.grid.sensors_power_w[i]),
+                evaluation.total_weight_g / 1000.0,
+                design.wheelbase_mm,
+                design.battery_cells,
+                design.battery_capacity_mah,
+                design.compute_power_w,
+                design.sensors_power_w,
             )
-            for i in picks
+            for design, evaluation in picks
         ]
-        measured = dict(zip(picks, runner.map(_simulate_point, jobs)))
+        measured = runner.map(_simulate_point, jobs)
         headers += f" {'sim power':>10s}"
     print(headers)
 
     # Show the most interesting frontier: per (wheelbase, chip), the
     # lightest qualifying configuration.
-    for i in picks:
+    for index, (design, evaluation) in enumerate(picks):
         recoverable = gained_flight_time_min(
-            float(batch.compute_share_hover[i]), float(batch.flight_time_min[i])
+            evaluation.compute_share_hover, evaluation.flight_time_min
         )
-        row = (f"{batch.grid.wheelbase_mm[i]:5.0f}mm "
-               f"{batch.grid.battery_cells[i]}S "
-               f"{batch.grid.battery_capacity_mah[i]:5.0f}mAh "
-               f"{batch.grid.compute_power_w[i]:4.0f}W "
-               f"{batch.total_weight_g[i]:6.0f}g "
-               f"{batch.flight_time_min[i]:6.1f}m "
-               f"{batch.compute_share_hover[i]:8.1%} "
+        row = (f"{design.wheelbase_mm:5.0f}mm "
+               f"{design.battery_cells}S "
+               f"{design.battery_capacity_mah:5.0f}mAh "
+               f"{design.compute_power_w:4.0f}W "
+               f"{evaluation.total_weight_g:6.0f}g "
+               f"{evaluation.flight_time_min:6.1f}m "
+               f"{evaluation.compute_share_hover:8.1%} "
                f"{recoverable:+9.1f}m")
-        if i in measured:
-            row += f" {measured[i]:8.0f} W"
+        if measured:
+            row += f" {measured[index]:8.0f} W"
         print(row)
 
     print("\nreading the table:")

@@ -42,10 +42,9 @@ graph (:mod:`repro.analysis.graph`) and a small flow framework
     clock-seeded constructions are flagged.
 
 ``purity``
-    ``@pure`` functions (chaos ``run_trial``, the Eq. 1-7 evaluators, the
-    batch engine) must not transitively write globals, mutate arguments,
-    or touch ambient state.  ``@memoized_pure`` exempts input-keyed
-    caches.
+    ``@pure`` functions (chaos ``run_trial``, the Eq. 1-7 evaluators)
+    must not transitively write globals, mutate arguments, or touch
+    ambient state.
 
 ``hotpath-escape``
     The hot-path body rules, extended over the transitive call closure of
@@ -61,7 +60,6 @@ from repro.analysis.base import Violation, SourceFile, ALL_RULES
 from repro.analysis.markers import (
     hot_path,
     hot_path_safe,
-    memoized_pure,
     mutable_state,
     pure,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "hot_path",
     "hot_path_safe",
     "pure",
-    "memoized_pure",
     "mutable_state",
     "analyze_paths",
     "analyze_sources",

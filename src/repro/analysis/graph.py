@@ -35,7 +35,6 @@ from repro.analysis.base import SourceFile, decorator_name
 HOT_DECORATOR = "hot_path"
 SAFE_DECORATOR = "hot_path_safe"
 PURE_DECORATOR = "pure"
-MEMOIZED_PURE_DECORATOR = "memoized_pure"
 
 
 @dataclass
@@ -65,10 +64,6 @@ class FunctionInfo:
     @property
     def pure(self) -> bool:
         return PURE_DECORATOR in self.decorators
-
-    @property
-    def memoized_pure(self) -> bool:
-        return MEMOIZED_PURE_DECORATOR in self.decorators
 
     @property
     def params(self) -> List[str]:

@@ -54,19 +54,6 @@ def pure(func: _F) -> _F:
     return func
 
 
-def memoized_pure(func: _F) -> _F:
-    """Register a function as observationally pure despite an internal cache.
-
-    Memoization writes a module-level cache — a global write the purity
-    pass would otherwise flag — but callers cannot distinguish the cached
-    call from a recomputation, so ``@pure`` callers may treat it as pure.
-    The body of a ``memoized_pure`` function is exempt from the purity
-    rules; use it only when the cache is keyed on all inputs.
-    """
-    func.__memoized_pure__ = True  # type: ignore[attr-defined]
-    return func
-
-
 def mutable_state(cls: _T) -> _T:
     """Register a dataclass as intentionally mutable shared state.
 

@@ -1,9 +1,9 @@
 """Transitive purity checking for ``@pure`` functions.
 
 ``@pure`` (see :mod:`repro.analysis.markers`) is a contract, not a hint:
-the chaos engine replays trials and diffs the results, the batch engine
-reuses grids across sweeps, and both assume that the marked evaluators
-depend only on their inputs.  This pass verifies the claim statically and
+the chaos engine replays trials and diffs the results, and the design
+sweeps assume that the marked Equation 1-7 evaluators depend only on
+their inputs.  This pass verifies the claim statically and
 transitively.  A ``@pure`` function — and every callee the call graph can
 resolve from it — must not:
 
@@ -18,10 +18,9 @@ resolve from it — must not:
   ``os.environ``/``urandom``, global RNG draws, logging.
 
 Effects are summarized per function and iterated to a fixed point, so an
-impure helper three calls deep still fails the ``@pure`` root.  Two escape
-hatches: ``@memoized_pure`` exempts a body whose only impurity is an
-input-keyed cache, and the usual ``# repro: ignore[purity]`` comment works
-at the ``@pure`` definition line.
+impure helper three calls deep still fails the ``@pure`` root.  The usual
+``# repro: ignore[purity]`` comment at the ``@pure`` definition line is the
+one escape hatch.
 """
 
 from __future__ import annotations
@@ -122,15 +121,10 @@ class PurityChecker(Checker):
         scopes: Dict[str, "_Scope"],
         summaries: Dict[str, Summary],
     ) -> Summary:
-        if fn.memoized_pure:
-            return frozenset()
         scope = scopes[fn.qualname]
         effects: Set[Effect] = set(scope.base_effects)
         for site in program.call_sites(fn):
-            callee = site.callee
-            if callee.memoized_pure:
-                continue
-            for effect in summaries.get(callee.qualname) or frozenset():
+            for effect in summaries.get(site.callee.qualname) or frozenset():
                 mapped = self._map_effect(effect, site, scope)
                 if mapped is not None:
                     effects.add(mapped)

@@ -37,7 +37,7 @@ from repro.autopilot.mavlink import Link, MessageType
 from repro.autopilot.offload import PoseStalenessWatchdog
 from repro.chaos.campaign import CampaignConfig, TrialSpec, generate_campaign
 from repro.chaos.invariants import SafetyMonitor, Violation
-from repro.chaos.recorder import BlackBoxTrace, FlightRecorder
+from repro.chaos.recorder import TRACE_FORMAT, BlackBoxTrace, FlightRecorder
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.report import ExecutionReport, QuarantineRecord
@@ -348,24 +348,32 @@ def verify_replay(result: TrialResult, config: CampaignConfig) -> bool:
 DEFAULT_ENSEMBLE_WIDTH = 16
 
 
+#: One ensemble group's work item: its specs, the config, and the
+#: :data:`~repro.chaos.recorder.TRACE_FORMAT` of the traces it returns.
+EnsembleItem = Tuple[Tuple[TrialSpec, ...], CampaignConfig, int]
+
+
 def _ensemble_items(
     specs: List[TrialSpec], config: CampaignConfig, width: int
-) -> List[Tuple[Tuple[TrialSpec, ...], CampaignConfig]]:
+) -> List[EnsembleItem]:
     """Chunk the campaign in trial order into ensemble groups of at most
-    ``width`` lanes, EKF and truth-state trials together."""
+    ``width`` lanes, EKF and truth-state trials together.
+
+    Each item carries the trace format, so a checkpoint journal's chunk
+    fingerprints cover the layout of the results it pickles: a journal
+    written under another format is refused on resume, not unpickled.
+    """
     return [
-        (tuple(specs[start : start + width]), config)
+        (tuple(specs[start : start + width]), config, TRACE_FORMAT)
         for start in range(0, len(specs), width)
     ]
 
 
-def _run_ensemble_item(
-    item: Tuple[Tuple[TrialSpec, ...], CampaignConfig],
-) -> List[TrialResult]:
+def _run_ensemble_item(item: EnsembleItem) -> List[TrialResult]:
     """Module-level worker entry point: fly one ensemble group."""
     from repro.chaos.ensemble import run_trials_ensemble
 
-    specs, config = item
+    specs, config, _ = item
     return run_trials_ensemble(specs, config)
 
 

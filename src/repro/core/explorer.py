@@ -15,8 +15,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.components.compute import ADVANCED_CHIP_POWER_W, BASIC_CHIP_POWER_W
-from repro.core.batch import capacity_cells_grid, evaluate_batch
-from repro.core.design import DesignEvaluation
+from repro.core.design import DesignEvaluation, DroneDesign
+from repro.core.equations import InfeasibleDesignError
 from repro.physics import constants
 
 #: Capacity sweep range from the paper's procedure (Section 3.2).
@@ -112,46 +112,40 @@ def sweep_wheelbase(
     with the wheelbase by default: a 450 mm build carries ~80 g of avionics
     (the paper's own drone, Figure 14) while a 100 mm build carries far less.
 
-    The grid runs through the vectorized engine (:mod:`repro.core.batch`),
-    bit-for-bit equal to the one-design-at-a-time oracle
-    :func:`repro.oracles.sweep_wheelbase` (pinned by
-    ``tests/test_core_batch.py``).
+    Each grid point closes through :meth:`DroneDesign.evaluate`; a point
+    with no buildable component lands in ``infeasible`` with its reason.
     """
     if avionics_weight_g is None:
         avionics_weight_g = min(120.0, max(10.0, 80.0 * wheelbase_mm / 450.0))
     result = SweepResult(wheelbase_mm=wheelbase_mm)
-    cell_list = [int(c) for c in cell_counts]
     capacity_list = [float(c) for c in capacities_mah]
-    if not cell_list or not capacity_list:
-        return result
-    batch = evaluate_batch(
-        wheelbase_mm,
-        compute_power_w=compute_power_w,
-        compute_weight_g=compute_weight_g,
-        sensors_power_w=sensors_power_w,
-        sensors_weight_g=sensors_weight_g,
-        payload_g=payload_g,
-        twr=twr,
-        avionics_weight_g=avionics_weight_g,
-        **capacity_cells_grid(tuple(cell_list), tuple(capacity_list)),
-    )
-    for index, (cells, capacity) in enumerate(
-        (c, cap) for c in cell_list for cap in capacity_list
-    ):
-        evaluation = batch.evaluation(index)
-        if evaluation is None:
-            result.infeasible.append(
-                (cells, capacity, batch.failure_message(index))
-            )
-            continue
-        result.points.append(
-            SweepPoint(
+    for cells in [int(c) for c in cell_counts]:
+        for capacity in capacity_list:
+            design = DroneDesign(
                 wheelbase_mm=wheelbase_mm,
-                cells=cells,
-                capacity_mah=capacity,
-                evaluation=evaluation,
+                battery_cells=cells,
+                battery_capacity_mah=capacity,
+                compute_power_w=compute_power_w,
+                compute_weight_g=compute_weight_g,
+                sensors_power_w=sensors_power_w,
+                sensors_weight_g=sensors_weight_g,
+                payload_g=payload_g,
+                twr=twr,
+                avionics_weight_g=avionics_weight_g,
             )
-        )
+            try:
+                evaluation = design.evaluate()
+            except InfeasibleDesignError as error:
+                result.infeasible.append((cells, capacity, str(error)))
+                continue
+            result.points.append(
+                SweepPoint(
+                    wheelbase_mm=wheelbase_mm,
+                    cells=cells,
+                    capacity_mah=capacity,
+                    evaluation=evaluation,
+                )
+            )
     return result
 
 

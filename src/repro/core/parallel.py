@@ -1,10 +1,11 @@
 """Parallel runner for simulator-backed sweep workloads.
 
-The vectorized engine (:mod:`repro.core.batch`) makes the closed-form
-Equation 1-7 sweeps cheap enough that process parallelism would only add
-overhead.  Simulator-backed studies are different: each design point costs
-a full :class:`repro.sim.simulator.FlightSimulator` run, so fanning points
-out across worker processes wins near-linearly.
+The closed-form Equation 1-7 sweeps need no pool: one
+:meth:`repro.core.design.DroneDesign.evaluate` call costs tens of
+microseconds, less than shipping the point to a worker process.
+Simulator-backed studies are different: each design point costs a full
+:class:`repro.sim.simulator.FlightSimulator` run, so fanning points out
+across worker processes wins near-linearly.
 
 There is one execution path: :meth:`ParallelSweepRunner.map` always runs
 through :class:`repro.exec.supervised.SupervisedPool`; only the policy

@@ -1,10 +1,11 @@
 """Reference implementations of the fast paths (private: tests and perf only).
 
-Each is named after the fast function it checks.  The design-space sweep,
-the SLAM stages, and the trace-driven core have scalar oracles of their
-vectorized paths.  The scalar flight tick, which runs on Python floats,
-keeps no second body here: golden vectors recorded from its NumPy form
-(``tests/fixtures/flight_tick/``) hold it instead.  The
+Each is named after the fast function it checks.  The SLAM stages and
+the trace-driven core have scalar oracles of their vectorized paths.  The
+scalar flight tick, which runs on Python floats, keeps no second body
+here: golden vectors recorded from its NumPy form
+(``tests/fixtures/flight_tick/``) hold it instead, as vectors under
+``tests/fixtures/design/`` hold the one design-space sweep.  The
 equivalence harness under ``tests/`` holds every pair to its DESIGN.md
 §Performance tier and ``benchmarks/perf/run_perf.py`` times some; library
 code never imports this module and no package exports it.  Tracking and
@@ -16,20 +17,10 @@ also fall back to.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.components.compute import BASIC_CHIP_POWER_W
-from repro.core.design import DroneDesign
-from repro.core.equations import InfeasibleDesignError
-from repro.core.explorer import (
-    CAPACITY_SWEEP_MAH,
-    FIG10_CELL_COUNTS,
-    SweepPoint,
-    SweepResult,
-)
-from repro.physics import constants
 from repro.platforms.cpu import InOrderCore, PerfCounters
 from repro.platforms.workload import Trace
 from repro.slam.bundle_adjustment import (
@@ -59,57 +50,6 @@ from repro.slam.tracking import (
     _require_correspondences,
     camera_point,
 )
-
-# -- design-space sweep (bitwise) --------------------------------------------
-
-
-def sweep_wheelbase(
-    wheelbase_mm: float,
-    cell_counts: Sequence[int] = FIG10_CELL_COUNTS,
-    capacities_mah: Iterable[float] = CAPACITY_SWEEP_MAH,
-    compute_power_w: float = BASIC_CHIP_POWER_W,
-    compute_weight_g: float = 20.0,
-    sensors_power_w: float = 2.0,
-    sensors_weight_g: float = 0.0,
-    payload_g: float = 0.0,
-    twr: float = constants.MIN_FLYABLE_TWR,
-    avionics_weight_g: Optional[float] = None,
-) -> SweepResult:
-    """:func:`repro.core.explorer.sweep_wheelbase`, one
-    ``DroneDesign.evaluate()`` per grid point."""
-    if avionics_weight_g is None:
-        avionics_weight_g = min(120.0, max(10.0, 80.0 * wheelbase_mm / 450.0))
-    result = SweepResult(wheelbase_mm=wheelbase_mm)
-    capacity_list = [float(c) for c in capacities_mah]
-    for cells in [int(c) for c in cell_counts]:
-        for capacity in capacity_list:
-            design = DroneDesign(
-                wheelbase_mm=wheelbase_mm,
-                battery_cells=cells,
-                battery_capacity_mah=capacity,
-                compute_power_w=compute_power_w,
-                compute_weight_g=compute_weight_g,
-                sensors_power_w=sensors_power_w,
-                sensors_weight_g=sensors_weight_g,
-                payload_g=payload_g,
-                twr=twr,
-                avionics_weight_g=avionics_weight_g,
-            )
-            try:
-                evaluation = design.evaluate()
-            except InfeasibleDesignError as error:
-                result.infeasible.append((cells, capacity, str(error)))
-                continue
-            result.points.append(
-                SweepPoint(
-                    wheelbase_mm=wheelbase_mm,
-                    cells=cells,
-                    capacity_mah=capacity,
-                    evaluation=evaluation,
-                )
-            )
-    return result
-
 
 # -- SLAM front end (bitwise) -------------------------------------------------
 

@@ -30,7 +30,6 @@ from repro.physics.motor import (
     kt_from_kv,
     motor_mass_g_for,
     required_kv_for,
-    size_motor_for,
 )
 from repro.physics.propeller import (
     PropellerModel,
@@ -71,7 +70,6 @@ __all__ = [
     "kt_from_kv",
     "motor_mass_g_for",
     "required_kv_for",
-    "size_motor_for",
     "PropellerModel",
     "hover_electrical_power_w",
     "ideal_hover_power_w",

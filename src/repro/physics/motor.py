@@ -172,36 +172,8 @@ def motor_mass_g_for(kv_rpm_per_v: float, max_thrust_g: float) -> float:
     # with Kv (bigger props, slower spin, more torque).  Calibrated to the
     # paper's span: ~5 g/motor on 100 mm frames, ~150 g on 800-1000 mm.
     torque_proxy = max_thrust_g / math.sqrt(kv_rpm_per_v)
-    # x^0.75 spelled as sqrt(x*sqrt(x)): exactly-rounded ops keep the scalar
-    # path bit-identical to the vectorized engine (repro.core.batch).
+    # x^0.75 spelled as sqrt(x*sqrt(x)): sqrt and multiply are exactly
+    # rounded in IEEE-754, so the mass does not depend on the host's libm
+    # pow.  The design-space golden vectors are recorded from this spelling.
     mass = 4.2 * math.sqrt(torque_proxy * math.sqrt(torque_proxy))
     return max(2.0, mass)
-
-
-def size_motor_for(
-    propeller: PropellerModel,
-    max_thrust_g: float,
-    supply_v: float,
-) -> BldcMotor:
-    """Pick a motor (Kv, mass, limits) that lifts ``max_thrust_g`` via ``propeller``.
-
-    This is the catalog-free analytic sizing used by the Figure 9/10 sweeps;
-    the components catalog wraps the same relations in discrete products.
-    """
-    kv = required_kv_for(propeller, max_thrust_g, supply_v)
-    mass_g = motor_mass_g_for(kv, max_thrust_g)
-    rev_per_s = propeller.rev_per_s_for_thrust(
-        constants.grams_to_newtons(max_thrust_g)
-    )
-    torque = propeller.torque_nm(rev_per_s)
-    kt = kt_from_kv(kv)
-    max_current = torque / kt * 1.25 + 0.5
-    # Winding resistance scales down with motor size (thicker wire).
-    resistance = min(0.5, 2.5 / max(1.0, max_current))
-    return BldcMotor(
-        kv_rpm_per_v=kv,
-        resistance_ohm=resistance,
-        no_load_current_a=min(1.0, 0.02 * max_current + 0.1),
-        mass_g=mass_g,
-        max_current_a=max_current,
-    )

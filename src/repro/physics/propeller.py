@@ -38,9 +38,10 @@ def ideal_hover_power_w(
     if disk_area_m2 <= 0:
         raise ValueError(f"disk area must be positive, got {disk_area_m2}")
     # T^1.5 spelled as T*sqrt(T): sqrt and multiply are exactly rounded in
-    # IEEE-754, so the scalar path and the vectorized engine
-    # (repro.core.batch) agree bit for bit — libm pow and NumPy's array pow
-    # differ by 1 ULP.
+    # IEEE-754, so the power does not depend on the host's libm pow, which
+    # may be 1 ULP off.  The design-space golden vectors are recorded from
+    # this spelling, and FlightSimulator.electrical_power_w repeats it
+    # inline, pinned bit-identical to this function.
     return thrust_n * math.sqrt(thrust_n) / math.sqrt(2.0 * air_density * disk_area_m2)
 
 

@@ -4,9 +4,8 @@ The scalar oracles of the SLAM stage functions (:mod:`repro.oracles`) loop
 per descriptor pair or per observation; these kernels, which the stage
 functions in :mod:`features`, :mod:`matching`, :mod:`tracking`, and
 :mod:`bundle_adjustment` run, evaluate the same arithmetic over stacked
-NumPy arrays.  They are the
-perception-side analogue of :mod:`repro.core.batch` and follow the same
-equivalence discipline:
+NumPy arrays, under the equivalence discipline of DESIGN.md
+§Performance:
 
 * **Integer outputs are bit-for-bit.**  Hamming distances are native
   ``np.bitwise_count`` popcounts over the XOR of descriptors viewed as four

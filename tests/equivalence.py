@@ -43,10 +43,6 @@ import numpy as np
 import pytest
 
 from repro import oracles
-from repro.core.batch import evaluate_batch
-from repro.core.design import DroneDesign
-from repro.core.equations import InfeasibleDesignError
-from repro.core.explorer import sweep_wheelbase
 from repro.physics.rigid_body import ROTOR_ANGLES_RAD
 from repro.platforms.cpu import InOrderCore
 from repro.slam.bundle_adjustment import global_bundle_adjust
@@ -222,46 +218,8 @@ def _with_structures(run: Callable[..., Any]) -> Callable[..., Any]:
     return wrapped
 
 
-def evaluate_designs_batch(designs: Sequence[Dict[str, float]]):
-    """One :func:`evaluate_batch` call over a list of design kwargs."""
-    keys = [k for k in designs[0] if k != "battery_cells"]
-    return evaluate_batch(
-        np.array([d["wheelbase_mm"] for d in designs]),
-        np.array([d["battery_cells"] for d in designs], dtype=np.int64),
-        np.array([d["battery_capacity_mah"] for d in designs]),
-        **{
-            k: np.array([d[k] for d in designs])
-            for k in keys
-            if k not in ("wheelbase_mm", "battery_capacity_mah")
-        },
-    )
-
-
-def _batch_lanes(designs):
-    batch = evaluate_designs_batch(designs)
-    return [
-        batch.evaluation(index).as_dict() if bool(batch.feasible[index])
-        else batch.failure_message(index)
-        for index in range(len(designs))
-    ]
-
-
-def _scalar_lanes(designs):
-    lanes = []
-    for params in designs:
-        try:
-            lanes.append(DroneDesign(**params).evaluate().as_dict())
-        except InfeasibleDesignError as error:
-            lanes.append(str(error))
-    return lanes
-
-
 # -- the pairs ----------------------------------------------------------------
 
-#: Per-lane design evaluation: one batched grid vs ``DroneDesign.evaluate``.
-EVALUATE_BATCH = Pair("evaluate_batch", _batch_lanes, _scalar_lanes, BITWISE)
-SWEEP_WHEELBASE = Pair("sweep_wheelbase", sweep_wheelbase,
-                       oracles.sweep_wheelbase, BITWISE)
 ORB_EXTRACT = Pair("OrbExtractor.extract",
                    lambda extractor, frame: extractor.extract(frame),
                    oracles.orb_extract, BITWISE)

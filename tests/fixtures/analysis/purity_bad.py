@@ -1,10 +1,9 @@
 """Purity fixture: @pure functions that cheat, next to ones that don't."""
 
-from repro.analysis.markers import memoized_pure, pure
+from repro.analysis.markers import pure
 
 _CALLS = 0
 _HISTORY = []
-_CACHE = {}
 
 
 @pure
@@ -53,10 +52,3 @@ def clean_local_mutation(values: list) -> float:
 @pure
 def clean_transitive(a: float) -> float:
     return clean_math(a, a)
-
-
-@memoized_pure
-def cached_upper(key: str) -> str:  # input-keyed cache: exempt by marker
-    if key not in _CACHE:
-        _CACHE[key] = key.upper()
-    return _CACHE[key]

@@ -217,11 +217,11 @@ class TestRngTaint:
 class TestPurity:
     def test_exact_findings(self):
         assert findings("purity_bad.py", rules=["purity"]) == [
-            ("purity", 11),  # global statement
-            ("purity", 18),  # module-level container mutation
-            ("purity", 24),  # argument mutation
-            ("purity", 30),  # ambient print()
-            ("purity", 36),  # transitive: delegate -> stamp
+            ("purity", 10),  # global statement
+            ("purity", 17),  # module-level container mutation
+            ("purity", 23),  # argument mutation
+            ("purity", 29),  # ambient print()
+            ("purity", 35),  # transitive: delegate -> stamp
         ]
 
     def test_messages_carry_the_mechanism(self):
@@ -239,10 +239,10 @@ class TestPurity:
         assert len(delegate) == 1
         assert "(via purity_bad:stamp)" in delegate[0]
 
-    def test_clean_and_memoized_functions_pass(self):
-        # clean_math (40), clean_local_mutation (46), clean_transitive (53),
-        # and the @memoized_pure cache (58) contribute nothing.
-        assert all(line < 40 for _, line in findings("purity_bad.py"))
+    def test_clean_functions_pass(self):
+        # clean_math (39), clean_local_mutation (45) and clean_transitive
+        # (52) contribute nothing.
+        assert all(line < 39 for _, line in findings("purity_bad.py"))
 
 
 class TestHotPathEscape:

@@ -707,6 +707,19 @@ class TestChaosCli:
         assert chaos_main(common + ["--resume"]) == 2
         assert "belongs to a different run" in capsys.readouterr().err
 
+    def test_resume_of_a_journal_of_another_trace_format_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.chaos import runner
+
+        common = ["--trials", "1", "--duration", "6.5", "--inline",
+                  "--checkpoint", str(tmp_path / "journal.jsonl")]
+        monkeypatch.setattr(runner, "TRACE_FORMAT", runner.TRACE_FORMAT - 1)
+        assert chaos_main(common) == 0
+        monkeypatch.undo()
+        assert chaos_main(common + ["--resume"]) == 2
+        assert "belongs to a different run" in capsys.readouterr().err
+
     def test_invalid_config_is_a_usage_error(self, capsys):
         assert chaos_main(["--trials", "0"]) == 2
         assert chaos_main(["--duration", "3.0"]) == 2

@@ -444,6 +444,23 @@ class TestChaosCampaignResume:
                 assert got.trace is not None
                 assert got.trace.fingerprint() == want.trace.fingerprint()
 
+    def test_journal_of_another_trace_format_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        """A journal pickles its traces in the layout of its trace format,
+        so a resume under another format refuses it instead of unpickling
+        traces this code cannot read."""
+        from repro.chaos import runner
+        from repro.chaos.campaign import CampaignConfig
+
+        config = CampaignConfig(campaign_seed=404, trials=1, duration_s=8.0)
+        journal_path = tmp_path / "campaign.jsonl"
+        monkeypatch.setattr(runner, "TRACE_FORMAT", runner.TRACE_FORMAT - 1)
+        runner.run_campaign_supervised(config, journal_path=journal_path)
+        monkeypatch.undo()
+        with pytest.raises(JournalMismatchError, match="different run"):
+            runner.run_campaign_supervised(config, journal_path=journal_path)
+
     def test_each_ensemble_group_is_one_journal_entry(self, tmp_path):
         """Groups are chunks whatever ``chunk_size`` says: 5 trials in
         groups of 2 journal a header plus 3 entries."""

@@ -11,7 +11,6 @@ from repro.physics.motor import (
     kt_from_kv,
     motor_mass_g_for,
     required_kv_for,
-    size_motor_for,
 )
 from repro.physics.propeller import (
     PropellerModel,
@@ -146,7 +145,10 @@ class TestBldcMotor:
 
     def test_operating_point_solves_consistently(self):
         prop = typical_propeller_for(10.0)
-        motor = size_motor_for(prop, max_thrust_g=800.0, supply_v=11.1)
+        # A 3S motor for this prop with 800 g of peak thrust.
+        motor = BldcMotor(kv_rpm_per_v=735.0, resistance_ohm=0.2,
+                          no_load_current_a=0.35, mass_g=53.0,
+                          max_current_a=12.7)
         point = motor.operating_point(
             prop, constants.grams_to_newtons(400.0), 11.1
         )
@@ -158,7 +160,10 @@ class TestBldcMotor:
 
     def test_saturation_raises(self):
         prop = typical_propeller_for(10.0)
-        motor = size_motor_for(prop, max_thrust_g=400.0, supply_v=11.1)
+        # A 3S motor for this prop with only 400 g of peak thrust.
+        motor = BldcMotor(kv_rpm_per_v=520.0, resistance_ohm=0.5,
+                          no_load_current_a=0.2, mass_g=36.0,
+                          max_current_a=4.8)
         with pytest.raises(MotorSaturationError):
             motor.operating_point(prop, constants.grams_to_newtons(2000.0), 11.1)
 
