@@ -7,7 +7,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 #: Every rule id the suite can emit, with a one-line description.
 ALL_RULES: Dict[str, str] = {
@@ -159,12 +159,6 @@ def _module_name(path: str) -> str:
                 dotted = dotted[:-1]
             return ".".join(dotted)
     return Path(path).stem
-
-
-def iter_function_defs(tree: ast.AST) -> Iterable[ast.FunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node  # type: ignore[misc]
 
 
 def decorator_name(node: ast.expr) -> str:

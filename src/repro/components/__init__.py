@@ -7,7 +7,6 @@ component census (Section 3.1, Table 4) provides.
 
 from repro.components.base import (
     Component,
-    ComponentFamily,
     LinearFit,
     linear_fit,
     manufacturer_names,
@@ -31,7 +30,6 @@ from repro.components.commercial import (
     FIGURE11_DRONES,
     CommercialDrone,
     drones_for_wheelbase,
-    find_drone,
 )
 from repro.components.compute import (
     ADVANCED_CHIP_POWER_W,
@@ -59,22 +57,16 @@ from repro.components.frame import (
     make_frame,
 )
 from repro.components.motor import MotorSpec, design_motor_product
-from repro.components.propeller import (
-    PropellerSpec,
-    make_propeller,
-    propeller_set_weight_g,
-)
+from repro.components.propeller import propeller_set_weight_g
 from repro.components.sensors import (
     SensorKind,
     SensorProduct,
     find_sensor,
-    sensors_by_kind,
     table4_external_sensors,
 )
 
 __all__ = [
     "Component",
-    "ComponentFamily",
     "LinearFit",
     "linear_fit",
     "manufacturer_names",
@@ -92,7 +84,6 @@ __all__ = [
     "FIGURE11_DRONES",
     "CommercialDrone",
     "drones_for_wheelbase",
-    "find_drone",
     "ADVANCED_CHIP_POWER_W",
     "BASIC_CHIP_POWER_W",
     "BoardClass",
@@ -114,12 +105,9 @@ __all__ = [
     "make_frame",
     "MotorSpec",
     "design_motor_product",
-    "PropellerSpec",
-    "make_propeller",
     "propeller_set_weight_g",
     "SensorKind",
     "SensorProduct",
     "find_sensor",
-    "sensors_by_kind",
     "table4_external_sensors",
 ]

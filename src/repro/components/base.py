@@ -10,8 +10,8 @@ the fits from the synthetic population, closing the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, TypeVar
+from dataclasses import dataclass
+from typing import Iterable, List
 
 import numpy as np
 
@@ -54,35 +54,6 @@ class Component:
             raise ValueError("component name cannot be empty")
         if self.weight_g < 0:
             raise ValueError(f"weight cannot be negative: {self.weight_g} g")
-
-
-C = TypeVar("C", bound=Component)
-
-
-@dataclass
-class ComponentFamily:
-    """An ordered, queryable collection of one component type."""
-
-    items: List[Component] = field(default_factory=list)
-
-    def __iter__(self) -> Iterator[Component]:
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def add(self, component: Component) -> None:
-        self.items.append(component)
-
-    def extend(self, components: Iterable[Component]) -> None:
-        self.items.extend(components)
-
-    def manufacturers(self) -> Dict[str, int]:
-        """Histogram of manufacturers represented in this family."""
-        histogram: Dict[str, int] = {}
-        for item in self.items:
-            histogram[item.manufacturer] = histogram.get(item.manufacturer, 0) + 1
-        return histogram
 
 
 def linear_fit(x: Iterable[float], y: Iterable[float]) -> "LinearFit":

@@ -105,15 +105,6 @@ def drones_by_name() -> Dict[str, CommercialDrone]:
     return {d.name: d for d in COMMERCIAL_DRONES}
 
 
-def find_drone(name: str) -> CommercialDrone:
-    wanted = name.strip().lower()
-    for drone in COMMERCIAL_DRONES:
-        if drone.name.lower() == wanted:
-            return drone
-    known = ", ".join(d.name for d in COMMERCIAL_DRONES)
-    raise KeyError(f"unknown drone {name!r}; known drones: {known}")
-
-
 def drones_for_wheelbase(wheelbase_mm: float, tolerance_mm: float = 250.0) -> List[CommercialDrone]:
     """Commercial drones comparable to a given wheelbase class (Fig 10 diamonds)."""
     if wheelbase_mm <= 0:

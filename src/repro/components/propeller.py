@@ -1,56 +1,12 @@
-"""Propeller catalog products.
+"""Propeller set weight for the design equations.
 
-Thin component wrapper around :mod:`repro.physics.propeller`: a product has a
-size designation (e.g. 1045 = 10 inch diameter, 4.5 inch pitch), a weight,
-and the aerodynamic coefficient model.
+A propeller's mass follows its diameter through the aerodynamic model in
+:mod:`repro.physics.propeller`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
-from repro.components.base import Component
-from repro.physics.propeller import PropellerModel, typical_propeller_for
-
-
-@dataclass(frozen=True)
-class PropellerSpec(Component):
-    """One commercial propeller product."""
-
-    diameter_inch: float = 10.0
-    pitch_inch: float = 4.5
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.diameter_inch <= 0 or self.pitch_inch <= 0:
-            raise ValueError("propeller dimensions must be positive")
-
-    @property
-    def designation(self) -> str:
-        """Hobby naming: 1045 means 10.0 x 4.5 inches."""
-        return f"{int(self.diameter_inch * 10):02d}{int(self.pitch_inch * 10):02d}"
-
-    def to_physics_model(self) -> PropellerModel:
-        return PropellerModel(
-            diameter_inch=self.diameter_inch,
-            pitch_inch=self.pitch_inch,
-            mass_g=self.weight_g,
-        )
-
-
-def make_propeller(
-    diameter_inch: float, manufacturer: str = "analytic"
-) -> PropellerSpec:
-    """A representative product for the given diameter."""
-    model = typical_propeller_for(diameter_inch)
-    return PropellerSpec(
-        name=f"Prop-{diameter_inch:g}in",
-        manufacturer=manufacturer,
-        weight_g=model.mass_g,
-        diameter_inch=model.diameter_inch,
-        pitch_inch=model.pitch_inch,
-    )
+from repro.physics.propeller import typical_propeller_for
 
 
 def propeller_set_weight_g(diameter_inch: float, count: int = 4) -> float:
@@ -58,8 +14,3 @@ def propeller_set_weight_g(diameter_inch: float, count: int = 4) -> float:
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     return typical_propeller_for(diameter_inch).mass_g * count
-
-
-def standard_sizes() -> List[float]:
-    """Common hobby propeller diameters (inches)."""
-    return [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0, 15.0, 18.0, 20.0]

@@ -75,10 +75,6 @@ def table4_external_sensors() -> List[SensorProduct]:
     ]
 
 
-def sensors_by_kind(kind: SensorKind) -> List[SensorProduct]:
-    return [s for s in table4_external_sensors() if s.kind is kind]
-
-
 def find_sensor(name: str) -> SensorProduct:
     """Look up a Table 4 sensor by (case-insensitive) name."""
     wanted = name.strip().lower()

@@ -7,8 +7,7 @@ from repro.control.cascade import (
     StateTargets,
     TargetMode,
 )
-from repro.control.estimation import ComplementaryFilter, InsEkf
-from repro.control.indi import IndiRateController
+from repro.control.estimation import InsEkf
 from repro.control.mixer import MotorMixer
 from repro.control.pid import PidController
 from repro.control.position import (
@@ -24,9 +23,7 @@ __all__ = [
     "HierarchicalController",
     "StateTargets",
     "TargetMode",
-    "ComplementaryFilter",
     "InsEkf",
-    "IndiRateController",
     "MotorMixer",
     "PidController",
     "PositionController",

@@ -1,4 +1,4 @@
-"""State estimation: extended Kalman filter and complementary filter.
+"""State estimation: the extended Kalman filter.
 
 The inner loop's compute is "filter computations such as EKF for data fusion
 and updating PIDs, and algebraic functions for state estimation" over the
@@ -191,49 +191,6 @@ class InsEkf:
         self.flops = 0
         self.predictions = 0
         self.corrections = 0
-
-
-@dataclass
-class ComplementaryFilter:
-    """Cheap attitude filter: gyro integration pulled toward the accel vector.
-
-    This is what the 'basic' Table 4 flight controllers run when a full EKF
-    is unnecessary; it costs ~30 FLOPs per update.
-    """
-
-    time_constant_s: float = 0.5
-    roll: float = 0.0
-    pitch: float = 0.0
-    updates: int = 0
-
-    def __post_init__(self) -> None:
-        if self.time_constant_s <= 0:
-            raise ValueError("time constant must be positive")
-
-    @hot_path
-    def update(
-        self, accel_body_m_s2: np.ndarray, gyro_rad_s: np.ndarray, dt: float
-    ) -> np.ndarray:
-        """Return the fused [roll, pitch] estimate."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        accel = np.asarray(accel_body_m_s2, dtype=float)
-        gyro = np.asarray(gyro_rad_s, dtype=float)
-        alpha = self.time_constant_s / (self.time_constant_s + dt)
-        accel_norm = float(np.linalg.norm(accel))
-        if accel_norm > 1e-6:
-            accel_roll = math.atan2(accel[1], accel[2])
-            accel_pitch = math.atan2(-accel[0], math.hypot(accel[1], accel[2]))
-        else:
-            accel_roll, accel_pitch = self.roll, self.pitch
-        self.roll = alpha * (self.roll + gyro[0] * dt) + (1 - alpha) * accel_roll
-        self.pitch = alpha * (self.pitch + gyro[1] * dt) + (1 - alpha) * accel_pitch
-        self.updates += 1
-        return np.array([self.roll, self.pitch])
-
-    @property
-    def flops_per_update(self) -> int:
-        return 30
 
 
 @hot_path

@@ -32,15 +32,8 @@ from repro.core.explorer import (
 )
 from repro.core.metrics import (
     FlightTimeEstimate,
-    battery_configuration_label,
     flight_time,
     max_continuous_current_a,
-    max_horizontal_speed_m_s,
-    max_tilt_angle_rad,
-    pack_voltage_v,
-    required_thrust_per_motor_g,
-    rotation_speed_rpm,
-    thrust_to_weight_ratio,
 )
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.core.tradeoffs import (
@@ -92,15 +85,8 @@ __all__ = [
     "sweep_all_wheelbases",
     "sweep_wheelbase",
     "FlightTimeEstimate",
-    "battery_configuration_label",
     "flight_time",
     "max_continuous_current_a",
-    "max_horizontal_speed_m_s",
-    "max_tilt_angle_rad",
-    "pack_voltage_v",
-    "required_thrust_per_motor_g",
-    "rotation_speed_rpm",
-    "thrust_to_weight_ratio",
     "FitComparison",
     "MotorCurrentCurve",
     "compare_battery_fits",

@@ -1,43 +1,11 @@
-"""Drone design metrics (paper Table 3).
-
-Each function implements one row of Table 3's metric definitions.  They are
-deliberately small and composable: the design-space equations
-(:mod:`repro.core.equations`) chain them.
-"""
+"""Drone design metrics (paper Table 3): the battery's continuous-current
+limit and Equation 5's flight-time estimate."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from repro.physics import constants
-
-
-def thrust_to_weight_ratio(max_total_thrust_g: float, weight_g: float) -> float:
-    """TWR: maximum total motor thrust (g) over drone weight (g).
-
-    Common ratios run 2:1 to 7:1; 2:1 is the minimum required for flying and
-    the boundary case the paper analyzes.
-    """
-    if max_total_thrust_g < 0:
-        raise ValueError(f"thrust cannot be negative, got {max_total_thrust_g}")
-    if weight_g <= 0:
-        raise ValueError(f"weight must be positive, got {weight_g}")
-    return max_total_thrust_g / weight_g
-
-
-def required_thrust_per_motor_g(
-    weight_g: float,
-    twr: float = constants.MIN_FLYABLE_TWR,
-    motor_count: int = 4,
-) -> float:
-    """Per-motor maximum thrust (g) needed to hit a target TWR."""
-    if weight_g <= 0:
-        raise ValueError(f"weight must be positive, got {weight_g}")
-    if twr < 1.0:
-        raise ValueError(f"a TWR below 1 cannot lift the drone, got {twr}")
-    if motor_count <= 0:
-        raise ValueError(f"motor count must be positive, got {motor_count}")
-    return twr * weight_g / motor_count
 
 
 def max_continuous_current_a(capacity_mah: float, c_rating: float) -> float:
@@ -47,73 +15,6 @@ def max_continuous_current_a(capacity_mah: float, c_rating: float) -> float:
     if c_rating <= 0:
         raise ValueError(f"C rating must be positive, got {c_rating}")
     return capacity_mah / 1000.0 * c_rating
-
-
-def rotation_speed_rpm(kv_rpm_per_v: float, voltage_v: float) -> float:
-    """Kv model: omega = Kv x V (Table 3, 'Thrust Per Motor')."""
-    if kv_rpm_per_v <= 0:
-        raise ValueError(f"Kv must be positive, got {kv_rpm_per_v}")
-    if voltage_v < 0:
-        raise ValueError(f"voltage cannot be negative, got {voltage_v}")
-    return kv_rpm_per_v * voltage_v
-
-
-def battery_configuration_label(series_cells: int, parallel_packs: int = 1) -> str:
-    """The xSyP naming convention for LiPo packs."""
-    if series_cells <= 0 or parallel_packs <= 0:
-        raise ValueError("cell and pack counts must be positive")
-    return f"{series_cells}S{parallel_packs}P"
-
-
-def pack_voltage_v(series_cells: int) -> float:
-    """Nominal pack voltage: 3.7 V per series cell."""
-    if series_cells <= 0:
-        raise ValueError(f"cell count must be positive, got {series_cells}")
-    return series_cells * constants.LIPO_CELL_NOMINAL_V
-
-
-def max_tilt_angle_rad(twr: float) -> float:
-    """Maximum stable angle of attack from the thrust-to-weight ratio.
-
-    Horizontal flight uses the same lift thrust, tilted; to keep altitude the
-    vertical component must still equal the weight, so cos(tilt) >= 1/TWR
-    (paper Section 2.1.1).
-    """
-    import math
-
-    if twr < 1.0:
-        raise ValueError(f"TWR below 1 cannot sustain altitude, got {twr}")
-    return math.acos(1.0 / twr)
-
-
-def max_horizontal_speed_m_s(
-    weight_g: float,
-    twr: float,
-    drag_coefficient_area_m2: float = 0.02,
-    air_density: float = constants.AIR_DENSITY_SEA_LEVEL_KG_M3,
-) -> float:
-    """Maximum level-flight speed from the TWR (Table 3's speed coupling).
-
-    Section 2.1.1: "the maximum horizontal speed depends on the maximum
-    stable angle of attack (tilt angle), which depends on the
-    thrust-to-weight ratio."  At the maximum tilt the horizontal thrust
-    component is W*tan(theta_max); top speed is where body drag balances it:
-    v = sqrt(2 * W * g * tan(theta) / (rho * CdA)).
-    """
-    import math
-
-    if weight_g <= 0:
-        raise ValueError(f"weight must be positive, got {weight_g}")
-    if drag_coefficient_area_m2 <= 0:
-        raise ValueError("Cd*A must be positive")
-    tilt = max_tilt_angle_rad(twr)
-    if tilt == 0.0:
-        return 0.0
-    weight_n = weight_g / 1000.0 * constants.GRAVITY_M_S2
-    horizontal_thrust_n = weight_n * math.tan(tilt)
-    return math.sqrt(
-        2.0 * horizontal_thrust_n / (air_density * drag_coefficient_area_m2)
-    )
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,6 @@ air-density environment, and 6-DOF quadcopter rigid-body dynamics.
 from repro.physics import constants
 from repro.physics.battery_model import BatteryDepletedError, LipoBattery
 from repro.physics.environment import Environment, Wind
-from repro.physics.esc_model import (
-    CommutationModel,
-    DshotError,
-    DshotLink,
-    command_frequency_hz,
-    decode_dshot,
-    encode_dshot,
-    throttle_fraction,
-    throttle_value,
-)
 from repro.physics.thermal import (
     ThermalModel,
     esc_dissipation_w,
@@ -53,14 +43,6 @@ __all__ = [
     "LipoBattery",
     "Environment",
     "Wind",
-    "CommutationModel",
-    "DshotError",
-    "DshotLink",
-    "command_frequency_hz",
-    "decode_dshot",
-    "encode_dshot",
-    "throttle_fraction",
-    "throttle_value",
     "ThermalModel",
     "esc_dissipation_w",
     "esc_thermal_model",

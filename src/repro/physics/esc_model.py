@@ -1,162 +1,12 @@
-"""ESC electrical details: DShot digital protocol and commutation.
+"""ESC thermal protection: the throttle ceiling of an overheating ESC.
 
-Paper Section 2.1.2: "ESC protocols usually go beyond PWM signals for
-modern-day drones due to high precision in control (e.g., the DShot1200
-protocol has a communication frequency of 74.6 KHz)" and ESCs need "a
-switching frequency of 60-600 KHz while delivering hundreds of Watts."
-
-This module implements the real DShot frame format (11-bit throttle,
-telemetry-request bit, 4-bit XOR checksum) and the commutation arithmetic
-that produces those switching frequencies.
+Paper Section 2.1.2: ESCs need "a switching frequency of 60-600 KHz while
+delivering hundreds of Watts", so they run hot.  The ESC thermal fault
+(:mod:`repro.faults.injectors`) derates the motor command through
+:func:`thermal_derate_fraction`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-#: DShot variants and their bit rates (kbit/s).
-DSHOT_BITRATES_KBPS = {150: 150.0, 300: 300.0, 600: 600.0, 1200: 1200.0}
-
-DSHOT_FRAME_BITS = 16
-DSHOT_THROTTLE_MIN = 48     # values 0-47 are reserved commands
-DSHOT_THROTTLE_MAX = 2047
-
-
-class DshotError(ValueError):
-    """Raised on malformed or corrupted DShot frames."""
-
-
-def dshot_checksum(payload12: int) -> int:
-    """4-bit XOR checksum over the three payload nibbles."""
-    if not 0 <= payload12 < (1 << 12):
-        raise DshotError(f"payload must be 12 bits, got {payload12:#x}")
-    return (payload12 ^ (payload12 >> 4) ^ (payload12 >> 8)) & 0x0F
-
-
-def encode_dshot(throttle: int, telemetry_request: bool = False) -> int:
-    """Encode a 16-bit DShot frame.
-
-    Layout: [11-bit throttle][1-bit telemetry][4-bit checksum].
-    Throttle 0 is 'motors off'; 1-47 are special commands (not modeled);
-    48-2047 map linearly onto the power range.
-    """
-    if not 0 <= throttle <= DSHOT_THROTTLE_MAX:
-        raise DshotError(
-            f"throttle must be 0-{DSHOT_THROTTLE_MAX}, got {throttle}"
-        )
-    payload = (throttle << 1) | int(telemetry_request)
-    return (payload << 4) | dshot_checksum(payload)
-
-
-def decode_dshot(frame: int) -> Tuple[int, bool]:
-    """Decode and checksum-verify a frame; returns (throttle, telemetry)."""
-    if not 0 <= frame < (1 << DSHOT_FRAME_BITS):
-        raise DshotError(f"frame must be 16 bits, got {frame:#x}")
-    payload = frame >> 4
-    if dshot_checksum(payload) != (frame & 0x0F):
-        raise DshotError(f"checksum mismatch in frame {frame:#06x}")
-    return payload >> 1, bool(payload & 1)
-
-
-def throttle_fraction(throttle: int) -> float:
-    """Map a DShot throttle value to the [0, 1] power fraction."""
-    if throttle < DSHOT_THROTTLE_MIN:
-        return 0.0
-    return (throttle - DSHOT_THROTTLE_MIN) / (
-        DSHOT_THROTTLE_MAX - DSHOT_THROTTLE_MIN
-    )
-
-
-def throttle_value(fraction: float) -> int:
-    """Inverse of :func:`throttle_fraction` (clamped to valid range)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise DshotError(f"fraction must be in [0, 1], got {fraction}")
-    if fraction == 0.0:
-        return 0
-    return DSHOT_THROTTLE_MIN + round(
-        fraction * (DSHOT_THROTTLE_MAX - DSHOT_THROTTLE_MIN)
-    )
-
-
-def command_frequency_hz(variant: int = 1200) -> float:
-    """Maximum command update frequency of a DShot variant.
-
-    DShot1200 sends 16 bits at 1.2 Mbit/s plus a mandatory inter-frame gap
-    of ~2 bit periods: 1.2e6 / 16.086 ~ 74.6 kHz — the paper's figure.
-    """
-    if variant not in DSHOT_BITRATES_KBPS:
-        raise DshotError(
-            f"unknown DShot variant {variant}; known: "
-            f"{sorted(DSHOT_BITRATES_KBPS)}"
-        )
-    bit_rate = DSHOT_BITRATES_KBPS[variant] * 1000.0
-    return bit_rate / (DSHOT_FRAME_BITS + 0.086)
-
-
-@dataclass
-class DshotLink:
-    """A flight-controller-to-ESC command channel speaking DShot.
-
-    Thrust fractions are quantized into DShot frames; corrupted frames are
-    rejected by the ESC's checksum and the motor holds its last good
-    command — the failure behaviour the digital protocol buys over PWM.
-    """
-
-    variant: int = 600
-    bit_error_probability: float = 0.0
-    seed: int = 17
-    sent: int = 0
-    rejected: int = 0
-    #: Optional deterministic fault injector: frame -> corrupted frame.
-    corruption_hook: Optional[Callable[[int], int]] = None
-
-    def __post_init__(self) -> None:
-        if self.variant not in DSHOT_BITRATES_KBPS:
-            raise DshotError(f"unknown DShot variant {self.variant}")
-        if not 0.0 <= self.bit_error_probability < 1.0:
-            raise ValueError(
-                f"bit error probability must be in [0, 1): "
-                f"{self.bit_error_probability}"
-            )
-        import numpy as np
-
-        self._rng = np.random.default_rng(self.seed)
-        self._last_good_fraction = 0.0
-
-    def transmit(self, thrust_fraction: float) -> float:
-        """Send one throttle command; returns the fraction the ESC applies.
-
-        A corrupted frame is dropped by the checksum and the previous
-        command stays in effect until the next frame (which, at DShot
-        rates, is tens of microseconds away).
-        """
-        if not 0.0 <= thrust_fraction <= 1.0:
-            raise DshotError(
-                f"thrust fraction must be in [0, 1], got {thrust_fraction}"
-            )
-        frame = encode_dshot(throttle_value(thrust_fraction))
-        self.sent += 1
-        if self.corruption_hook is not None:
-            frame = self.corruption_hook(frame)
-        elif self.bit_error_probability > 0.0:
-            for bit in range(DSHOT_FRAME_BITS):
-                if self._rng.random() < self.bit_error_probability:
-                    frame ^= 1 << bit
-        try:
-            throttle, _ = decode_dshot(frame)
-        except DshotError:
-            self.rejected += 1
-            return self._last_good_fraction
-        self._last_good_fraction = throttle_fraction(throttle)
-        return self._last_good_fraction
-
-    @property
-    def rejection_rate(self) -> float:
-        if self.sent == 0:
-            raise ValueError("no frames sent")
-        return self.rejected / self.sent
-
 
 #: ESC thermal protection band: full power below the soft limit, linear
 #: derating to the floor at the hard limit (typical BLHeli/AM32 behaviour).
@@ -187,37 +37,3 @@ def thermal_derate_fraction(
         return floor
     span = (temperature_c - soft_limit_c) / (hard_limit_c - soft_limit_c)
     return 1.0 - span * (1.0 - floor)
-
-
-@dataclass(frozen=True)
-class CommutationModel:
-    """Six-step BLDC commutation arithmetic."""
-
-    pole_pairs: int = 7  # typical 12N14P hobby motor
-
-    def __post_init__(self) -> None:
-        if self.pole_pairs <= 0:
-            raise ValueError(f"pole pairs must be positive: {self.pole_pairs}")
-
-    def electrical_frequency_hz(self, rpm: float) -> float:
-        """Electrical cycle frequency at a mechanical RPM."""
-        if rpm < 0:
-            raise ValueError(f"RPM cannot be negative: {rpm}")
-        return rpm / 60.0 * self.pole_pairs
-
-    def commutation_frequency_hz(self, rpm: float) -> float:
-        """Commutation events per second (6 steps per electrical cycle)."""
-        return 6.0 * self.electrical_frequency_hz(rpm)
-
-    def pwm_switching_frequency_hz(
-        self, rpm: float, pwm_base_hz: float = 24_000.0
-    ) -> float:
-        """Total MOSFET switching events per second across the bridge.
-
-        Six FETs chop at the PWM rate plus the commutation transitions —
-        older 10 kHz-PWM ESCs land near 60 kHz of events, modern 96 kHz
-        racing ESCs near 600 kHz: the paper's 60-600 kHz band.
-        """
-        if pwm_base_hz <= 0:
-            raise ValueError("PWM base frequency must be positive")
-        return 6.0 * pwm_base_hz + self.commutation_frequency_hz(rpm)

@@ -7,7 +7,6 @@ from repro.reference.build import (
     BuildPart,
     avionics_weight_g,
     catalog_consistency,
-    major_components,
     simulator_model,
     total_weight_g,
     weight_breakdown,
@@ -20,7 +19,6 @@ __all__ = [
     "BuildPart",
     "avionics_weight_g",
     "catalog_consistency",
-    "major_components",
     "simulator_model",
     "total_weight_g",
     "weight_breakdown",

@@ -61,12 +61,6 @@ def weight_breakdown() -> List[BuildPart]:
     return sorted(parts, key=lambda p: p.weight_g, reverse=True)
 
 
-def major_components() -> List[str]:
-    """The four dominant weight contributors (paper: frame, battery,
-    motors, and ESCs)."""
-    return [part.name for part in weight_breakdown()[:4]]
-
-
 def simulator_model(
     compute_power_w: float = 4.56, sensors_power_w: float = 1.0
 ) -> DroneModel:

@@ -12,10 +12,10 @@ assert the shapes, this module exports the data.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import os
-import sys
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 
 def _write_csv(path: str, headers: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -274,9 +274,16 @@ def generate_report(
     return summary
 
 
-def main(argv: List[str] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    output_dir = argv[0] if argv else "results"
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.report",
+        description="Regenerate every paper artifact into CSV files.",
+    )
+    parser.add_argument(
+        "output_dir", nargs="?", default="results",
+        help="directory for the CSVs and summary.txt (default: results)",
+    )
+    output_dir = parser.parse_args(argv).output_dir
     summary = generate_report(output_dir=output_dir)
     print("\n".join(summary))
     print(f"\nCSV artifacts written to {output_dir}/")

@@ -6,11 +6,7 @@ subsystems under fault injection and quantifies what each degradation
 tier costs in the paper's design-space currency.
 """
 
-from repro.resilience.guards import (
-    MapCheckpoint,
-    NumericalFaultError,
-    assert_finite,
-)
+from repro.resilience.guards import MapCheckpoint
 from repro.resilience.relocalization import (
     LossEpisode,
     RelocalizationLadder,
@@ -46,8 +42,6 @@ from repro.resilience.thermal import (
 
 __all__ = [
     "MapCheckpoint",
-    "NumericalFaultError",
-    "assert_finite",
     "LossEpisode",
     "RelocalizationLadder",
     "RelocalizationReport",

@@ -1,11 +1,10 @@
-"""Numerical guards: finite-value sentinels and SLAM-map checkpointing.
+"""Numerical guards: SLAM-map checkpointing.
 
 Core modules (:mod:`repro.control.estimation`,
 :mod:`repro.slam.bundle_adjustment`) raise the builtin
 :class:`FloatingPointError` when a NaN/Inf escapes their solvers, so they
 need no dependency on this layer.  This module supplies what sits *above*
-them: a typed error for resilience code to raise, a finite-value assertion,
-and :class:`MapCheckpoint` — a snapshot/rollback of the SLAM map so a BA
+them: :class:`MapCheckpoint`, a snapshot/rollback of the SLAM map so a BA
 pass that corrupts the map numerically can be undone instead of aborting
 the run.
 """
@@ -16,21 +15,7 @@ from typing import Dict, FrozenSet
 
 import numpy as np
 
-from repro.analysis.markers import hot_path
 from repro.slam.map import SlamMap
-
-
-class NumericalFaultError(FloatingPointError):
-    """A NaN/Inf reached state that must stay finite."""
-
-
-@hot_path
-def assert_finite(values: np.ndarray, label: str = "state") -> np.ndarray:
-    """Return ``values`` unchanged; raise :class:`NumericalFaultError` on NaN/Inf."""
-    array = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(array)):
-        raise NumericalFaultError(f"non-finite {label}")
-    return array
 
 
 class MapCheckpoint:

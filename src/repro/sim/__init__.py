@@ -6,9 +6,7 @@ from repro.sim.missions import (
     MissionPhase,
     PhaseKind,
     figure16_mission,
-    hover_mission,
     survey_mission,
-    waypoint_mission,
 )
 from repro.sim.power_trace import (
     OSCILLOSCOPE_RATE_HZ,
@@ -37,9 +35,7 @@ __all__ = [
     "MissionPhase",
     "PhaseKind",
     "figure16_mission",
-    "hover_mission",
     "survey_mission",
-    "waypoint_mission",
     "OSCILLOSCOPE_RATE_HZ",
     "RPI_AUTOPILOT_SLAM_FLYING_W",
     "RPI_AUTOPILOT_SLAM_IDLE_W",

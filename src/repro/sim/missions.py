@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -104,107 +104,6 @@ class Mission:
         # Keep altitude with a weak pull toward the center height.
         __ = center  # center retained for symmetric extensions
         __ = span
-
-
-@dataclass(frozen=True)
-class MissionEnergyEstimate:
-    """Pre-flight energy feasibility of a mission (Section 6's mission
-    planning concern, done with the design-space power model)."""
-
-    required_wh: float
-    usable_wh: float
-    mission_s: float
-    endurance_s: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.required_wh <= self.usable_wh
-
-    @property
-    def reserve_fraction(self) -> float:
-        """Energy left at mission end as a fraction of usable energy."""
-        if self.usable_wh <= 0:
-            raise ValueError("usable energy must be positive")
-        return max(0.0, 1.0 - self.required_wh / self.usable_wh)
-
-
-def estimate_mission_energy(
-    mission: Mission,
-    model,
-    maneuver_multiplier: float = 1.9,
-) -> MissionEnergyEstimate:
-    """Estimate whether ``model``'s battery can fly ``mission``.
-
-    Hover-class phases are priced at hover power (from the same momentum
-    chain the simulator integrates); orbit/aggressive phases at the
-    maneuvering multiple.  Used as the pre-arm mission feasibility check.
-    """
-    from repro.physics import constants
-    from repro.physics.propeller import hover_electrical_power_w
-
-    if maneuver_multiplier < 1.0:
-        raise ValueError("maneuver multiplier must be >= 1")
-    per_motor_hover_n = constants.grams_to_newtons(model.mass_kg * 1000.0 / 4.0)
-    hover_w = 4.0 * hover_electrical_power_w(
-        per_motor_hover_n,
-        model.propeller_inch,
-        figure_of_merit=constants.HOVER_OVERALL_EFFICIENCY,
-        drive_efficiency=1.0,
-    ) + model.compute_power_w + model.sensors_power_w
-    required_j = 0.0
-    for phase in mission.phases:
-        power = hover_w
-        if phase.kind in (PhaseKind.ORBIT, PhaseKind.AGGRESSIVE):
-            power = hover_w * maneuver_multiplier
-        elif phase.kind is PhaseKind.GOTO:
-            power = hover_w * (1.0 + 0.3 * min(1.0, phase.speed_m_s / 6.0))
-        required_j += power * phase.duration_s
-    voltage = model.battery_cells * constants.LIPO_CELL_NOMINAL_V
-    usable_wh = (
-        model.battery_capacity_mah / 1000.0 * voltage * constants.LIPO_DRAIN_LIMIT
-    )
-    required_wh = required_j / 3600.0
-    endurance_s = usable_wh * 3600.0 / hover_w
-    return MissionEnergyEstimate(
-        required_wh=required_wh,
-        usable_wh=usable_wh,
-        mission_s=mission.duration_s,
-        endurance_s=endurance_s,
-    )
-
-
-def hover_mission(altitude_m: float = 5.0, duration_s: float = 30.0) -> Mission:
-    """Takeoff and hold position — the Figure 16 'hovering' regime."""
-    if altitude_m <= 0:
-        raise ValueError(f"altitude must be positive, got {altitude_m}")
-    target = np.array([0.0, 0.0, altitude_m])
-    return Mission(
-        phases=[
-            MissionPhase(PhaseKind.TAKEOFF, duration_s=6.0, target_m=target),
-            MissionPhase(PhaseKind.HOVER, duration_s=duration_s, target_m=target),
-        ]
-    )
-
-
-def waypoint_mission(
-    waypoints_m: Sequence[Sequence[float]],
-    leg_duration_s: float = 6.0,
-    altitude_m: float = 5.0,
-) -> Mission:
-    """Takeoff, visit each waypoint, land — basic autonomous navigation."""
-    if not waypoints_m:
-        raise ValueError("waypoint mission needs at least one waypoint")
-    start = np.array([0.0, 0.0, altitude_m])
-    phases = [MissionPhase(PhaseKind.TAKEOFF, duration_s=6.0, target_m=start)]
-    for waypoint in waypoints_m:
-        target = np.asarray(waypoint, dtype=float)
-        if target.shape != (3,):
-            raise ValueError(f"waypoints must be 3-vectors, got {target.shape}")
-        phases.append(
-            MissionPhase(PhaseKind.GOTO, duration_s=leg_duration_s, target_m=target)
-        )
-    phases.append(MissionPhase(PhaseKind.LAND, duration_s=8.0))
-    return Mission(phases=phases)
 
 
 def survey_mission(

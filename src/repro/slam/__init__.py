@@ -30,7 +30,6 @@ from repro.slam.map import Keyframe, MapPoint, SlamMap
 from repro.slam.matching import (
     Match,
     MatchResult,
-    inlier_fraction,
     match_against_map,
     match_features,
 )
@@ -38,7 +37,6 @@ from repro.slam.metrics import (
     MapQuality,
     absolute_trajectory_error_m,
     map_quality,
-    relative_pose_error_m,
 )
 from repro.slam.planning import (
     OccupancyGrid,
@@ -83,13 +81,11 @@ __all__ = [
     "SlamMap",
     "Match",
     "MatchResult",
-    "inlier_fraction",
     "match_against_map",
     "match_features",
     "MapQuality",
     "absolute_trajectory_error_m",
     "map_quality",
-    "relative_pose_error_m",
     "OccupancyGrid",
     "PlanningError",
     "PlanResult",

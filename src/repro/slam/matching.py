@@ -187,19 +187,3 @@ def match_by_projection(
             )
     return MatchResult(matches=matches, operations=operations)
 
-
-def inlier_fraction(result: MatchResult, a: FeatureSet, b: FeatureSet) -> float:
-    """Fraction of matches that are true correspondences (synthetic truth).
-
-    Only possible because the synthetic dataset carries landmark ids — used
-    by tests to verify the matcher rejects clutter.
-    """
-    if result.count == 0:
-        raise ValueError("no matches to evaluate")
-    correct = sum(
-        1
-        for m in result.matches
-        if a.landmark_ids[m.index_a] >= 0
-        and a.landmark_ids[m.index_a] == b.landmark_ids[m.index_b]
-    )
-    return correct / result.count

@@ -1,4 +1,4 @@
-"""SLAM accuracy metrics: ATE, RPE, and map quality.
+"""SLAM accuracy metrics: ATE and map quality.
 
 The paper states its SLAM experiments run "while confirming SLAM key
 metrics" — these are those metrics, computed against the synthetic ground
@@ -25,24 +25,6 @@ def absolute_trajectory_error_m(
     if estimated.ndim != 2 or estimated.shape[1] != 3:
         raise ValueError("trajectories must be (N, 3) arrays")
     errors = np.linalg.norm(estimated - truth, axis=1)
-    return float(np.sqrt(np.mean(errors**2)))
-
-
-def relative_pose_error_m(
-    estimated: np.ndarray, truth: np.ndarray, delta: int = 20
-) -> float:
-    """RPE RMSE (m) over ``delta``-frame displacement pairs — drift rate."""
-    estimated = np.asarray(estimated, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if estimated.shape != truth.shape:
-        raise ValueError("trajectory shapes differ")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if estimated.shape[0] <= delta:
-        raise ValueError("trajectory shorter than delta")
-    est_disp = estimated[delta:] - estimated[:-delta]
-    true_disp = truth[delta:] - truth[:-delta]
-    errors = np.linalg.norm(est_disp - true_disp, axis=1)
     return float(np.sqrt(np.mean(errors**2)))
 
 

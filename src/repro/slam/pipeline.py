@@ -30,6 +30,7 @@ from repro.slam.dataset import Frame, SyntheticSequence
 from repro.slam.features import FeatureSet, OrbExtractor
 from repro.slam.map import SlamMap
 from repro.slam.matching import match_by_projection
+from repro.slam.metrics import absolute_trajectory_error_m
 from repro.slam.tracking import TrackingLostError, camera_point, track_pose
 
 
@@ -111,12 +112,9 @@ class SlamRunResult:
     @property
     def ate_rmse_m(self) -> float:
         """Absolute trajectory error (RMSE, m) — SLAM's key accuracy metric."""
-        if self.estimated_trajectory.shape != self.true_trajectory.shape:
-            raise ValueError("trajectory shapes differ")
-        errors = np.linalg.norm(
-            self.estimated_trajectory - self.true_trajectory, axis=1
+        return absolute_trajectory_error_m(
+            self.estimated_trajectory, self.true_trajectory
         )
-        return float(np.sqrt(np.mean(errors**2)))
 
 
 def triangulate_midpoint(

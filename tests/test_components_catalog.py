@@ -18,8 +18,9 @@ from repro.components.commercial import (
     FIGURE11_DRONES,
     CommercialDrone,
     drones_for_wheelbase,
-    find_drone,
 )
+
+DRONES = {drone.name: drone for drone in COMMERCIAL_DRONES}
 
 
 class TestManufacturers:
@@ -125,12 +126,12 @@ class TestCommercialDrones:
         assert set(FIGURE11_DRONES) <= names
 
     def test_implied_power_of_phantom4(self):
-        phantom = find_drone("DJI Phantom 4")
+        phantom = DRONES["DJI Phantom 4"]
         assert phantom.average_flight_power_w == pytest.approx(144.0, rel=0.05)
 
     def test_mambo_is_low_power(self):
         """A 63 g nano drone hovers on ~10-20 W."""
-        mambo = find_drone("Parrot Mambo")
+        mambo = DRONES["Parrot Mambo"]
         assert 8.0 < mambo.average_flight_power_w < 25.0
 
     def test_maneuver_exceeds_hover(self):
@@ -140,16 +141,12 @@ class TestCommercialDrones:
     def test_heavy_compute_share_band(self):
         """Figure 11: heavy compute reaches 10-20%+ on small drones."""
         for name in ("Parrot Mambo", "DJI Spark"):
-            share = find_drone(name).heavy_compute_share_hovering(4.56)
+            share = DRONES[name].heavy_compute_share_hovering(4.56)
             assert share > 0.05
 
     def test_wheelbase_query(self):
         near_450 = drones_for_wheelbase(450.0)
         assert any(d.name == "DJI Phantom 4" for d in near_450)
-
-    def test_unknown_drone_raises(self):
-        with pytest.raises(KeyError):
-            find_drone("DJI Imaginary 9")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

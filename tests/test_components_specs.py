@@ -29,15 +29,10 @@ from repro.components.frame import (
     make_frame,
 )
 from repro.components.motor import design_motor_product
-from repro.components.propeller import (
-    make_propeller,
-    propeller_set_weight_g,
-    standard_sizes,
-)
+from repro.components.propeller import propeller_set_weight_g
 from repro.components.sensors import (
     SensorKind,
     find_sensor,
-    sensors_by_kind,
     table4_external_sensors,
 )
 
@@ -165,19 +160,10 @@ class TestMotorProducts:
 
 
 class TestPropellerProducts:
-    def test_designation_naming(self):
-        prop = make_propeller(10.0)
-        assert prop.designation.startswith("100")
-
     def test_set_weight_scales_with_count(self):
         assert propeller_set_weight_g(10.0, count=8) == pytest.approx(
             2 * propeller_set_weight_g(10.0, count=4)
         )
-
-    def test_standard_sizes_sorted(self):
-        sizes = standard_sizes()
-        assert sizes == sorted(sizes)
-        assert 10.0 in sizes
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
@@ -217,7 +203,8 @@ class TestComputeBoards:
 class TestExternalSensors:
     def test_lidars_are_self_powered_kg_class(self):
         """Paper: drone LiDARs are ~1 kg, self-powered, 10-50 W."""
-        lidars = sensors_by_kind(SensorKind.LIDAR)
+        lidars = [sensor for sensor in table4_external_sensors()
+                  if sensor.kind is SensorKind.LIDAR]
         assert len(lidars) == 3
         for lidar in lidars:
             assert lidar.self_powered
@@ -225,7 +212,10 @@ class TestExternalSensors:
             assert lidar.bus_power_w == 0.0
 
     def test_fpv_cameras_under_1w(self):
-        for camera in sensors_by_kind(SensorKind.FPV_CAMERA):
+        cameras = [sensor for sensor in table4_external_sensors()
+                   if sensor.kind is SensorKind.FPV_CAMERA]
+        assert cameras
+        for camera in cameras:
             assert camera.power_w <= 1.0
 
     def test_find_sensor(self):

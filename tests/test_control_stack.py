@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.control.attitude import AttitudeController
-from repro.control.estimation import ComplementaryFilter, InsEkf
+from repro.control.estimation import InsEkf
 from repro.control.mixer import MotorMixer
 from repro.control.pid import PidController
 from repro.control.position import (
@@ -157,24 +157,6 @@ class TestEkf:
             ekf.predict(np.zeros(3), np.zeros(3), 0.0)
         with pytest.raises(ValueError):
             ekf.predict(np.zeros(2), np.zeros(3), 0.01)
-
-
-class TestComplementaryFilter:
-    def test_level_accel_gives_zero_attitude(self):
-        cf = ComplementaryFilter()
-        for _ in range(100):
-            angles = cf.update(np.array([0, 0, 9.80665]), np.zeros(3), 0.01)
-        assert np.allclose(angles, 0.0, atol=1e-3)
-
-    def test_converges_to_accel_attitude(self):
-        cf = ComplementaryFilter(time_constant_s=0.2)
-        tilted = np.array([0.0, math.sin(0.2) * 9.80665, math.cos(0.2) * 9.80665])
-        for _ in range(2000):
-            angles = cf.update(tilted, np.zeros(3), 0.005)
-        assert angles[0] == pytest.approx(0.2, abs=0.02)
-
-    def test_cheap_flop_cost(self):
-        assert ComplementaryFilter().flops_per_update < 100
 
 
 class TestControllerLevels:

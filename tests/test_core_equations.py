@@ -1,7 +1,5 @@
 """Unit tests: Table 3 metrics and Equations 1-7."""
 
-import math
-
 import pytest
 
 from repro.core import equations, metrics
@@ -10,34 +8,8 @@ from repro.physics import constants
 
 
 class TestMetrics:
-    def test_twr(self):
-        assert metrics.thrust_to_weight_ratio(2000.0, 1000.0) == 2.0
-
-    def test_twr_validation(self):
-        with pytest.raises(ValueError):
-            metrics.thrust_to_weight_ratio(100.0, 0.0)
-
-    def test_required_thrust_per_motor(self):
-        assert metrics.required_thrust_per_motor_g(1000.0, twr=2.0) == 500.0
-
     def test_c_rating_current(self):
         assert metrics.max_continuous_current_a(3000.0, 25.0) == 75.0
-
-    def test_kv_rotation_speed(self):
-        assert metrics.rotation_speed_rpm(920.0, 11.1) == pytest.approx(10212.0)
-
-    def test_battery_label(self):
-        assert metrics.battery_configuration_label(3) == "3S1P"
-        assert metrics.battery_configuration_label(6, 2) == "6S2P"
-
-    def test_pack_voltage(self):
-        assert metrics.pack_voltage_v(4) == pytest.approx(14.8)
-
-    def test_max_tilt_from_twr(self):
-        assert metrics.max_tilt_angle_rad(2.0) == pytest.approx(math.acos(0.5))
-        assert metrics.max_tilt_angle_rad(1.0) == pytest.approx(0.0)
-        with pytest.raises(ValueError):
-            metrics.max_tilt_angle_rad(0.5)
 
     def test_flight_time_estimate(self):
         estimate = metrics.flight_time(3000.0, 11.1, 100.0)

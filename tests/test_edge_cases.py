@@ -6,8 +6,7 @@ import pytest
 from repro.autopilot.arducopter import Autopilot, FlightMode
 from repro.autopilot.mavlink import Command, Link, MessageType
 from repro.autopilot.offload import evaluate_offload
-from repro.components.base import Component, ComponentFamily
-from repro.components.battery import make_battery
+from repro.components.base import Component
 from repro.core.explorer import SweepResult
 from repro.core.metrics import FlightTimeEstimate
 from repro.platforms.profiles import PlatformProfile, rpi4_profile
@@ -23,17 +22,6 @@ class TestComponentBase:
             Component(name="", manufacturer="m", weight_g=1.0)
         with pytest.raises(ValueError):
             Component(name="x", manufacturer="m", weight_g=-1.0)
-
-    def test_component_family_collection(self):
-        family = ComponentFamily()
-        family.add(make_battery(3, 1000.0, manufacturer="A"))
-        family.extend([
-            make_battery(3, 2000.0, manufacturer="A"),
-            make_battery(4, 2000.0, manufacturer="B"),
-        ])
-        assert len(family) == 3
-        assert family.manufacturers() == {"A": 2, "B": 1}
-        assert len(list(iter(family))) == 3
 
 
 class TestBatteryDepletionInFlight:

@@ -1,4 +1,4 @@
-"""Tests for the extension features: INDI gust rejection, outer-loop
+"""Tests for the extension features: the inner-loop rate plateau, outer-loop
 deadline analysis, MAVLink computation offloading, and battery C-rating
 feasibility."""
 
@@ -11,7 +11,7 @@ from repro.autopilot.offload import (
     evaluate_offload,
 )
 from repro.control.attitude import AttitudeController
-from repro.control.indi import IndiRateController
+from repro.control.mixer import MotorMixer
 from repro.core import equations
 from repro.core.design import DroneDesign
 from repro.platforms.deadlines import (
@@ -23,35 +23,26 @@ from repro.physics.environment import Wind
 from repro.physics.rigid_body import QuadcopterBody
 
 
-def _gust_rejection_rms(controller_kind: str, rate_hz: float = 500.0,
-                        duration_s: float = 4.0) -> float:
-    """Hold zero attitude under gusty torque disturbances; return RMS roll."""
+def _gust_rejection_rms(rate_hz: float, duration_s: float = 4.0) -> float:
+    """Hold zero attitude with the PID attitude loop under gusty torque
+    disturbances; return RMS roll."""
     body = QuadcopterBody(mass_kg=1.0, arm_length_m=0.225)
     inertia = body.inertia_kg_m2
     dt = 1.0 / rate_hz
     rng = np.random.default_rng(6)
     gust_torque = 0.0
-    if controller_kind == "indi":
-        indi = IndiRateController(inertia_kg_m2=inertia)
-    else:
-        pid = AttitudeController(inertia_kg_m2=inertia)
+    pid = AttitudeController(inertia_kg_m2=inertia)
     rolls = []
     hover = body.hover_thrust_per_motor_n
-    from repro.control.mixer import MotorMixer
-
     mixer = MotorMixer(arm_length_m=0.225, max_thrust_per_motor_n=hover * 4)
     steps = int(duration_s * rate_hz)
     for _ in range(steps):
         # Ornstein-Uhlenbeck gust torque about the roll axis.
         gust_torque = 0.995 * gust_torque + 0.02 * rng.standard_normal()
         state = body.state
-        if controller_kind == "indi":
-            rate_setpoint = -6.0 * state.euler_rad  # outer angle P loop
-            torque = indi.update(rate_setpoint, state.angular_velocity_rad_s, dt)
-        else:
-            torque = pid.update(
-                np.zeros(3), state.euler_rad, state.angular_velocity_rad_s, dt
-            )
+        torque = pid.update(
+            np.zeros(3), state.euler_rad, state.angular_velocity_rad_s, dt
+        )
         thrusts = mixer.mix(4 * hover, torque)
         body.step(thrusts, dt)
         # Inject the gust directly as angular acceleration.
@@ -62,55 +53,13 @@ def _gust_rejection_rms(controller_kind: str, rate_hz: float = 500.0,
     return float(np.sqrt(np.mean(np.square(rolls))))
 
 
-class TestIndi:
-    def test_holds_rate_setpoint(self):
-        body = QuadcopterBody(mass_kg=1.0, arm_length_m=0.225)
-        indi = IndiRateController(inertia_kg_m2=body.inertia_kg_m2)
-        dt = 1.0 / 500.0
-        setpoint = np.array([1.0, 0.0, 0.0])
-        omega = np.zeros(3)
-        for _ in range(1000):
-            torque = indi.update(setpoint, omega, dt)
-            omega = omega + np.linalg.solve(body.inertia_kg_m2, torque) * dt
-        assert omega[0] == pytest.approx(1.0, abs=0.1)
-
-    def test_rejects_gusts_at_500hz(self):
-        """The paper's INDI claim: stabilization under gusts at 500 Hz."""
-        rms = _gust_rejection_rms("indi", rate_hz=500.0)
-        assert rms < 0.08  # stays within ~5 degrees RMS
-
-    def test_indi_beats_plain_pid_under_gusts(self):
-        indi_rms = _gust_rejection_rms("indi", rate_hz=500.0)
-        pid_rms = _gust_rejection_rms("pid", rate_hz=500.0)
-        assert indi_rms < pid_rms
-
-    def test_torque_clipped(self):
-        indi = IndiRateController(
-            inertia_kg_m2=np.eye(3) * 0.01, max_torque_nm=0.1
-        )
-        torque = indi.update(np.array([100.0, 0, 0]), np.zeros(3), 0.002)
-        assert np.all(np.abs(torque) <= 0.1)
-
-    def test_cheap_compute(self):
-        indi = IndiRateController(inertia_kg_m2=np.eye(3) * 0.01)
-        # Even at 500 Hz, INDI is a rounding error on a Cortex-M.
-        assert indi.flops_per_update * 500 < 1e6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IndiRateController(inertia_kg_m2=np.eye(2))
-        indi = IndiRateController(inertia_kg_m2=np.eye(3) * 0.01)
-        with pytest.raises(ValueError):
-            indi.update(np.zeros(3), np.zeros(3), 0.0)
-
-
 class TestInnerLoopRateSufficiency:
     def test_rate_increase_plateaus(self):
         """The paper's core inner-loop claim: beyond a few hundred Hz the
         update rate buys nothing — physics, not compute, is the limit."""
-        rms_100 = _gust_rejection_rms("indi", rate_hz=100.0, duration_s=3.0)
-        rms_500 = _gust_rejection_rms("indi", rate_hz=500.0, duration_s=3.0)
-        rms_1000 = _gust_rejection_rms("indi", rate_hz=1000.0, duration_s=3.0)
+        rms_100 = _gust_rejection_rms(rate_hz=100.0, duration_s=3.0)
+        rms_500 = _gust_rejection_rms(rate_hz=500.0, duration_s=3.0)
+        rms_1000 = _gust_rejection_rms(rate_hz=1000.0, duration_s=3.0)
         # 100 -> 500 Hz helps (or at least does not hurt)...
         assert rms_500 <= rms_100 * 1.2
         # ...but 500 -> 1000 Hz is within noise of each other.

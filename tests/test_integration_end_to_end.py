@@ -107,10 +107,17 @@ class TestTelemetryPipeline:
             battery_capacity_mah=3000.0,
         )
         sim = FlightSimulator(model, physics_rate_hz=400.0)
-        from repro.sim.missions import waypoint_mission
+        from repro.sim.missions import Mission, MissionPhase, PhaseKind
 
-        waypoint_mission([[3.0, 0.0, 4.0], [3.0, 3.0, 4.0]],
-                         leg_duration_s=5.0).run(sim)
+        Mission(phases=[
+            MissionPhase(PhaseKind.TAKEOFF, duration_s=6.0,
+                         target_m=np.array([0.0, 0.0, 5.0])),
+            MissionPhase(PhaseKind.GOTO, duration_s=5.0,
+                         target_m=np.array([3.0, 0.0, 4.0])),
+            MissionPhase(PhaseKind.GOTO, duration_s=5.0,
+                         target_m=np.array([3.0, 3.0, 4.0])),
+            MissionPhase(PhaseKind.LAND, duration_s=8.0),
+        ]).run(sim)
         log = TelemetryLog(downlink_rate_hz=2.0)
         log.ingest_all(sim)
         summary = log.summary()

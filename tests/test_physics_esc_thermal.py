@@ -1,90 +1,16 @@
-"""Tests: DShot protocol, BLDC commutation, and the ESC thermal model that
-derives the paper's short-/long-flight classification."""
+"""Tests: the ESC thermal model that derives the paper's short-/long-flight
+classification."""
 
 import math
 
 import pytest
 
 from repro.components.esc import EscClass, esc_unit_weight_g
-from repro.core.metrics import max_horizontal_speed_m_s
-from repro.physics.esc_model import (
-    CommutationModel,
-    DshotError,
-    command_frequency_hz,
-    decode_dshot,
-    dshot_checksum,
-    encode_dshot,
-    throttle_fraction,
-    throttle_value,
-)
 from repro.physics.thermal import (
     ThermalModel,
     esc_dissipation_w,
     esc_thermal_model,
 )
-
-
-class TestDshot:
-    def test_roundtrip(self):
-        frame = encode_dshot(1047, telemetry_request=True)
-        throttle, telemetry = decode_dshot(frame)
-        assert throttle == 1047
-        assert telemetry is True
-
-    @pytest.mark.parametrize("throttle", [0, 48, 1024, 2047])
-    def test_roundtrip_range(self, throttle):
-        assert decode_dshot(encode_dshot(throttle))[0] == throttle
-
-    def test_corruption_detected(self):
-        frame = encode_dshot(1000)
-        with pytest.raises(DshotError, match="checksum"):
-            decode_dshot(frame ^ 0x0100)  # flip a payload bit
-
-    def test_out_of_range_throttle(self):
-        with pytest.raises(DshotError):
-            encode_dshot(5000)
-
-    def test_checksum_is_4_bits(self):
-        for payload in (0x000, 0xFFF, 0xABC):
-            assert 0 <= dshot_checksum(payload) <= 0xF
-
-    def test_throttle_fraction_mapping(self):
-        assert throttle_fraction(0) == 0.0
-        assert throttle_fraction(47) == 0.0  # reserved commands
-        assert throttle_fraction(2047) == 1.0
-        assert throttle_value(1.0) == 2047
-        assert throttle_value(0.0) == 0
-        # Roundtrip within quantization.
-        assert throttle_fraction(throttle_value(0.5)) == pytest.approx(0.5, abs=1e-3)
-
-    def test_dshot1200_command_frequency_matches_paper(self):
-        """Paper: 'the DShot1200 protocol has a communication frequency of
-        74.6 KHz'."""
-        assert command_frequency_hz(1200) == pytest.approx(74_600.0, rel=0.01)
-
-    def test_unknown_variant(self):
-        with pytest.raises(DshotError):
-            command_frequency_hz(2400)
-
-
-class TestCommutation:
-    def test_electrical_frequency(self):
-        model = CommutationModel(pole_pairs=7)
-        assert model.electrical_frequency_hz(6000.0) == pytest.approx(700.0)
-
-    def test_switching_band_matches_paper(self):
-        """Paper: ESCs need 60-600 kHz switching at flight RPMs."""
-        model = CommutationModel(pole_pairs=7)
-        low = model.pwm_switching_frequency_hz(3000.0, pwm_base_hz=10_000.0)
-        high = model.pwm_switching_frequency_hz(40_000.0, pwm_base_hz=96_000.0)
-        assert 55_000.0 < low < 120_000.0
-        assert 450_000.0 < high < 700_000.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CommutationModel(pole_pairs=0)
-        with pytest.raises(ValueError):
-            CommutationModel().electrical_frequency_hz(-1.0)
 
 
 class TestThermalModel:
@@ -158,28 +84,3 @@ class TestEscClassDerivation:
         heavy = esc_thermal_model(EscClass.LONG_FLIGHT, 60.0)
         assert heavy.steady_state_c(5.0) < light.steady_state_c(5.0)
 
-
-class TestMaxSpeed:
-    def test_twr1_cannot_move(self):
-        assert max_horizontal_speed_m_s(1000.0, 1.0) == 0.0
-
-    def test_higher_twr_faster(self):
-        slow = max_horizontal_speed_m_s(1000.0, 2.0)
-        fast = max_horizontal_speed_m_s(1000.0, 5.0)
-        assert fast > slow > 0.0
-
-    def test_realistic_magnitudes(self):
-        """A 1 kg TWR-2 quad tops out around 20-40 m/s (real drones do)."""
-        speed = max_horizontal_speed_m_s(1000.0, 2.0)
-        assert 15.0 < speed < 50.0
-
-    def test_draggier_airframe_slower(self):
-        clean = max_horizontal_speed_m_s(1000.0, 3.0, drag_coefficient_area_m2=0.01)
-        draggy = max_horizontal_speed_m_s(1000.0, 3.0, drag_coefficient_area_m2=0.05)
-        assert draggy < clean
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            max_horizontal_speed_m_s(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            max_horizontal_speed_m_s(1000.0, 2.0, drag_coefficient_area_m2=0.0)

@@ -8,7 +8,6 @@ from repro.reference.build import (
     TOTAL_COST_USD,
     avionics_weight_g,
     catalog_consistency,
-    major_components,
     simulator_model,
     total_weight_g,
     weight_breakdown,
@@ -40,7 +39,8 @@ class TestFigure14:
         assert shares["esc"] == pytest.approx(0.10, abs=0.01)
 
     def test_major_components_are_paper_big_four(self):
-        assert major_components() == ["frame", "battery", "motors", "esc"]
+        assert [p.name for p in weight_breakdown()[:4]] == [
+            "frame", "battery", "motors", "esc"]
 
     def test_cost_and_payload(self):
         assert TOTAL_COST_USD == 500.0

@@ -2,6 +2,9 @@
 
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +66,28 @@ class TestReportExports:
         assert len(trace) > 100
         assert os.path.exists(tmp_path / "fig16b_drone_power.csv")
         assert any("fig16" in line for line in summary)
+
+
+class TestReportCli:
+    """``python -m repro.report`` parses its options before writing."""
+
+    @staticmethod
+    def _run(cwd, *args):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-m", "repro.report", *args],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_help_prints_usage_and_writes_nothing(self, tmp_path):
+        result = self._run(tmp_path, "--help")
+        assert result.returncode == 0
+        assert "usage: python -m repro.report" in result.stdout
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_option_is_a_usage_error(self, tmp_path):
+        result = self._run(tmp_path, "--no-such-option")
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+        assert list(tmp_path.iterdir()) == []

@@ -22,13 +22,11 @@ from repro.resilience import (
     DeadlineFrameSkipPolicy,
     MapCheckpoint,
     NavTier,
-    NumericalFaultError,
     OffloadSupervisor,
     RelocalizationLadder,
     RelocalizationReport,
     SupervisedSlamPipeline,
     ThermalGovernor,
-    assert_finite,
     rpi4_compute_thermal,
     simulate_fallback_chain,
     thermal_deadline_study,
@@ -69,20 +67,6 @@ class TestTrackingOutcome:
 
 
 class TestGuards:
-    def test_assert_finite_passes_through(self):
-        values = np.array([1.0, -2.0, 0.0])
-        assert assert_finite(values, "pose") is not None
-
-    def test_assert_finite_raises_on_nan_and_inf(self):
-        with pytest.raises(NumericalFaultError):
-            assert_finite(np.array([1.0, np.nan]))
-        with pytest.raises(NumericalFaultError):
-            assert_finite(np.array([np.inf]))
-
-    def test_numerical_fault_is_floating_point_error(self):
-        # Core modules raise the builtin; supervisors catch one type.
-        assert issubclass(NumericalFaultError, FloatingPointError)
-
     def test_ekf_raises_on_nonfinite_state(self):
         from repro.control.estimation import InsEkf
 

@@ -9,9 +9,7 @@ from repro.sim.missions import (
     MissionPhase,
     PhaseKind,
     figure16_mission,
-    hover_mission,
     survey_mission,
-    waypoint_mission,
 )
 from repro.sim.power_trace import (
     RPI_AUTOPILOT_SLAM_FLYING_W,
@@ -106,12 +104,22 @@ class TestFlightSimulator:
 class TestMissions:
     def test_hover_mission_holds_altitude(self):
         sim = FlightSimulator(model_450(), physics_rate_hz=400.0)
-        hover_mission(altitude_m=4.0, duration_s=6.0).run(sim)
+        target = np.array([0.0, 0.0, 4.0])
+        Mission(phases=[
+            MissionPhase(PhaseKind.TAKEOFF, duration_s=6.0, target_m=target),
+            MissionPhase(PhaseKind.HOVER, duration_s=6.0, target_m=target),
+        ]).run(sim)
         assert sim.body.state.position_m[2] == pytest.approx(4.0, abs=0.3)
 
     def test_waypoint_mission_visits_and_lands(self):
         sim = FlightSimulator(model_450(), physics_rate_hz=400.0)
-        waypoint_mission([[4.0, 0.0, 5.0]], leg_duration_s=7.0).run(sim)
+        Mission(phases=[
+            MissionPhase(PhaseKind.TAKEOFF, duration_s=6.0,
+                         target_m=np.array([0.0, 0.0, 5.0])),
+            MissionPhase(PhaseKind.GOTO, duration_s=7.0,
+                         target_m=np.array([4.0, 0.0, 5.0])),
+            MissionPhase(PhaseKind.LAND, duration_s=8.0),
+        ]).run(sim)
         state = sim.body.state
         assert state.position_m[2] < 1.0  # landed
 

@@ -1,23 +1,15 @@
-"""Tests: SLAM-aided GPS-denied navigation and mission energy budgeting."""
+"""Tests: SLAM-aided GPS-denied navigation."""
 
 import numpy as np
 import pytest
 
-from repro.sim.missions import (
-    MissionPhase,
-    PhaseKind,
-    estimate_mission_energy,
-    figure16_mission,
-    hover_mission,
-    waypoint_mission,
-)
 from repro.sim.simulator import DroneModel, FlightSimulator
 
 
-def model_450(capacity_mah: float = 3000.0) -> DroneModel:
+def model_450() -> DroneModel:
     return DroneModel(
         mass_kg=1.071, wheelbase_mm=450.0, battery_cells=3,
-        battery_capacity_mah=capacity_mah,
+        battery_capacity_mah=3000.0,
     )
 
 
@@ -57,59 +49,3 @@ class TestSlamAidedNavigation:
         with pytest.raises(ValueError):
             sim.inject_position_fix(np.zeros(3), noise_m=0.0)
 
-
-class TestMissionEnergy:
-    def test_short_hover_feasible(self):
-        estimate = estimate_mission_energy(
-            hover_mission(duration_s=60.0), model_450()
-        )
-        assert estimate.feasible
-        assert estimate.reserve_fraction > 0.5
-
-    def test_marathon_mission_infeasible(self):
-        long_hover = hover_mission(duration_s=3600.0)
-        estimate = estimate_mission_energy(long_hover, model_450())
-        assert not estimate.feasible
-
-    def test_bigger_battery_more_reserve(self):
-        mission = waypoint_mission([[5.0, 0.0, 5.0]], leg_duration_s=10.0)
-        small = estimate_mission_energy(mission, model_450(2000.0))
-        large = estimate_mission_energy(mission, model_450(5000.0))
-        assert large.reserve_fraction > small.reserve_fraction
-
-    def test_maneuvering_costs_more(self):
-        calm = hover_mission(duration_s=20.0)
-        from repro.sim.missions import Mission
-
-        aggressive = Mission(phases=[
-            MissionPhase(PhaseKind.TAKEOFF, duration_s=6.0,
-                         target_m=np.array([0.0, 0.0, 5.0])),
-            MissionPhase(PhaseKind.AGGRESSIVE, duration_s=20.0,
-                         target_m=np.array([0.0, 0.0, 5.0])),
-        ])
-        model = model_450()
-        assert (
-            estimate_mission_energy(aggressive, model).required_wh
-            > estimate_mission_energy(calm, model).required_wh
-        )
-
-    def test_estimate_matches_simulated_drain(self):
-        """The pre-flight estimate lands near the simulator's actual usage."""
-        mission = figure16_mission()
-        model = model_450()
-        estimate = estimate_mission_energy(mission, model)
-        sim = FlightSimulator(model, physics_rate_hz=400.0)
-        mission.run(sim)
-        from repro.physics import constants
-
-        used_wh = (
-            sim.battery.used_mah / 1000.0
-            * model.battery_cells * constants.LIPO_CELL_NOMINAL_V
-        )
-        assert estimate.required_wh == pytest.approx(used_wh, rel=0.4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            estimate_mission_energy(
-                hover_mission(), model_450(), maneuver_multiplier=0.5
-            )

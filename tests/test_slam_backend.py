@@ -13,7 +13,6 @@ from repro.slam.map import Keyframe, MapPoint, SlamMap
 from repro.slam.metrics import (
     absolute_trajectory_error_m,
     map_quality,
-    relative_pose_error_m,
 )
 from repro.slam.pipeline import (
     SlamPipeline,
@@ -215,13 +214,6 @@ class TestMetrics:
         shifted = trajectory + np.array([3.0, 4.0, 0.0])
         assert absolute_trajectory_error_m(shifted, trajectory) == pytest.approx(5.0)
 
-    def test_rpe_ignores_constant_offset(self):
-        trajectory = np.cumsum(np.ones((50, 3)), axis=0)
-        shifted = trajectory + 7.0
-        assert relative_pose_error_m(shifted, trajectory) == pytest.approx(0.0)
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             absolute_trajectory_error_m(np.zeros((5, 3)), np.zeros((6, 3)))
-        with pytest.raises(ValueError):
-            relative_pose_error_m(np.zeros((5, 3)), np.zeros((5, 3)), delta=10)

@@ -19,12 +19,23 @@ from repro.slam.features import (
     OrbExtractor,
     hamming_distance,
 )
-from repro.slam.matching import (
-    inlier_fraction,
-    match_by_projection,
-    match_features,
-)
+from repro.slam.matching import match_by_projection, match_features
 from tests.equivalence import BLAS, HAMMING_DISTANCE_MATRIX, LIBM, golden
+
+
+def inlier_fraction(result, a, b):
+    """Fraction of matches that are true correspondences.
+
+    Only possible because the synthetic dataset carries landmark ids; it
+    checks that the matcher rejects clutter.
+    """
+    correct = sum(
+        1
+        for m in result.matches
+        if a.landmark_ids[m.index_a] >= 0
+        and a.landmark_ids[m.index_a] == b.landmark_ids[m.index_b]
+    )
+    return correct / result.count
 
 
 class TestDataset:
