@@ -30,11 +30,6 @@ from repro.core.explorer import (
     sweep_all_wheelbases,
     sweep_wheelbase,
 )
-from repro.core.metrics import (
-    FlightTimeEstimate,
-    flight_time,
-    max_continuous_current_a,
-)
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.core.tradeoffs import (
     CatalogFits,
@@ -84,9 +79,6 @@ __all__ = [
     "computation_footprint",
     "sweep_all_wheelbases",
     "sweep_wheelbase",
-    "FlightTimeEstimate",
-    "flight_time",
-    "max_continuous_current_a",
     "FitComparison",
     "MotorCurrentCurve",
     "compare_battery_fits",

@@ -13,7 +13,12 @@ behaviour match each program's character:
   data-dependent branches.
 
 Traces are deterministic (seeded) numpy arrays consumed by
-:mod:`repro.platforms.cpu`.
+:mod:`repro.platforms.cpu`.  The order, size and dtype of every ``rng``
+call are part of a seed's meaning.  Each draw is one full-length call,
+never chunked: ``integers`` fills int64 output from buffered 32-bit
+halves, so two half-length draws are a different stream.  To keep peak
+memory near the trace's own size, each draw is reduced at once to bool
+masks or worked on in place in the array it ends up in.
 """
 
 from __future__ import annotations
@@ -70,12 +75,12 @@ def _branch_outcomes(
 ) -> tuple:
     """Per-PC biased branch outcomes: most branches are predictable loops,
     a fraction are data-dependent."""
-    pc_ids = rng.integers(0, pc_count, size=length)
-    pcs = (pc_ids * 4 + 0x10000).astype(np.int64)
-    weak_pcs = rng.random(pc_count) < weak_fraction
-    biases = np.where(weak_pcs[pc_ids], bias_weak, bias_strong)
-    taken = rng.random(length) < biases
-    return pcs, taken
+    pcs = rng.integers(0, pc_count, size=length)
+    weak = (rng.random(pc_count) < weak_fraction)[pcs]
+    pcs *= 4
+    pcs += 0x10000
+    u = rng.random(length)
+    return pcs, np.where(weak, u < bias_weak, u < bias_strong)
 
 
 def _kinds(
@@ -88,6 +93,17 @@ def _kinds(
     kinds[lanes < mem_fraction * 0.3] = OpKind.STORE
     kinds[lanes > 1.0 - branch_fraction] = OpKind.BRANCH
     return kinds
+
+
+def _scatter(
+    addresses: np.ndarray, where: np.ndarray, slots: np.ndarray, stride: int,
+    base: int,
+) -> None:
+    """Write ``base + slots * stride`` into ``addresses`` where ``where``
+    holds; ``slots`` is a fresh draw and becomes the scratch."""
+    slots *= stride
+    slots += base
+    np.copyto(addresses, slots, where=where)
 
 
 def autopilot_trace(
@@ -105,18 +121,21 @@ def autopilot_trace(
         raise ValueError(f"length must be positive, got {length}")
     rng = np.random.default_rng(seed)
     regime = rng.random(length)
-    hot = base_address + (rng.integers(0, 24 * 1024 // 8, size=length) * 8)
-    warm = (
-        base_address
-        + 0x0010_0000
-        + (rng.integers(0, 48 * 1024 // 64, size=length) * 64)
-    )
+    hot = regime < 0.90
+    warm = regime < 0.988
+    warm ^= hot
+    del regime
     # Sensor/log ring: one touch per page (page-hop logging) across a span
     # larger than the TLB reach — the steady TLB-miss trickle of the
     # autopilot running alone.
-    ring_position = np.cumsum(np.full(length, 4096, dtype=np.int64))
-    ring = base_address + 0x0100_0000 + ring_position % (8 * 1024 * 1024)
-    addresses = np.where(regime < 0.90, hot, np.where(regime < 0.988, warm, ring))
+    addresses = np.arange(4096, 4096 * (length + 1), 4096, dtype=np.int64)
+    addresses %= 8 * 1024 * 1024
+    addresses += base_address + 0x0100_0000
+    _scatter(addresses, hot, rng.integers(0, 24 * 1024 // 8, size=length),
+             8, base_address)
+    _scatter(addresses, warm, rng.integers(0, 48 * 1024 // 64, size=length),
+             64, base_address + 0x0010_0000)
+    del hot, warm
     pcs, taken = _branch_outcomes(
         rng, length, pc_count=300, bias_strong=0.97, bias_weak=0.60,
         weak_fraction=0.10,
@@ -124,7 +143,7 @@ def autopilot_trace(
     return Trace(
         name="autopilot",
         kinds=_kinds(rng, length, mem_fraction=0.30, branch_fraction=0.12),
-        addresses=addresses.astype(np.int64),
+        addresses=addresses,
         pcs=pcs,
         taken=taken,
     )
@@ -148,19 +167,19 @@ def slam_trace(
         raise ValueError("working set must be positive")
     rng = np.random.default_rng(seed)
     regime = rng.random(length)
-    stream_position = np.cumsum(rng.integers(16, 96, size=length))
-    stream = base_address + stream_position % (360 * 1024)  # one VGA image
-    hot_map = (
-        base_address
-        + 0x0400_0000
-        + (rng.integers(0, 256 * 1024 // 64, size=length) * 64)
-    )
-    cold = (
-        base_address
-        + 0x0800_0000
-        + (rng.integers(0, working_set_bytes // 64, size=length) * 64)
-    )
-    addresses = np.where(regime < 0.57, stream, np.where(regime < 0.92, hot_map, cold))
+    hot_map = regime < 0.92
+    cold = ~hot_map
+    hot_map ^= regime < 0.57
+    del regime
+    addresses = rng.integers(16, 96, size=length)
+    np.cumsum(addresses, out=addresses)
+    addresses %= 360 * 1024  # one VGA image
+    addresses += base_address
+    _scatter(addresses, hot_map, rng.integers(0, 256 * 1024 // 64, size=length),
+             64, base_address + 0x0400_0000)
+    _scatter(addresses, cold, rng.integers(0, working_set_bytes // 64, size=length),
+             64, base_address + 0x0800_0000)
+    del hot_map, cold
     pcs, taken = _branch_outcomes(
         rng, length, pc_count=5000, bias_strong=0.92, bias_weak=0.68,
         weak_fraction=0.28,
@@ -168,7 +187,7 @@ def slam_trace(
     return Trace(
         name="slam",
         kinds=_kinds(rng, length, mem_fraction=0.38, branch_fraction=0.16),
-        addresses=addresses.astype(np.int64),
+        addresses=addresses,
         pcs=pcs,
         taken=taken,
     )

@@ -94,16 +94,13 @@ class Mission:
     def _retarget_aggressive(
         self, sim: FlightSimulator, phase: MissionPhase, elapsed: float
     ) -> None:
-        """Dash back and forth at speed — the 'maneuvering' load regime."""
+        """Dash along ±x at ``phase.speed_m_s``, reversing every 2 s — the
+        'maneuvering' load regime.  The phase requires a target but does not
+        steer toward it."""
         if phase.target_m is None:
             raise ValueError("aggressive phase requires a center target")
-        center = np.asarray(phase.target_m, dtype=float)
-        span = 8.0
         direction = 1.0 if int(elapsed / 2.0) % 2 == 0 else -1.0
         sim.set_velocity(np.array([direction * phase.speed_m_s, 0.0, 0.0]))
-        # Keep altitude with a weak pull toward the center height.
-        __ = center  # center retained for symmetric extensions
-        __ = span
 
 
 def survey_mission(

@@ -1,20 +1,10 @@
-"""Unit tests: Table 3 metrics and Equations 1-7."""
+"""Unit tests: Equations 1-7."""
 
 import pytest
 
-from repro.core import equations, metrics
+from repro.core import equations
 from repro.core.equations import InfeasibleDesignError, close_weight
 from repro.physics import constants
-
-
-class TestMetrics:
-    def test_c_rating_current(self):
-        assert metrics.max_continuous_current_a(3000.0, 25.0) == 75.0
-
-    def test_flight_time_estimate(self):
-        estimate = metrics.flight_time(3000.0, 11.1, 100.0)
-        assert estimate.minutes == pytest.approx(3.0 * 11.1 * 0.85 / 100.0 * 60.0)
-        assert estimate.usable_energy_wh == pytest.approx(3.0 * 11.1 * 0.85)
 
 
 class TestEquation2MotorCurrent:

@@ -8,7 +8,6 @@ from repro.autopilot.mavlink import Command, Link, MessageType
 from repro.autopilot.offload import evaluate_offload
 from repro.components.base import Component
 from repro.core.explorer import SweepResult
-from repro.core.metrics import FlightTimeEstimate
 from repro.platforms.profiles import PlatformProfile, rpi4_profile
 from repro.sim.simulator import DroneModel, FlightSimulator
 from repro.slam.dataset import load_sequence
@@ -190,16 +189,6 @@ class TestSweepResultEdges:
 
     def test_empty_sweep_best_configuration_none(self):
         assert SweepResult(wheelbase_mm=450.0).best_configuration() is None
-
-
-class TestMetricsEdges:
-    def test_flight_time_estimate_validation(self):
-        with pytest.raises(ValueError):
-            FlightTimeEstimate(minutes=-1.0, usable_energy_wh=1.0,
-                               average_power_w=1.0)
-        with pytest.raises(ValueError):
-            FlightTimeEstimate(minutes=1.0, usable_energy_wh=1.0,
-                               average_power_w=0.0)
 
 
 class TestLinkEdges:
