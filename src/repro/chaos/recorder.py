@@ -91,6 +91,8 @@ class FlightRecorder:
     ) -> TickRecord:
         """Snapshot the stack's current state into the ring buffer."""
         state = autopilot.sim.body.state
+        # euler_rad converts the quaternion on every read: read it once.
+        roll, pitch, yaw = state.euler_rad.tolist()
         tick = TickRecord(
             time_s=autopilot.sim.time_s,
             position_m=(
@@ -103,11 +105,7 @@ class FlightRecorder:
                 float(state.velocity_m_s[1]),
                 float(state.velocity_m_s[2]),
             ),
-            euler_rad=(
-                float(state.euler_rad[0]),
-                float(state.euler_rad[1]),
-                float(state.euler_rad[2]),
-            ),
+            euler_rad=(roll, pitch, yaw),
             battery_soc=autopilot.sim.battery.state_of_charge,
             failsafe=autopilot.failsafe.name,
             mode=autopilot.mode.value,

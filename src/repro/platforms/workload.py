@@ -163,8 +163,11 @@ def slam_trace(
     """
     if length <= 0:
         raise ValueError(f"length must be positive, got {length}")
-    if working_set_bytes <= 0:
-        raise ValueError("working set must be positive")
+    if working_set_bytes < 64:
+        raise ValueError(
+            "working set must hold at least one 64-byte line, got "
+            f"{working_set_bytes} bytes"
+        )
     rng = np.random.default_rng(seed)
     regime = rng.random(length)
     hot_map = regime < 0.92

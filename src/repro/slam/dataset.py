@@ -110,6 +110,78 @@ def _yaw_rotation(yaw: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _draw_noise(
+    rng: np.random.Generator,
+    count: int,
+    noise_bits: int,
+    sigma: float,
+    spurious: int,
+    width: float,
+    height: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One frame's draws: ``(noise, bits, clutter_px, clutter)``.
+
+    The values, and ``rng``'s state after them, are those of the plain
+    calls: per landmark ``normal(0, sigma)`` twice (the (count, 2) pixel
+    ``noise``) and ``integers(0, 256, size=noise_bits)`` (its row of the
+    flat int64 ``bits``), then per spurious detection ``uniform(0, width)``
+    and ``uniform(0, height)`` (a row of ``clutter_px``) and
+    ``integers(0, 256, size=32, dtype=np.uint8)`` (a row of ``clutter``).
+
+    The integer draws are taken as raw PCG64 words and decoded after the
+    loop.  NumPy feeds both kinds 32-bit halves through the bit
+    generator's one-half buffer, low half first: a value below 256 is
+    ``half >> 24`` (Lemire's rejection threshold is 0 for a range of 256),
+    and a byte draw reads four bytes from each half, low byte first.  The
+    normals and uniforms take whole words and leave the buffer alone, so
+    the integer draws read one stream of halves: the half buffered on
+    entry, then both halves of every raw word.  An odd ``noise_bits``
+    leaves a half over, which goes back into the buffer on exit.  The
+    normals are ziggurat draws of varying length between the words, so the
+    draws stay in a per-landmark loop.  ``spurious`` must be positive.
+    """
+    bit_generator = rng.bit_generator
+    entry = bit_generator.state
+    carried = buffered = int(entry["has_uint32"])
+    standard_normal, random, random_raw = (
+        rng.standard_normal, rng.random, bit_generator.random_raw)
+    normals: List[np.ndarray] = []
+    uniforms: List[np.ndarray] = []
+    words: List[np.ndarray] = []
+    for _ in range(count):
+        normals.append(standard_normal(2))
+        drawn = (noise_bits - carried + 1) // 2
+        words.append(random_raw(drawn))
+        carried += 2 * drawn - noise_bits
+    # 32 bytes are 8 halves: 4 words whether or not a half is carried.
+    for _ in range(spurious):
+        uniforms.append(random(2))
+        words.append(random_raw(DESCRIPTOR_BYTES // 8))
+    raw = np.concatenate(words)
+    halves = np.empty(buffered + 2 * raw.size, np.uint32)
+    halves[:buffered] = entry["uinteger"]
+    halves[buffered::2] = raw & 0xFFFFFFFF
+    halves[buffered + 1::2] = raw >> 32
+    used = count * noise_bits
+    bits = (halves[:used] >> 24).astype(np.int64)
+    clutter_halves = halves[used:used + spurious * DESCRIPTOR_BYTES // 4, None]
+    clutter = clutter_halves >> np.array([0, 8, 16, 24], dtype=np.uint32)
+    # NumPy keeps the last word's high half even once it is read.
+    exit_state = bit_generator.state
+    exit_state["has_uint32"] = carried
+    exit_state["uinteger"] = int(raw[-1] >> 32)
+    bit_generator.state = exit_state
+    # normal(0, s) is 0.0 + s * z and uniform(0, w) is 0.0 + w * u: the
+    # 0.0 + turns a -0.0 into 0.0 as they do.
+    scale = np.array([width, height], dtype=float)
+    return (
+        0.0 + sigma * np.reshape(normals, (count, 2)),
+        bits,
+        0.0 + scale * np.reshape(uniforms, (spurious, 2)),
+        clutter.astype(np.uint8).reshape(spurious, DESCRIPTOR_BYTES),
+    )
+
+
 @dataclass
 class SyntheticSequence:
     """A fully generated sequence: landmarks, trajectory, memoized frames."""
@@ -220,18 +292,13 @@ class SyntheticSequence:
         noise_bits = {"easy": 2, "medium": 5, "difficult": 10}[
             self.spec.difficulty.value
         ]
-        # The generator's draws, in landmark order: batching them would
-        # reorder its stream.
-        normal, integers = self._rng.normal, self._rng.integers
-        sigma = self.spec.pixel_noise
         count = int(ids.size)
-        noise: List[float] = []
-        flip_rows: List[np.ndarray] = []
-        for _ in range(count):
-            noise.append(normal(0.0, sigma))
-            noise.append(normal(0.0, sigma))
-            flip_rows.append(integers(0, DESCRIPTOR_BYTES * 8, size=noise_bits))
-        bits = np.array(flip_rows, dtype=np.int64).ravel()
+        # Spurious detections: clutter that matching must reject.
+        spurious = int(0.05 * count) + 2
+        noise, bits, clutter_px, clutter = _draw_noise(
+            self._rng, count, noise_bits, self.spec.pixel_noise, spurious,
+            camera.width, camera.height,
+        )
         descriptors = self._descriptors[ids]
         # A bit drawn twice flips back, as two sequential XORs would.
         np.bitwise_xor.at(
@@ -239,14 +306,6 @@ class SyntheticSequence:
             (np.repeat(np.arange(count), noise_bits), bits // 8),
             (1 << (bits % 8)).astype(np.uint8),
         )
-        # Spurious detections: clutter that matching must reject.
-        spurious = int(0.05 * count) + 2
-        clutter_px: List[float] = []
-        clutter: List[np.ndarray] = []
-        for _ in range(spurious):
-            clutter_px.append(self._rng.uniform(0, camera.width))
-            clutter_px.append(self._rng.uniform(0, camera.height))
-            clutter.append(integers(0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8))
         return Frame(
             index=index,
             timestamp_s=t,
@@ -255,8 +314,8 @@ class SyntheticSequence:
             landmark_ids=np.concatenate([ids, np.full(spurious, -1)], dtype=np.int64),
             keypoints_px=np.concatenate(
                 [
-                    np.column_stack([u, v]) + np.reshape(noise, (count, 2)),
-                    np.reshape(clutter_px, (spurious, 2)),
+                    np.column_stack([u, v]) + noise,
+                    clutter_px,
                 ]
             ),
             descriptors=np.concatenate([descriptors, clutter]),
@@ -285,7 +344,7 @@ def cached_sequence(name: str, seed: int = 11) -> SyntheticSequence:
     """Memoized :func:`load_sequence` (mirrors ``cached_catalog``).
 
     Benches and tests re-run the same sequences; sharing one instance
-    renders each sequence's frames once (0.5-0.7 s for MH01 and V203
+    renders each sequence's frames once (about 0.2 s for MH01 and V203
     together on a 2-vCPU x86_64 host).  Frames and descriptors come out
     as defensive copies, so sharing one sequence across callers is safe
     even for mutating consumers.

@@ -185,6 +185,16 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             interleave(autopilot_trace(100), slam_trace(100), timeslice=0)
 
+    @pytest.mark.parametrize("working_set_bytes", [-64, 0, 1, 63])
+    def test_working_set_below_one_line(self, working_set_bytes):
+        with pytest.raises(ValueError, match="one 64-byte line"):
+            slam_trace(100, working_set_bytes=working_set_bytes)
+
+    def test_working_set_of_one_line(self):
+        trace = slam_trace(100, working_set_bytes=64)
+        cold = trace.addresses >= 0x4000_0000 + 0x0800_0000
+        assert cold.any() and np.all(trace.addresses[cold] == 0x4800_0000)
+
 
 def _trace_digest(trace):
     """Each array's dtype, length and the sha256 of its little-endian bytes."""

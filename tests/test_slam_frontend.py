@@ -12,6 +12,7 @@ from repro.slam.dataset import (
     CameraModel,
     Difficulty,
     Frame,
+    _draw_noise,
     all_sequence_names,
     load_sequence,
 )
@@ -153,6 +154,55 @@ class TestRenderGolden:
 
         result = golden(f"slam/dataset/{name}", render, uses=(BLAS, LIBM))
         assert len(result["digests"]) == count
+
+
+def plain_draws(rng, count, noise_bits, sigma, spurious, width, height):
+    """``_draw_noise``'s contract: the generator calls it stands in for."""
+    noise, bits = [], []
+    for _ in range(count):
+        noise.append([rng.normal(0.0, sigma), rng.normal(0.0, sigma)])
+        bits.extend(rng.integers(0, DESCRIPTOR_BYTES * 8, size=noise_bits))
+    clutter_px, clutter = [], []
+    for _ in range(spurious):
+        clutter_px.append([rng.uniform(0, width), rng.uniform(0, height)])
+        clutter.append(rng.integers(0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8))
+    return (np.array(noise).reshape(count, 2), np.array(bits, dtype=np.int64),
+            np.array(clutter_px).reshape(spurious, 2),
+            np.array(clutter, dtype=np.uint8).reshape(spurious, DESCRIPTOR_BYTES))
+
+
+class TestDrawNoiseStream:
+    """``_draw_noise`` decodes raw PCG64 words; its values and the
+    generator's final state (the buffered 32-bit half included) must be
+    those of the plain calls.  No BLAS or libm: checked on every host."""
+
+    @staticmethod
+    def assert_same_stream(frames, seed=5, lead=0):
+        """Draw ``frames`` (count, noise_bits, spurious) in turn from two
+        generators seeded alike; ``lead`` plain int draws first, so an odd
+        lead enters the first frame with a buffered half."""
+        fast, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (fast, plain):
+            rng.integers(0, 256, size=lead)
+        assert fast.bit_generator.state["has_uint32"] == lead % 2
+        for count, noise_bits, spurious in frames:
+            args = (count, noise_bits, 0.6, spurious, 752, 480)
+            got, expected = _draw_noise(fast, *args), plain_draws(plain, *args)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert fast.bit_generator.state == plain.bit_generator.state
+
+    @pytest.mark.parametrize("noise_bits", [2, 5, 10])
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_noise_bits(self, noise_bits, lead):
+        self.assert_same_stream(
+            [(37, noise_bits, 3), (40, noise_bits, 4), (1, noise_bits, 2)],
+            lead=lead)
+
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_frame_without_visible_landmarks(self, lead):
+        self.assert_same_stream([(0, 5, 2), (3, 5, 2), (0, 5, 2)], lead=lead)
 
 
 class TestDescriptorTable:
