@@ -3,6 +3,7 @@
 import pytest
 
 from repro.platforms.accelerator import navion_asic, zynq_ba_accelerator
+from repro.platforms.perf import run_interference_study
 from repro.platforms.profiles import (
     all_profiles,
     asic_profile,
@@ -14,6 +15,7 @@ from repro.platforms.profiles import (
     tx2_profile,
 )
 from repro.slam.pipeline import Stage
+from tests.equivalence import golden
 
 
 class TestInterference(object):
@@ -45,10 +47,24 @@ class TestInterference(object):
             assert 0.0 < row["branch_miss_rate_pct"] < 35.0
 
     def test_validation(self):
-        from repro.platforms.perf import run_interference_study
-
         with pytest.raises(ValueError):
             run_interference_study(trace_length=0)
+
+
+class TestGoldenCounters:
+    """All four Figure 15 ``PerfCounters``, pinned under
+    ``tests/fixtures/platforms/counters.json``.  The counters are integers
+    and the cycles integer-valued floats (integral base CPI), so no case
+    depends on BLAS or libm and every host checks them."""
+
+    def test_defaults(self):
+        golden("platforms/counters/defaults", run_interference_study)
+
+    def test_seed_1(self):
+        golden("platforms/counters/seed_1", run_interference_study, seed=1)
+
+    def test_trace_length_40k(self, interference):
+        golden("platforms/counters/trace_length_40k", lambda: interference)
 
 
 class TestAcceleratorModels:
