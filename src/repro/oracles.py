@@ -9,20 +9,25 @@ here: golden vectors recorded from its NumPy form
 equivalence harness under ``tests/`` holds every pair to its DESIGN.md
 §Performance tier and ``benchmarks/perf/run_perf.py`` times some; library
 code never imports this module and no package exports it.  Tracking and
-bundle adjustment share their outer loops with the fast paths; the core
-oracle drives ``InOrderCore._execute_segment_scalar``, which real calls
-also fall back to.
+bundle adjustment share their outer loops with the fast paths.  The core
+oracle is the textbook per-access model (stamp-dict LRU caches and TLB,
+gshare), with its own structures built from the core's geometry; the
+trace engine has no fallback onto it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.platforms.cpu import InOrderCore, PerfCounters
-from repro.platforms.workload import Trace
+from repro.platforms.branch import GsharePredictor
+from repro.platforms.cache import SetAssociativeCache
+from repro.platforms.cpu import CorePenalties, InOrderCore, PerfCounters
+from repro.platforms.tlb import Tlb
+from repro.platforms.workload import OpKind, Trace
 from repro.slam.bundle_adjustment import (
     CANONICAL_GLOBAL_BA_ITERATIONS,
     BaResult,
@@ -406,13 +411,224 @@ def global_bundle_adjust(
 # -- trace-driven core (counter-exact) ----------------------------------------
 
 
+class ScalarCache:
+    """A cache's textbook per-access LRU model: per set, a dict tag ->
+    last-use stamp, with the ``min()`` stamp evicted.  Built from a
+    :class:`SetAssociativeCache`'s geometry (its next level too), and
+    counting into that cache's ``stats``."""
+
+    def __init__(self, cache: SetAssociativeCache):
+        self.line_bytes = cache.line_bytes
+        self.associativity = cache.associativity
+        self.set_count = cache.set_count
+        self.prefetch_next_line = cache.prefetch_next_line
+        self.next_level = (
+            None if cache.next_level is None else ScalarCache(cache.next_level)
+        )
+        self.stats = cache.stats
+        #: Whether the most recent demand miss also missed in next_level —
+        #: lets the core charge the DRAM penalty only for demand misses,
+        #: not prefetch fills.
+        self.last_demand_missed_below = False
+        self._sets: Dict[int, Dict[int, int]] = {}
+        self._use_counter = 0
+
+    def access(self, address: int) -> bool:
+        """Access ``address``; returns True on hit.  Misses recurse downward."""
+        self.stats.accesses += 1
+        self._use_counter += 1
+        line = address // self.line_bytes
+        set_index = line % self.set_count
+        tag = line // self.set_count
+        ways = self._sets.setdefault(set_index, {})
+        if tag in ways:
+            ways[tag] = self._use_counter
+            return True
+        self.stats.misses += 1
+        self.last_demand_missed_below = False
+        if self.next_level is not None:
+            self.last_demand_missed_below = not self.next_level.access(address)
+        if len(ways) >= self.associativity:
+            victim = min(ways, key=ways.get)
+            del ways[victim]
+        ways[tag] = self._use_counter
+        if self.prefetch_next_line:
+            self._install(address + self.line_bytes)
+        return False
+
+    def _install(self, address: int) -> None:
+        """Install a line without charging demand-access statistics.
+
+        Used by the next-line prefetcher; the fill still propagates to the
+        next level (a real prefetch occupies LLC bandwidth and capacity).
+        """
+        line = address // self.line_bytes
+        set_index = line % self.set_count
+        tag = line // self.set_count
+        ways = self._sets.setdefault(set_index, {})
+        if tag in ways:
+            return
+        if self.next_level is not None:
+            self.next_level.access(address)
+        if len(ways) >= self.associativity:
+            victim = min(ways, key=ways.get)
+            del ways[victim]
+        self._use_counter += 1
+        ways[tag] = self._use_counter
+
+
+class ScalarTlb:
+    """A :class:`Tlb`'s per-access model: page -> last-use stamp, the
+    ``min()`` stamp evicted; counts into the TLB's ``stats``."""
+
+    def __init__(self, tlb: Tlb):
+        self.entries = tlb.entries
+        self.page_bytes = tlb.page_bytes
+        self.stats = tlb.stats
+        self._pages: Dict[int, int] = {}
+        self._use_counter = 0
+
+    def access(self, address: int) -> bool:
+        """Translate ``address``; returns True on TLB hit."""
+        self.stats.accesses += 1
+        self._use_counter += 1
+        page = address // self.page_bytes
+        if page in self._pages:
+            self._pages[page] = self._use_counter
+            return True
+        self.stats.misses += 1
+        if len(self._pages) >= self.entries:
+            victim = min(self._pages, key=self._pages.get)
+            del self._pages[victim]
+        self._pages[page] = self._use_counter
+        return False
+
+    def flush(self) -> None:
+        self._pages.clear()
+
+
+class ScalarGshare:
+    """A :class:`GsharePredictor`'s per-branch model, counting into its
+    ``stats``."""
+
+    def __init__(self, predictor: GsharePredictor):
+        self.table_bits = predictor.table_bits
+        self.history_bits = predictor.history_bits
+        self._table = [2] * (1 << predictor.table_bits)  # weakly taken
+        self._history = 0
+        self.stats = predictor.stats
+
+    def _index(self, pc: int) -> int:
+        mask = (1 << self.table_bits) - 1
+        history = self._history & ((1 << self.history_bits) - 1)
+        return ((pc >> 2) ^ history) & mask
+
+    def predict_and_update(self, pc: int, taken: bool) -> bool:
+        """Predict branch at ``pc``; update state; returns prediction correct."""
+        index = self._index(pc)
+        prediction = self._table[index] >= 2
+        correct = prediction == taken
+        self.stats.branches += 1
+        if not correct:
+            self.stats.mispredictions += 1
+        if taken and self._table[index] < 3:
+            self._table[index] += 1
+        elif not taken and self._table[index] > 0:
+            self._table[index] -= 1
+        self._history = ((self._history << 1) | int(taken)) & (
+            (1 << self.history_bits) - 1
+        )
+        return correct
+
+    def flush_history(self) -> None:
+        self._history = 0
+
+
+class ScalarCore:
+    """One :class:`InOrderCore`'s L1, LLC, TLB and predictor as per-access
+    models, built cold from the core's geometry."""
+
+    def __init__(self, core: InOrderCore):
+        self.l1 = ScalarCache(core.l1)
+        self.llc = self.l1.next_level
+        self.tlb = ScalarTlb(core.tlb)
+        self.predictor = ScalarGshare(core.predictor)
+
+    def execute(self, penalties: CorePenalties, counter: PerfCounters,
+                trace: Trace) -> None:
+        """One segment, one memory access and one branch at a time."""
+        llc_before = self.llc.stats.accesses
+        llc_miss_before = self.llc.stats.misses
+        instructions = trace.length
+        cycles = instructions * penalties.base_cpi
+        branch_count = 0
+        branch_miss = 0
+        tlb_access = 0
+        tlb_miss = 0
+        # ALU instructions cost only the base CPI; only memory and branch
+        # instructions need sequential modeling.
+        mem_mask = (trace.kinds == OpKind.LOAD) | (trace.kinds == OpKind.STORE)
+        branch_mask = trace.kinds == OpKind.BRANCH
+        l1 = self.l1
+        tlb = self.tlb
+        for address in trace.addresses[mem_mask]:
+            address = int(address)
+            tlb_access += 1
+            if not tlb.access(address):
+                tlb_miss += 1
+                cycles += penalties.tlb_miss
+            if not l1.access(address):
+                cycles += penalties.l1_miss_llc_hit
+                if l1.last_demand_missed_below:
+                    cycles += penalties.llc_miss_dram
+        predictor = self.predictor
+        branch_pcs = trace.pcs[branch_mask]
+        branch_taken = trace.taken[branch_mask]
+        for pc, taken in zip(branch_pcs, branch_taken):
+            branch_count += 1
+            if not predictor.predict_and_update(int(pc), bool(taken)):
+                branch_miss += 1
+                cycles += penalties.branch_mispredict
+        counter.instructions += instructions
+        counter.cycles += cycles
+        counter.llc_accesses += self.llc.stats.accesses - llc_before
+        counter.llc_misses += self.llc.stats.misses - llc_miss_before
+        counter.branches += branch_count
+        counter.branch_misses += branch_miss
+        counter.tlb_accesses += tlb_access
+        counter.tlb_misses += tlb_miss
+
+
+#: Each core's per-access models, so that a second :func:`run_segments` on
+#: a core continues where the first left; an entry dies with its core.
+_SCALAR_CORES: "weakref.WeakKeyDictionary[InOrderCore, ScalarCore]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def run_segments(
     core: InOrderCore, segments: List[Tuple[str, Trace]]
 ) -> Dict[str, PerfCounters]:
-    """:meth:`InOrderCore.run_segments`, one access at a time."""
+    """:meth:`InOrderCore.run_segments`, one access at a time.
+
+    Runs the core's :class:`ScalarCore`, never the kernels' state: the
+    first call on a core builds it cold, and later calls continue from it.
+    A core that has already run on the trace engine is refused, since its
+    state lives only in the kernels' containers.  The counters and the
+    structures' ``stats`` are the core's own.
+    """
     if not segments:
         raise ValueError("no segments to execute")
+    model = _SCALAR_CORES.get(core)
+    if model is None:
+        if core._current_context is not None:
+            raise ValueError("the oracle needs a core that has not run yet")
+        model = _SCALAR_CORES[core] = ScalarCore(core)
     for context, trace in segments:
+        previous = core._current_context
         core._switch_to(context)
-        core._execute_segment_scalar(context, trace)
+        if previous not in (None, context) and core.flush_on_context_switch:
+            model.tlb.flush()
+            model.predictor.flush_history()
+        model.execute(core.penalties, core.counters[context], trace)
     return core.counters

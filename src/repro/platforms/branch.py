@@ -27,7 +27,11 @@ class BranchStats:
 
 
 class GsharePredictor:
-    """Gshare: PC xor global-history indexed table of 2-bit counters."""
+    """Gshare: PC xor global-history indexed table of 2-bit counters.
+
+    ``table`` holds the counters and ``history`` the last ``history_bits``
+    outcomes, newest in the LSB; the trace engine updates both in place.
+    """
 
     def __init__(self, table_bits: int = 12, history_bits: int = 12):
         if not 4 <= table_bits <= 24:
@@ -36,34 +40,10 @@ class GsharePredictor:
             raise ValueError(f"history bits out of range: {history_bits}")
         self.table_bits = table_bits
         self.history_bits = history_bits
-        self._table = [2] * (1 << table_bits)  # weakly taken
-        self._history = 0
+        self.table = [2] * (1 << table_bits)  # weakly taken
+        self.history = 0
         self.stats = BranchStats()
-
-    def _index(self, pc: int) -> int:
-        mask = (1 << self.table_bits) - 1
-        history = self._history & ((1 << self.history_bits) - 1)
-        return ((pc >> 2) ^ history) & mask
-
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        """Predict branch at ``pc``; update state; returns prediction correct."""
-        if pc < 0:
-            raise ValueError(f"pc cannot be negative: {pc}")
-        index = self._index(pc)
-        prediction = self._table[index] >= 2
-        correct = prediction == taken
-        self.stats.branches += 1
-        if not correct:
-            self.stats.mispredictions += 1
-        if taken and self._table[index] < 3:
-            self._table[index] += 1
-        elif not taken and self._table[index] > 0:
-            self._table[index] -= 1
-        self._history = ((self._history << 1) | int(taken)) & (
-            (1 << self.history_bits) - 1
-        )
-        return correct
 
     def flush_history(self) -> None:
         """Clear the global history (context-switch pollution model)."""
-        self._history = 0
+        self.history = 0

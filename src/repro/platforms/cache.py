@@ -8,8 +8,8 @@ shared LLC whose capacity contention is what the co-run experiment exposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Union
 
 
 @dataclass
@@ -29,7 +29,18 @@ class CacheStats:
 
 
 class SetAssociativeCache:
-    """A classic set-associative LRU cache over 64-bit addresses."""
+    """A set-associative LRU cache over 64-bit addresses.
+
+    ``sets`` holds, per set, the resident line numbers
+    (``address // line_bytes``) in LRU -> MRU order; the trace engine
+    (:mod:`repro.platforms.trace_engine`) walks and updates them in place.
+    Every set is always full: it starts as unique negative sentinels, which
+    no line can match and which sit oldest, so an eviction needs no length
+    check and empty ways fill before any resident line is evicted.  A cache
+    with a next level (the L1) keeps each set as a list, since a scan of a
+    few ways is the cheapest hit test; a last-level cache keeps each as an
+    insertion-ordered dict, since its wide sets want a hashed lookup.
+    """
 
     def __init__(
         self,
@@ -54,71 +65,18 @@ class SetAssociativeCache:
         self.next_level = next_level
         self.prefetch_next_line = prefetch_next_line
         self.stats = CacheStats()
-        #: Whether the most recent demand miss also missed in next_level —
-        #: lets the core charge the DRAM penalty only for demand misses,
-        #: not prefetch fills.
-        self.last_demand_missed_below = False
-        # Per set: dict tag -> last-use stamp (LRU via counter).
-        self._sets: Dict[int, Dict[int, int]] = {}
-        self._use_counter = 0
-
-    @property
-    def size_bytes(self) -> int:
-        return self.set_count * self.associativity * self.line_bytes
-
-    def access(self, address: int) -> bool:
-        """Access ``address``; returns True on hit.  Misses recurse downward."""
-        if address < 0:
-            raise ValueError(f"address cannot be negative: {address}")
-        self.stats.accesses += 1
-        self._use_counter += 1
-        line = address // self.line_bytes
-        set_index = line % self.set_count
-        tag = line // self.set_count
-        ways = self._sets.setdefault(set_index, {})
-        if tag in ways:
-            ways[tag] = self._use_counter
-            return True
-        self.stats.misses += 1
-        self.last_demand_missed_below = False
-        if self.next_level is not None:
-            self.last_demand_missed_below = not self.next_level.access(address)
-        if len(ways) >= self.associativity:
-            victim = min(ways, key=ways.get)
-            del ways[victim]
-        ways[tag] = self._use_counter
-        if self.prefetch_next_line:
-            self._install(address + self.line_bytes)
-        return False
-
-    def _install(self, address: int) -> None:
-        """Install a line without charging demand-access statistics.
-
-        Used by the next-line prefetcher; the fill still propagates to the
-        next level (a real prefetch occupies LLC bandwidth and capacity).
-        """
-        line = address // self.line_bytes
-        set_index = line % self.set_count
-        tag = line // self.set_count
-        ways = self._sets.setdefault(set_index, {})
-        if tag in ways:
-            return
-        if self.next_level is not None:
-            self.next_level.access(address)
-        if len(ways) >= self.associativity:
-            victim = min(ways, key=ways.get)
-            del ways[victim]
-        self._use_counter += 1
-        ways[tag] = self._use_counter
+        self.flush()
 
     def flush(self) -> None:
         """Invalidate all lines (context-switch cost modeling)."""
-        self._sets.clear()
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
-        if self.next_level is not None:
-            self.next_level.reset_stats()
+        sentinels = range(-1, -self.associativity - 1, -1)
+        self.sets: Union[List[List[int]], List[Dict[int, bool]]]
+        if self.next_level is None:
+            self.sets = [
+                dict.fromkeys(sentinels, True) for _ in range(self.set_count)
+            ]
+        else:
+            self.sets = [list(sentinels) for _ in range(self.set_count)]
 
 
 def rpi_cache_hierarchy() -> tuple:

@@ -3,18 +3,22 @@
 Executes :class:`repro.platforms.workload.Trace` streams against a cache
 hierarchy, TLB, and branch predictor, charging standard in-order penalties.
 Per-context performance counters come out the other end — the simulator-side
-equivalent of ``perf stat`` in the paper's Section 5.1 experiment.
+equivalent of ``perf stat`` in the paper's Section 5.1 experiment.  The
+batch trace engine (:mod:`repro.platforms.trace_engine`) is the one
+execution path; :func:`repro.oracles.run_segments` is its per-access
+reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.platforms import trace_engine
 from repro.platforms.branch import GsharePredictor
 from repro.platforms.cache import SetAssociativeCache, rpi_cache_hierarchy
 from repro.platforms.tlb import Tlb
-from repro.platforms.workload import OpKind, Trace
+from repro.platforms.workload import Trace
 
 
 @dataclass
@@ -77,8 +81,20 @@ class PerfCounters:
         return self.tlb_misses / self.tlb_accesses
 
 
+def _is_pow2(value: int) -> bool:
+    return value > 0 and value & (value - 1) == 0
+
+
 class InOrderCore:
-    """Single-issue in-order core with shared or private memory structures."""
+    """Single-issue in-order core with shared or private memory structures.
+
+    The trace engine's kernels assume the RPi-shaped topology: an L1
+    (optionally with next-line prefetch) in front of a last-level cache
+    with no further level and no prefetcher, equal power-of-two line sizes,
+    and power-of-two set counts (set selection by bitmask).  The
+    constructor refuses anything else; :class:`Tlb` already refuses a page
+    size that is not a power of two.
+    """
 
     def __init__(
         self,
@@ -93,6 +109,21 @@ class InOrderCore:
             raise ValueError("provide both l1 and llc, or neither")
         if l1 is None:
             l1, llc = rpi_cache_hierarchy()
+        for unsupported, message in (
+            (l1.next_level is not llc, "the L1's next level must be the LLC"),
+            (llc.next_level is not None, "the LLC cannot have a next level"),
+            (llc.prefetch_next_line, "the LLC cannot prefetch"),
+            (l1.line_bytes != llc.line_bytes,
+             "the L1 and LLC line sizes must match"),
+            (not _is_pow2(l1.line_bytes),
+             f"line size {l1.line_bytes} is not a power of two"),
+            (not _is_pow2(l1.set_count),
+             f"L1 set count {l1.set_count} is not a power of two"),
+            (not _is_pow2(llc.set_count),
+             f"LLC set count {llc.set_count} is not a power of two"),
+        ):
+            if unsupported:
+                raise ValueError(f"unsupported core geometry: {message}")
         self.penalties = penalties or CorePenalties()
         self.l1 = l1
         self.llc = llc
@@ -130,70 +161,8 @@ class InOrderCore:
     def run_segments(
         self, segments: List[Tuple[str, Trace]]
     ) -> Dict[str, PerfCounters]:
-        """Execute scheduled segments (from :func:`workload.interleave`).
-
-        Runs :mod:`repro.platforms.trace_engine`, counter-exact against the
-        per-access oracle :func:`repro.oracles.run_segments`; unsupported
-        geometries and negative addresses fall back to the per-access loop.
-        """
+        """Execute scheduled segments (from :func:`workload.interleave`)
+        with :func:`trace_engine.run_segments_batch`."""
         if not segments:
             raise ValueError("no segments to execute")
-        from repro.platforms import trace_engine
-
-        if trace_engine.supports_batch(self):
-            counters = trace_engine.run_segments_batch(self, segments)
-            if counters is not None:
-                return counters
-        for context, trace in segments:
-            self._switch_to(context)
-            self._execute_segment_scalar(context, trace)
-        return self.counters
-
-    def _execute_segment_scalar(self, context: str, trace: Trace) -> None:
-        """The per-access loop: one segment through the scalar structures.
-
-        Both the fallback of :meth:`run_segments` and the oracle the batch
-        trace engine is checked against.
-        """
-        penalties = self.penalties
-        counter = self.counters[context]
-        llc_before = self.llc.stats.accesses
-        llc_miss_before = self.llc.stats.misses
-        instructions = trace.length
-        cycles = instructions * penalties.base_cpi
-        branch_count = 0
-        branch_miss = 0
-        tlb_access = 0
-        tlb_miss = 0
-        # ALU instructions cost only the base CPI; only memory and branch
-        # instructions need sequential modeling.
-        mem_mask = (trace.kinds == OpKind.LOAD) | (trace.kinds == OpKind.STORE)
-        branch_mask = trace.kinds == OpKind.BRANCH
-        l1 = self.l1
-        tlb = self.tlb
-        for address in trace.addresses[mem_mask]:
-            address = int(address)
-            tlb_access += 1
-            if not tlb.access(address):
-                tlb_miss += 1
-                cycles += penalties.tlb_miss
-            if not l1.access(address):
-                cycles += penalties.l1_miss_llc_hit
-                if l1.last_demand_missed_below:
-                    cycles += penalties.llc_miss_dram
-        predictor = self.predictor
-        branch_pcs = trace.pcs[branch_mask]
-        branch_taken = trace.taken[branch_mask]
-        for pc, taken in zip(branch_pcs, branch_taken):
-            branch_count += 1
-            if not predictor.predict_and_update(int(pc), bool(taken)):
-                branch_miss += 1
-                cycles += penalties.branch_mispredict
-        counter.instructions += instructions
-        counter.cycles += cycles
-        counter.llc_accesses += self.llc.stats.accesses - llc_before
-        counter.llc_misses += self.llc.stats.misses - llc_miss_before
-        counter.branches += branch_count
-        counter.branch_misses += branch_miss
-        counter.tlb_accesses += tlb_access
-        counter.tlb_misses += tlb_miss
+        return trace_engine.run_segments_batch(self, segments)

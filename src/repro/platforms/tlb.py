@@ -9,6 +9,7 @@ large, scattered working set evicts the autopilot's few hot pages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
@@ -28,7 +29,12 @@ class TlbStats:
 
 
 class Tlb:
-    """Fully associative LRU TLB."""
+    """Fully associative LRU TLB.
+
+    ``pages`` holds the resident page numbers in LRU -> MRU insertion
+    order, which the trace engine walks in place; like a cache set it is
+    always full, starting as negative sentinels that are evicted first.
+    """
 
     def __init__(self, entries: int = 64, page_bytes: int = 4096, name: str = "TLB"):
         if entries <= 0:
@@ -39,30 +45,10 @@ class Tlb:
         self.entries = entries
         self.page_bytes = page_bytes
         self.stats = TlbStats()
-        self._pages: dict = {}
-        self._use_counter = 0
-
-    def access(self, address: int) -> bool:
-        """Translate ``address``; returns True on TLB hit."""
-        if address < 0:
-            raise ValueError(f"address cannot be negative: {address}")
-        self.stats.accesses += 1
-        self._use_counter += 1
-        page = address // self.page_bytes
-        if page in self._pages:
-            self._pages[page] = self._use_counter
-            return True
-        self.stats.misses += 1
-        if len(self._pages) >= self.entries:
-            victim = min(self._pages, key=self._pages.get)
-            del self._pages[victim]
-        self._pages[page] = self._use_counter
-        return False
+        self.flush()
 
     def flush(self) -> None:
         """Invalidate all translations (what a context switch does on A53)."""
-        self._pages.clear()
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self._pages)
+        self.pages: Dict[int, bool] = dict.fromkeys(
+            range(-1, -self.entries - 1, -1), True
+        )

@@ -1,8 +1,7 @@
-"""Batch trace engine: vectorized decode + ordered-structure LRU simulation.
+"""Batch trace engine: vectorized decode + in-place LRU kernels.
 
-The scalar :class:`InOrderCore` path walks every memory access and branch
-through dict-of-stamps caches — five dict operations and a ``min()`` scan per
-miss.  This engine executes the same segments in three stages:
+:class:`repro.platforms.cpu.InOrderCore` runs every segment through this
+engine in two stages:
 
 1. **Vectorized decode (NumPy).**  Per segment: kind masks via a lookup
    table, line/page extraction via shifts, and *exact run compression* —
@@ -15,41 +14,39 @@ miss.  This engine executes the same segments in three stages:
    ``i`` is a windowed dot product of earlier taken bits, i.e. one
    ``np.convolve`` with weights ``2^0..2^(H-1)``.
 
-2. **Ordered-structure LRU kernels (tight Python loops).**  LRU with
-   timestamp dicts costs a ``min()`` scan per eviction; the batch kernels
-   keep each set in *recency order* instead — a 4-slot list for L1 sets
-   (membership scan of 4), an insertion-ordered dict for LLC sets and the
-   TLB — making hit-refresh and evict-insert O(1).  Sets are pre-filled with
-   unique negative sentinels so they are always "full": eviction needs no
-   length check, and sentinels (which can never match a non-negative line)
-   are naturally evicted first, reproducing the fill-before-evict behaviour
-   of the scalar cache.
-
-3. **State writeback.**  The scalar stamp dicts are rebuilt from the ordered
-   structures (synthetic increasing stamps preserve relative LRU order,
-   which is all the scalar ``min()`` eviction observes), stats objects and
-   use counters advance by the exact scalar increments, and the predictor
-   history is re-folded from the last ``history_bits`` taken bits.
+2. **LRU kernels over the core's own state (tight Python loops).**  Each
+   L1 set is a list of lines (a membership scan of a few ways), each LLC
+   set and the TLB an insertion-ordered dict, all in *recency order* (LRU
+   first) and always full of lines or negative sentinels, so a hit refresh
+   and an evict-insert are O(1) list/dict operations with no ``min()``
+   scan and no length check.  The kernels walk
+   :class:`SetAssociativeCache`'s ``sets``, :class:`Tlb`'s ``pages`` and
+   :class:`GsharePredictor`'s ``table`` and ``history`` in place: there is
+   no second copy to build or write back, and a later call continues from
+   the state the last one left.
 
 Every counter — instructions, LLC accesses/misses, branches/mispredictions,
-TLB accesses/misses — is integer-exact against the scalar simulator, and
-cycles are bit-equal whenever ``base_cpi`` is integral (penalty sums are
-exact integer adds onto a float; a fractional ``base_cpi`` makes the scalar
-event-ordered float adds round differently, so cycles are then allclose).
-
-Unsupported geometries (non-power-of-two set counts, mismatched line sizes,
-an LLC with a next level, negative addresses) fall back to the scalar path
-in :mod:`repro.platforms.cpu`.
+TLB accesses/misses — is integer-exact against the per-access oracle
+:func:`repro.oracles.run_segments`, and cycles are bit-equal whenever
+``base_cpi`` is integral (penalty sums are exact integer adds onto a float;
+a fractional ``base_cpi`` makes the oracle's event-ordered float adds round
+differently, so cycles are then allclose).  The core's constructor refuses
+a geometry the kernels cannot run, and :class:`Trace` refuses kinds outside
+:class:`OpKind`, non-integer addresses or PCs, and negative memory
+addresses or branch PCs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
 from repro.analysis.markers import hot_path
 from repro.platforms.workload import OpKind, Trace
+
+if TYPE_CHECKING:
+    from repro.platforms.cpu import InOrderCore, PerfCounters
 
 #: kind -> "touches memory" lookup; indexing with the uint8 kinds array
 #: replaces two equality scans.
@@ -59,108 +56,9 @@ _MEM_LUT[int(OpKind.STORE)] = True
 
 _BRANCH_KIND = int(OpKind.BRANCH)
 
-#: Dict-miss sentinel for ``pop`` (never a valid line/page, which are >= 0).
+#: Dict-miss sentinel for ``pop`` (never a valid line or page, which are
+#: >= 0).
 _MISSING = object()
-
-
-def _is_pow2(value: int) -> bool:
-    return value > 0 and value & (value - 1) == 0
-
-
-def supports_batch(core) -> bool:
-    """Whether the batch engine can execute this core's structures exactly.
-
-    The kernels assume the RPi-shaped topology: an L1 (optionally with
-    next-line prefetch) in front of a last-level cache with no further
-    levels and no prefetcher, equal line sizes, and power-of-two set counts
-    (set selection via bitmask).  Anything else runs scalar.
-    """
-    l1, llc = core.l1, core.llc
-    return (
-        l1.next_level is llc
-        and llc.next_level is None
-        and not llc.prefetch_next_line
-        and l1.line_bytes == llc.line_bytes
-        and _is_pow2(l1.line_bytes)
-        and _is_pow2(l1.set_count)
-        and _is_pow2(llc.set_count)
-        and _is_pow2(core.tlb.page_bytes)
-    )
-
-
-def _ordered_lines(ways: Dict[int, int], set_index: int, set_count: int) -> List[int]:
-    """A stamp-dict set's resident lines in LRU -> MRU order."""
-    tags = sorted(ways, key=ways.get)
-    return [tag * set_count + set_index for tag in tags]
-
-
-def _build_l1_state(cache) -> List[List[int]]:
-    """L1 sets as always-full recency-ordered lists (sentinels oldest)."""
-    sets = []
-    assoc = cache.associativity
-    for set_index in range(cache.set_count):
-        lines = _ordered_lines(
-            cache._sets.get(set_index, {}), set_index, cache.set_count
-        )
-        pad = [-(slot + 1) for slot in range(assoc - len(lines))]
-        sets.append(pad + lines)
-    return sets
-
-
-def _build_llc_state(cache) -> List[Dict[int, bool]]:
-    """LLC sets as always-full insertion-ordered dicts (sentinels oldest)."""
-    sets = []
-    assoc = cache.associativity
-    for set_index in range(cache.set_count):
-        lines = _ordered_lines(
-            cache._sets.get(set_index, {}), set_index, cache.set_count
-        )
-        ordered: Dict[int, bool] = {}
-        for slot in range(assoc - len(lines)):
-            ordered[-(slot + 1)] = True
-        for line in lines:
-            ordered[line] = True
-        sets.append(ordered)
-    return sets
-
-
-def _build_tlb_state(tlb) -> Dict[int, bool]:
-    pages = sorted(tlb._pages, key=tlb._pages.get)
-    ordered: Dict[int, bool] = {}
-    for slot in range(tlb.entries - len(pages)):
-        ordered[-(slot + 1)] = True
-    for page in pages:
-        ordered[page] = True
-    return ordered
-
-
-def _fresh_tlb_state(entries: int) -> Dict[int, bool]:
-    ordered: Dict[int, bool] = {}
-    for slot in range(entries):
-        ordered[-(slot + 1)] = True
-    return ordered
-
-
-def _writeback_cache_state(cache, sets_ordered, resident_iter) -> None:
-    """Rebuild the scalar stamp dicts from ordered sets.
-
-    Synthetic stamps increase in each set's LRU -> MRU order; only relative
-    per-set order matters to the scalar ``min()`` eviction, and the running
-    stamp can never exceed the (already advanced) use counter because every
-    resident line consumed at least one counter increment on insertion.
-    """
-    new_sets: Dict[int, Dict[int, int]] = {}
-    stamp = 0
-    set_count = cache.set_count
-    for set_index, ordered in enumerate(sets_ordered):
-        ways: Dict[int, int] = {}
-        for line in resident_iter(ordered):
-            if line >= 0:
-                stamp += 1
-                ways[line // set_count] = stamp
-        if ways:
-            new_sets[set_index] = ways
-    cache._sets = new_sets
 
 
 @hot_path
@@ -171,12 +69,11 @@ def _cache_kernel(
     l1_mask: int,
     llc_mask: int,
     prefetch: bool,
-    last_demand: bool,
-) -> Tuple[int, int, int, int, bool]:
+) -> Tuple[int, int, int, int]:
     """Sequential L1+LLC walk over one segment's compressed line stream.
 
     Returns (l1_misses, demand_llc_misses, prefetch_llc_misses,
-    prefetch_installs, last_demand_missed_below).
+    prefetch_installs).
     """
     missing = _MISSING
     l1_miss = 0
@@ -197,9 +94,6 @@ def _cache_kernel(
         if llc_ways.pop(line, missing) is missing:
             llc_demand_miss += 1
             del llc_ways[next(iter(llc_ways))]
-            last_demand = True
-        else:
-            last_demand = False
         llc_ways[line] = True
         del ways[0]
         ways.append(line)
@@ -215,7 +109,7 @@ def _cache_kernel(
                 next_llc[next_line] = True
                 del next_ways[0]
                 next_ways.append(next_line)
-    return l1_miss, llc_demand_miss, llc_prefetch_miss, prefetch_installs, last_demand
+    return l1_miss, llc_demand_miss, llc_prefetch_miss, prefetch_installs
 
 
 @hot_path
@@ -250,6 +144,16 @@ def _branch_kernel(
             if counter > 0:
                 table[index] = counter - 1
     return misses
+
+
+def _without_repeats(values: np.ndarray) -> List[int]:
+    """``values`` as a list with each run of equal neighbours kept once."""
+    if values.shape[0] < 2:
+        return values.tolist()
+    keep = np.empty(values.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep].tolist()
 
 
 def _gshare_indices(
@@ -290,31 +194,13 @@ def _fold_history(taken_list: List[bool], history: int, history_bits: int) -> in
     return history
 
 
-def run_segments_batch(core, segments: List[Tuple[str, Trace]]):
-    """Execute scheduled segments on ``core`` with the batch engine.
-
-    Counter-exact (and structure-state-exact up to equivalent LRU stamps)
-    replacement for the scalar segment loop.  Falls back to the caller's
-    scalar path by returning ``None`` when any segment carries negative
-    addresses or PCs — the scalar loop owns the mid-segment raise semantics.
-    """
+def run_segments_batch(
+    core: InOrderCore, segments: List[Tuple[str, Trace]]
+) -> Dict[str, PerfCounters]:
+    """Execute scheduled segments on ``core``, walking its caches, TLB and
+    predictor in place; returns the core's per-context counters."""
     penalties = core.penalties
     l1, llc, tlb, predictor = core.l1, core.llc, core.tlb, core.predictor
-
-    decoded = []
-    for context, trace in segments:
-        mem_mask = _MEM_LUT[trace.kinds]
-        addresses = trace.addresses[mem_mask]
-        branch_mask = trace.kinds == _BRANCH_KIND
-        branch_pcs = trace.pcs[branch_mask]
-        if (addresses.size and int(addresses.min()) < 0) or (
-            branch_pcs.size and int(branch_pcs.min()) < 0
-        ):
-            return None
-        decoded.append(
-            (context, trace.length, addresses, branch_pcs, trace.taken[branch_mask])
-        )
-
     line_shift = l1.line_bytes.bit_length() - 1
     page_shift = tlb.page_bytes.bit_length() - 1
     l1_mask = l1.set_count - 1
@@ -326,89 +212,49 @@ def run_segments_batch(core, segments: List[Tuple[str, Trace]]):
     # exact for multi-set L1s (or with the prefetcher off).
     compress_lines = l1.set_count > 1 or not prefetch
 
-    l1_sets = _build_l1_state(l1)
-    llc_sets = _build_llc_state(llc)
-    tlb_pages = _build_tlb_state(tlb)
-    history = predictor._history
-    table = predictor._table
-    last_demand = l1.last_demand_missed_below
-
-    l1_access_total = 0
-    l1_miss_total = 0
-    llc_access_total = 0
-    llc_miss_total = 0
-    tlb_access_total = 0
-    tlb_miss_total = 0
-    branch_total = 0
-    branch_miss_total = 0
-    install_total = 0
-
-    for context, instructions, addresses, branch_pcs, branch_taken in decoded:
-        previous = core._current_context
+    for context, trace in segments:
         core._switch_to(context)
-        if (
-            context != previous
-            and previous is not None
-            and core.flush_on_context_switch
-        ):
-            # _switch_to flushed the real TLB and branch history; mirror the
-            # flush in the batch state.
-            tlb_pages = _fresh_tlb_state(tlb.entries)
-            history = 0
         counter = core.counters[context]
 
+        addresses = trace.addresses[_MEM_LUT[trace.kinds]]
         mem_count = addresses.shape[0]
-        if mem_count:
-            lines = addresses >> line_shift
-            if compress_lines and mem_count > 1:
-                keep = np.empty(mem_count, dtype=bool)
-                keep[0] = True
-                np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-                line_list = lines[keep].tolist()
-            else:
-                line_list = lines.tolist()
-            pages = addresses >> page_shift
-            if mem_count > 1:
-                keep_pages = np.empty(mem_count, dtype=bool)
-                keep_pages[0] = True
-                np.not_equal(pages[1:], pages[:-1], out=keep_pages[1:])
-                page_list = pages[keep_pages].tolist()
-            else:
-                page_list = pages.tolist()
-        else:
-            line_list = []
-            page_list = []
+        lines = addresses >> line_shift
+        line_list = _without_repeats(lines) if compress_lines else lines.tolist()
+        page_list = _without_repeats(addresses >> page_shift)
 
-        tlb_misses = _tlb_kernel(page_list, tlb_pages)
-        (
-            l1_misses,
-            llc_demand_misses,
-            llc_prefetch_misses,
-            installs,
-            last_demand,
-        ) = _cache_kernel(
-            line_list, l1_sets, llc_sets, l1_mask, llc_mask, prefetch, last_demand
+        tlb_misses = _tlb_kernel(page_list, tlb.pages)
+        l1_misses, llc_demand_misses, llc_prefetch_misses, installs = (
+            _cache_kernel(
+                line_list, l1.sets, llc.sets, l1_mask, llc_mask, prefetch
+            )
         )
 
+        branch_mask = trace.kinds == _BRANCH_KIND
+        branch_pcs = trace.pcs[branch_mask]
         branch_count = branch_pcs.shape[0]
         if branch_count:
+            branch_taken = trace.taken[branch_mask]
             indices = _gshare_indices(
                 branch_pcs,
                 branch_taken,
-                history,
+                predictor.history,
                 predictor.table_bits,
                 predictor.history_bits,
             )
             taken_list = branch_taken.tolist()
-            branch_misses = _branch_kernel(indices.tolist(), taken_list, table)
-            history = _fold_history(taken_list, history, predictor.history_bits)
+            branch_misses = _branch_kernel(
+                indices.tolist(), taken_list, predictor.table
+            )
+            predictor.history = _fold_history(
+                taken_list, predictor.history, predictor.history_bits
+            )
         else:
             branch_misses = 0
 
         llc_accesses = l1_misses + installs
         llc_misses = llc_demand_misses + llc_prefetch_misses
-        counter.instructions += instructions
-        counter.cycles += instructions * penalties.base_cpi + (
+        counter.instructions += trace.length
+        counter.cycles += trace.length * penalties.base_cpi + (
             tlb_misses * penalties.tlb_miss
             + l1_misses * penalties.l1_miss_llc_hit
             + llc_demand_misses * penalties.llc_miss_dram
@@ -421,40 +267,12 @@ def run_segments_batch(core, segments: List[Tuple[str, Trace]]):
         counter.tlb_accesses += mem_count
         counter.tlb_misses += tlb_misses
 
-        l1_access_total += mem_count
-        l1_miss_total += l1_misses
-        llc_access_total += llc_accesses
-        llc_miss_total += llc_misses
-        tlb_access_total += mem_count
-        tlb_miss_total += tlb_misses
-        branch_total += branch_count
-        branch_miss_total += branch_misses
-        install_total += installs
-
-    l1.stats.accesses += l1_access_total
-    l1.stats.misses += l1_miss_total
-    llc.stats.accesses += llc_access_total
-    llc.stats.misses += llc_miss_total
-    tlb.stats.accesses += tlb_access_total
-    tlb.stats.misses += tlb_miss_total
-    predictor.stats.branches += branch_total
-    predictor.stats.mispredictions += branch_miss_total
-
-    l1._use_counter += l1_access_total + install_total
-    llc._use_counter += llc_access_total
-    tlb._use_counter += tlb_access_total
-    l1.last_demand_missed_below = last_demand
-    if llc_miss_total:
-        llc.last_demand_missed_below = False
-    predictor._history = history
-
-    _writeback_cache_state(l1, l1_sets, iter)
-    _writeback_cache_state(llc, llc_sets, iter)
-    new_pages: Dict[int, int] = {}
-    stamp = 0
-    for page in tlb_pages:
-        if page >= 0:
-            stamp += 1
-            new_pages[page] = stamp
-    tlb._pages = new_pages
+        l1.stats.accesses += mem_count
+        l1.stats.misses += l1_misses
+        llc.stats.accesses += llc_accesses
+        llc.stats.misses += llc_misses
+        tlb.stats.accesses += mem_count
+        tlb.stats.misses += tlb_misses
+        predictor.stats.branches += branch_count
+        predictor.stats.mispredictions += branch_misses
     return core.counters

@@ -38,7 +38,13 @@ class OpKind(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Trace:
-    """A decoded instruction trace."""
+    """A decoded instruction trace.
+
+    Construction refuses what the core model cannot execute: arrays of
+    unequal length, a kind outside :class:`OpKind`, non-integer kinds,
+    addresses or PCs, a negative address on a LOAD/STORE and a negative PC
+    on a BRANCH.  The error names the field and the first bad index.
+    """
 
     name: str
     kinds: np.ndarray      # (N,) uint8 of OpKind
@@ -54,6 +60,29 @@ class Trace:
             and self.taken.shape[0] == n
         ):
             raise ValueError("trace arrays must have equal length")
+        for field in ("kinds", "addresses", "pcs"):
+            dtype = getattr(self, field).dtype
+            if dtype.kind not in "iu":
+                raise ValueError(
+                    f"trace {field} must be integers, not {dtype} "
+                    "(bad from index 0)"
+                )
+        if n == 0:
+            return
+        kinds = self.kinds
+        last = max(OpKind)
+        # Each whole-array min/max is one pass with no temporary; the mask
+        # that finds the first bad index is built only when one exists.
+        if kinds.min() < 0 or kinds.max() > last:
+            _refuse(self, "kinds", (kinds < 0) | (kinds > last),
+                    "is not an OpKind")
+        if self.addresses.min() < 0:
+            _refuse(self, "addresses", (self.addresses < 0)
+                    & ((kinds == OpKind.LOAD) | (kinds == OpKind.STORE)),
+                    "is a negative memory address")
+        if self.pcs.min() < 0:
+            _refuse(self, "pcs", (self.pcs < 0) & (kinds == OpKind.BRANCH),
+                    "is a negative branch PC")
 
     @property
     def length(self) -> int:
@@ -67,6 +96,14 @@ class Trace:
             pcs=self.pcs[start:stop],
             taken=self.taken[start:stop],
         )
+
+
+def _refuse(trace: Trace, field: str, bad: np.ndarray, what: str) -> None:
+    """Raise naming ``field``'s first index where ``bad`` holds, if any."""
+    if bad.any():
+        index = int(bad.argmax())
+        value = getattr(trace, field)[index]
+        raise ValueError(f"trace {field}[{index}] = {value} {what}")
 
 
 def _branch_outcomes(

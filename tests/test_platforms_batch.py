@@ -5,15 +5,18 @@ The batch engine (:mod:`repro.platforms.trace_engine`) must be
 perf counter and structure statistic agrees bit-for-bit with the
 per-access scalar oracle, and cycles agree bit-for-bit whenever
 ``base_cpi`` is integral (integer-valued float sums below 2**53 are exact
-in any accumulation order).  Microarchitectural state written back after
-a batch run must be indistinguishable to any subsequent scalar run.
+in any accumulation order).  Each side keeps its own state on the core —
+the engine the structures' recency order, the oracle its stamp-dict
+models — so a second call on one core must continue exactly where the
+first left off, on each side.  What the engine cannot run is refused up
+front: a geometry by :class:`InOrderCore`, a malformed trace by
+:class:`Trace`.
 """
 
 import numpy as np
 import pytest
 
 from repro import oracles
-from repro.platforms import trace_engine
 from repro.platforms.branch import GsharePredictor
 from repro.platforms.cache import SetAssociativeCache
 from repro.platforms.cpu import CorePenalties, InOrderCore
@@ -108,15 +111,13 @@ class TestRandomizedConfigs:
         run_both(make_core, interleave(a, b, 500, 900))
 
 
-def then_probe(context, probe):
-    """Lift a side to: warm the core with it, then probe with the oracle."""
+def then_probe(*probe_args):
+    """Lift a side to two calls on one core: the warm-up, then the probe."""
 
-    def lift(run_warm):
+    def lift(side):
         def run(core, *warm_args):
-            run_warm(core, *warm_args)
-            counters = oracles.run_segments(core, [(context, probe)])
-            return {"counters": counters[context],
-                    "structures": structure_stats(core)}
+            side(core, *warm_args)
+            return side(core, *probe_args)
 
         return run
 
@@ -124,25 +125,56 @@ def then_probe(context, probe):
 
 
 class TestStateWriteback:
-    def test_batch_then_scalar_continuation(self):
-        """State written back after a batch run must be bit-equivalent:
-        a further scalar run lands on identical counters either way."""
+    """The state a call leaves on the core is the state the next one
+    starts from."""
+
+    def test_second_call_continues(self):
+        # A 64 KiB footprint fits the TLB's reach and the LLC, so the probe
+        # hits in whatever the warm-up left in every structure.
         rng = np.random.default_rng(23)
-        warm = random_trace(rng, 10_000, name="warm")
-        probe = random_trace(rng, 5_000, name="probe")
+        warm = random_trace(rng, 10_000, name="warm", address_span=1 << 16)
+        probe = random_trace(rng, 5_000, name="probe", address_span=1 << 16)
         RUN_TRACE.lift(then_probe("ctx", probe)).check(make_core(), "ctx", warm)
 
     def test_context_switch_flush_continuation(self):
         rng = np.random.default_rng(29)
         a = random_trace(rng, 3_000, name="A")
         b = random_trace(rng, 3_000, name="B")
-        # Switching back to "A" after the batch run must flush identically.
+        # Switching back to "A" after the first call must flush identically.
         probe = random_trace(rng, 2_000, name="probe")
-        RUN_SEGMENTS.lift(then_probe("A", probe)).check(
+        RUN_SEGMENTS.lift(then_probe([("A", probe)])).check(
             make_core(), interleave(a, b, 400, 600))
 
 
+def tiny_core(l1_sets=2, llc_sets=4, l1_line=64, llc_line=64,
+              l1_next="llc", llc_next=None, llc_prefetch=False):
+    """A core over hand-set cache geometry (2-way L1, 4-way LLC)."""
+    llc = SetAssociativeCache(size_bytes=llc_sets * 4 * llc_line,
+                              line_bytes=llc_line, associativity=4,
+                              next_level=llc_next, name="LLC",
+                              prefetch_next_line=llc_prefetch)
+    next_level = {"llc": llc, "none": None, "other": make_core().llc}[l1_next]
+    l1 = SetAssociativeCache(size_bytes=l1_sets * 2 * l1_line,
+                             line_bytes=l1_line, associativity=2,
+                             next_level=next_level, name="L1D")
+    return InOrderCore(l1=l1, llc=llc)
+
+
+def two_op_trace(**arrays):
+    """A LOAD then a BRANCH, with a negative address on the branch and a
+    negative PC on the load (neither is read), or arrays replaced."""
+    fields = dict(kinds=np.array([OpKind.LOAD, OpKind.BRANCH], dtype=np.uint8),
+                  addresses=np.array([64, -8], dtype=np.int64),
+                  pcs=np.array([-4, 16], dtype=np.int64),
+                  taken=np.zeros(2, dtype=bool))
+    fields.update(arrays)
+    return Trace(name="two-op", **fields)
+
+
 class TestDispatchAndFallbacks:
+    """``run_segments`` has one path and no fallback: what the kernels
+    cannot run is refused before any state changes."""
+
     def test_unknown_engine_rejected(self):
         core = make_core()
         with pytest.raises(TypeError, match="engine"):
@@ -152,32 +184,52 @@ class TestDispatchAndFallbacks:
         with pytest.raises(ValueError, match="no segments"):
             make_core().run_segments([])
 
-    def test_non_pow2_geometry_falls_back_scalar(self):
-        """set_count=3 is unsupported by the batch kernels; the dispatch
-        must run scalar transparently and stay exact."""
-        def make():
-            llc = SetAssociativeCache(size_bytes=3 * 4 * 64, line_bytes=64,
-                                      associativity=4, name="LLC")
-            l1 = SetAssociativeCache(size_bytes=3 * 2 * 64, line_bytes=64,
-                                     associativity=2, next_level=llc,
-                                     name="L1D")
-            return InOrderCore(l1=l1, llc=llc, tlb=Tlb(entries=8),
-                               predictor=GsharePredictor(table_bits=6,
-                                                         history_bits=4))
-        assert not trace_engine.supports_batch(make())
-        rng = np.random.default_rng(31)
-        trace = random_trace(rng, 4_000, address_span=1 << 14)
-        run_both(make, [("ctx", trace)])
+    def test_oracle_refuses_a_core_the_engine_ran(self):
+        core = make_core()
+        core.run_trace("ctx", autopilot_trace(100, seed=1))
+        with pytest.raises(ValueError, match="has not run yet"):
+            oracles.run_segments(core, [("ctx", autopilot_trace(100, seed=2))])
 
-    def test_negative_address_raises_both_engines(self):
-        kinds = np.array([OpKind.LOAD, OpKind.LOAD], dtype=np.uint8)
-        addresses = np.array([64, -8], dtype=np.int64)
-        zeros = np.zeros(2, dtype=np.int64)
-        trace = Trace(name="bad", kinds=kinds, addresses=addresses,
-                      pcs=zeros, taken=np.zeros(2, dtype=bool))
-        with pytest.raises(ValueError, match="negative"):
-            RUN_TRACE.check(make_core(), "ctx", trace)
+    @pytest.mark.parametrize("geometry, message", [
+        (dict(l1_next="none"), "L1's next level must be the LLC"),
+        (dict(l1_next="other"), "L1's next level must be the LLC"),
+        (dict(llc_next=SetAssociativeCache(size_bytes=4096)),
+         "LLC cannot have a next level"),
+        (dict(llc_prefetch=True), "LLC cannot prefetch"),
+        (dict(l1_line=32), "line sizes must match"),
+        (dict(l1_line=48, llc_line=48), "line size 48 is not a power of two"),
+        (dict(l1_sets=3), "L1 set count 3 is not a power of two"),
+        (dict(llc_sets=6), "LLC set count 6 is not a power of two"),
+    ])
+    def test_unsupported_geometry_refused(self, geometry, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_core(**geometry)
 
-    def test_supports_batch_default_core(self):
-        assert trace_engine.supports_batch(InOrderCore())
-        assert trace_engine.supports_batch(make_core())
+    def test_supported_geometries_accepted(self):
+        InOrderCore()
+        tiny_core()
+        tiny_core(l1_sets=1, llc_sets=1, l1_line=32, llc_line=32)
+
+    def test_page_size_refused_by_the_tlb(self):
+        with pytest.raises(ValueError, match="power of two"):
+            Tlb(page_bytes=3000)
+
+    @pytest.mark.parametrize("arrays, message", [
+        (dict(kinds=np.array([1, 5], dtype=np.uint8)),
+         r"kinds\[1\] = 5 is not an OpKind"),
+        (dict(kinds=np.array([-1, 1], dtype=np.int64)),
+         r"kinds\[0\] = -1 is not an OpKind"),
+        (dict(addresses=np.array([64.0, 8.0])),
+         "addresses must be integers, not float64"),
+        (dict(pcs=np.array([0.0, 16.0])), "pcs must be integers, not float64"),
+        (dict(kinds=np.array([OpKind.ALU, OpKind.STORE], dtype=np.uint8)),
+         r"addresses\[1\] = -8 is a negative memory address"),
+        (dict(kinds=np.array([OpKind.BRANCH, OpKind.ALU], dtype=np.uint8)),
+         r"pcs\[0\] = -4 is a negative branch PC"),
+    ])
+    def test_malformed_trace_refused(self, arrays, message):
+        with pytest.raises(ValueError, match=message):
+            two_op_trace(**arrays)
+
+    def test_negative_values_outside_their_ops_accepted(self):
+        RUN_TRACE.check(make_core(), "ctx", two_op_trace())

@@ -1,7 +1,12 @@
 """Unit tests: cache, TLB, branch predictor, and the trace-driven core.
 
-The workload generators' four arrays are pinned bit for bit, by dtype,
-length and sha256, under ``tests/fixtures/platforms/``.
+The per-access LRU, prefetch and gshare semantics are checked on the
+oracle's models (:class:`repro.oracles.ScalarCache` and its siblings),
+which the trace engine matches counter for counter
+(``tests/test_platforms_batch.py``); the structures' own state is checked
+through :meth:`InOrderCore.run_trace`.  The workload generators' four
+arrays are pinned bit for bit, by dtype, length and sha256, under
+``tests/fixtures/platforms/``.
 """
 
 import hashlib
@@ -10,12 +15,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.oracles import ScalarCache, ScalarGshare, ScalarTlb
 from repro.platforms.branch import GsharePredictor
 from repro.platforms.cache import SetAssociativeCache, rpi_cache_hierarchy
 from repro.platforms.cpu import CorePenalties, InOrderCore
 from repro.platforms.tlb import Tlb
 from repro.platforms.workload import (
     OpKind,
+    Trace,
     autopilot_trace,
     interleave,
     slam_trace,
@@ -26,10 +33,10 @@ TRACE_FIELDS = ("kinds", "addresses", "pcs", "taken")
 
 
 class TestCache:
-    def make(self, **kwargs) -> SetAssociativeCache:
+    def make(self, **kwargs) -> ScalarCache:
         defaults = dict(size_bytes=1024, line_bytes=64, associativity=2)
         defaults.update(kwargs)
-        return SetAssociativeCache(**defaults)
+        return ScalarCache(SetAssociativeCache(**defaults))
 
     def test_cold_miss_then_hit(self):
         cache = self.make()
@@ -56,7 +63,7 @@ class TestCache:
         assert cache.stats.miss_rate > 0.9  # streaming over 4x capacity
 
     def test_miss_propagates_to_next_level(self):
-        llc = self.make(size_bytes=4096, associativity=4)
+        llc = SetAssociativeCache(size_bytes=4096, associativity=4)
         l1 = self.make(next_level=llc)
         l1.access(0x5000)
         assert llc.stats.accesses == 1
@@ -67,10 +74,13 @@ class TestCache:
         assert l1.access(0x40)  # prefetched
 
     def test_flush(self):
-        cache = self.make()
-        cache.access(0x0)
-        cache.flush()
-        assert not cache.access(0x0)
+        # A flushed hierarchy replays a trace's cold misses exactly.
+        trace = slam_trace(length=5_000, seed=4)
+        core = InOrderCore()
+        cold = core.run_trace("a", trace).llc_accesses
+        core.l1.flush()
+        core.llc.flush()
+        assert core.run_trace("a", trace).llc_accesses == 2 * cold
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -80,19 +90,19 @@ class TestCache:
 
     def test_rpi_hierarchy_shape(self):
         l1, llc = rpi_cache_hierarchy()
-        assert l1.size_bytes == 32 * 1024
-        assert llc.size_bytes == 1024 * 1024
+        assert l1.set_count * l1.associativity * l1.line_bytes == 32 * 1024
+        assert llc.set_count * llc.associativity * llc.line_bytes == 1024 * 1024
         assert l1.next_level is llc
 
 
 class TestTlb:
     def test_hit_after_fill(self):
-        tlb = Tlb(entries=4)
+        tlb = ScalarTlb(Tlb(entries=4))
         assert not tlb.access(0x1000)
         assert tlb.access(0x1fff)  # same page
 
     def test_lru_capacity(self):
-        tlb = Tlb(entries=2)
+        tlb = ScalarTlb(Tlb(entries=2))
         tlb.access(0x0000)
         tlb.access(0x1000)
         tlb.access(0x0000)  # MRU
@@ -101,11 +111,15 @@ class TestTlb:
         assert not tlb.access(0x1000)
 
     def test_flush(self):
-        tlb = Tlb()
+        tlb = ScalarTlb(Tlb())
         tlb.access(0x4000)
         tlb.flush()
         assert not tlb.access(0x4000)
-        assert tlb.resident_pages == 1
+        assert len(tlb._pages) == 1
+        core_tlb = Tlb(entries=4)
+        core_tlb.pages[0x4] = True
+        core_tlb.flush()
+        assert list(core_tlb.pages) == [-1, -2, -3, -4]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -116,20 +130,20 @@ class TestTlb:
 
 class TestBranchPredictor:
     def test_learns_biased_branch(self):
-        predictor = GsharePredictor()
+        predictor = ScalarGshare(GsharePredictor())
         for _ in range(200):
             predictor.predict_and_update(0x400, True)
         assert predictor.stats.miss_rate < 0.05
 
     def test_alternating_pattern_learned_via_history(self):
-        predictor = GsharePredictor()
+        predictor = ScalarGshare(GsharePredictor())
         for index in range(2000):
             predictor.predict_and_update(0x400, index % 2 == 0)
         # With history, an alternating branch becomes predictable.
         assert predictor.stats.miss_rate < 0.30
 
     def test_random_branches_near_half(self):
-        predictor = GsharePredictor()
+        predictor = ScalarGshare(GsharePredictor())
         rng = np.random.default_rng(0)
         for _ in range(3000):
             predictor.predict_and_update(0x400, bool(rng.random() < 0.5))
@@ -260,8 +274,6 @@ class TestTraceMemory:
 
 class TestInOrderCore:
     def test_alu_only_trace_ipc_is_base(self):
-        from repro.platforms.workload import Trace
-
         length = 1000
         trace = Trace(
             name="alu",
@@ -288,10 +300,17 @@ class TestInOrderCore:
     def test_reset_counters_keeps_state(self):
         core = InOrderCore()
         core.run_trace("warm", autopilot_trace(length=5000))
-        resident = core.tlb.resident_pages
+        pages = list(core.tlb.pages)
+        sets = [list(ways) for ways in core.l1.sets + core.llc.sets]
+        history = core.predictor.history
+        table = list(core.predictor.table)
         core.reset_counters()
-        assert core.tlb.resident_pages == resident
+        assert list(core.tlb.pages) == pages
+        assert [list(ways) for ways in core.l1.sets + core.llc.sets] == sets
+        assert core.predictor.history == history
+        assert core.predictor.table == table
         assert core.counters == {}
+        assert core.l1.stats.accesses == core.tlb.stats.misses == 0
 
     def test_empty_segments_rejected(self):
         with pytest.raises(ValueError):

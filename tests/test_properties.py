@@ -20,6 +20,7 @@ from repro.physics.rigid_body import (
     quaternion_from_euler,
     quaternion_to_rotation,
 )
+from repro.oracles import ScalarCache, ScalarTlb
 from repro.platforms.cache import SetAssociativeCache
 from repro.platforms.tlb import Tlb
 from repro.sim.telemetry import TelemetryRecord
@@ -170,7 +171,7 @@ class TestCacheProperties:
         addresses=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=300)
     )
     def test_stats_conservation(self, addresses):
-        cache = SetAssociativeCache(size_bytes=4096, associativity=2)
+        cache = ScalarCache(SetAssociativeCache(size_bytes=4096, associativity=2))
         hits = 0
         for address in addresses:
             if cache.access(address):
@@ -182,7 +183,7 @@ class TestCacheProperties:
         addresses=st.lists(st.integers(0, 1 << 18), min_size=1, max_size=200)
     )
     def test_immediate_rereference_always_hits(self, addresses):
-        cache = SetAssociativeCache(size_bytes=4096, associativity=2)
+        cache = ScalarCache(SetAssociativeCache(size_bytes=4096, associativity=2))
         for address in addresses:
             cache.access(address)
             assert cache.access(address)
@@ -192,10 +193,10 @@ class TestCacheProperties:
         entries=st.integers(2, 64),
     )
     def test_tlb_residency_bounded(self, addresses, entries):
-        tlb = Tlb(entries=entries)
+        tlb = ScalarTlb(Tlb(entries=entries))
         for address in addresses:
             tlb.access(address)
-            assert tlb.resident_pages <= entries
+            assert len(tlb._pages) <= entries
 
 
 class TestProtocolProperties:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.equations import InfeasibleDesignError, close_weight
+from repro.oracles import ScalarGshare
 from repro.platforms.branch import GsharePredictor
 from repro.slam.dataset import CameraModel
 from repro.slam.planning import (
@@ -113,7 +114,7 @@ class TestPredictorProperties:
     @given(bias=st.floats(0.85, 1.0), pc=st.integers(0, 1 << 16))
     @settings(max_examples=25, deadline=None)
     def test_biased_branches_learned_below_bias_error(self, bias, pc):
-        predictor = GsharePredictor()
+        predictor = ScalarGshare(GsharePredictor())
         rng = np.random.default_rng(abs(pc) % 1000)
         misses = 0
         trials = 600
