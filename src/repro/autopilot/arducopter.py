@@ -21,7 +21,7 @@ from repro.autopilot.mavlink import (
     Link,
     MessageType,
 )
-from repro.sim.simulator import FlightSimulator
+from repro.sim.simulator import FlightSimulator, FlightVehicle
 
 
 class FlightMode(enum.Enum):
@@ -124,7 +124,7 @@ class Autopilot:
 
     def __init__(
         self,
-        sim: FlightSimulator,
+        sim: FlightVehicle,
         link: Optional[Link] = None,
         geofence: Optional[Geofence] = None,
         downlink: Optional[Link] = None,
@@ -135,7 +135,7 @@ class Autopilot:
         self.downlink = downlink or self.link
         self.mode = FlightMode.STABILIZE
         self.armed = False
-        self.home_m = sim.body.state.position_m.copy()
+        self.home_m = sim.true_state.position_m.copy()
         self.mission: List[MissionItem] = []
         self._mission_index = 0
         self._hold_until_s: Optional[float] = None
@@ -165,22 +165,22 @@ class Autopilot:
         """Pre-arm checks then arm; raises :class:`ArmingError` on failure."""
         if self.armed:
             raise ArmingError("already armed")
-        soc = self.sim.battery.state_of_charge
+        soc = self.sim.state_of_charge
         if soc < self.LOW_BATTERY_SOC:
             raise ArmingError(f"battery too low to arm: {soc:.0%}")
         if self.sim.depleted:
             raise ArmingError("battery depleted")
-        tilt = float(np.linalg.norm(self.sim.body.state.euler_rad[0:2]))
+        tilt = float(np.linalg.norm(self.sim.true_state.euler_rad[0:2]))
         if tilt > np.radians(20.0):
             raise ArmingError(f"airframe tilted {np.degrees(tilt):.0f} deg")
         self.armed = True
-        self.home_m = self.sim.body.state.position_m.copy()
+        self.home_m = self.sim.true_state.position_m.copy()
         self._log("armed")
 
     def disarm(self) -> None:
         if not self.armed:
             raise ArmingError("not armed")
-        altitude = float(self.sim.body.state.position_m[2])
+        altitude = float(self.sim.true_state.position_m[2])
         if altitude > 0.3:
             raise ArmingError(f"refusing to disarm at {altitude:.1f} m altitude")
         self.armed = False
@@ -192,7 +192,7 @@ class Autopilot:
         self.mode = mode
         self._log(f"mode={mode.value}")
         if mode is FlightMode.LAND:
-            current = self.sim.body.state.position_m
+            current = self.sim.true_state.position_m
             self.sim.goto(np.array([current[0], current[1], 0.0]))
         elif mode is FlightMode.RTL:
             self.sim.goto(
@@ -205,7 +205,7 @@ class Autopilot:
         if altitude_m <= 0:
             raise ValueError(f"takeoff altitude must be positive: {altitude_m}")
         self.mode = FlightMode.GUIDED
-        current = self.sim.body.state.position_m
+        current = self.sim.true_state.position_m
         self.sim.goto(np.array([current[0], current[1], altitude_m]))
         self._log(f"takeoff to {altitude_m:.1f} m")
 
@@ -224,11 +224,17 @@ class Autopilot:
     # -- main loop ----------------------------------------------------------------
 
     def update(self, duration_s: float = 0.1) -> None:
-        """Run the autopilot and simulator forward by ``duration_s``."""
+        """Run the autopilot and its :class:`FlightSimulator` forward by
+        ``duration_s``."""
         if duration_s <= 0:
             raise ValueError(f"duration must be positive: {duration_s}")
+        sim = self.sim
+        if not isinstance(sim, FlightSimulator):
+            raise TypeError(
+                "an ensemble lane is stepped by EnsembleFlightSimulator.run_for"
+            )
         self._update_pre()
-        self.sim.run_for(duration_s)
+        sim.run_for(duration_s)
         self._update_post()
 
     def _update_pre(self) -> None:
@@ -345,7 +351,7 @@ class Autopilot:
         the paper routes through the inner loop)."""
         if not self.armed:
             return
-        soc = self.sim.battery.state_of_charge
+        soc = self.sim.state_of_charge
         if soc < self.CRITICAL_BATTERY_SOC or self.sim.depleted:
             self._enter_failsafe(FailsafeState.FAILSAFE_LAND, "critical battery")
         elif soc < self.LOW_BATTERY_SOC and self.mode not in (
@@ -364,7 +370,7 @@ class Autopilot:
         """
         if not self.armed or not self.sim.use_ekf:
             return
-        age = self.sim.sensors.gps_fix_age_s()
+        age = self.sim.gps_fix_age_s()
         if age > self.GPS_LOSS_DEGRADED_S:
             self._degrade("gps loss (dead-reckoning)")
             if age > self.GPS_LOSS_LAND_S:
@@ -389,13 +395,13 @@ class Autopilot:
         """
         if not self.armed:
             return
-        mixer = self.sim.controller.thrust_controller.mixer
         previous_mixes, previous_saturations = self._last_mix_counts
-        self._last_mix_counts = (mixer.mixes, mixer.saturations)
-        mixes = mixer.mixes - previous_mixes
+        self._last_mix_counts = self.sim.mix_counts()
+        total_mixes, total_saturations = self._last_mix_counts
+        mixes = total_mixes - previous_mixes
         if mixes <= 0:
             return
-        ratio = (mixer.saturations - previous_saturations) / mixes
+        ratio = (total_saturations - previous_saturations) / mixes
         if ratio < self.SATURATION_RATIO:
             if self._saturated_since_s is not None:
                 self._saturated_since_s = None
@@ -423,7 +429,7 @@ class Autopilot:
         """RTL on geofence breach; latched until mode is changed manually."""
         if not self.armed or self.fence_breached:
             return
-        if self.geofence.breached(self.sim.body.state.position_m, self.home_m):
+        if self.geofence.breached(self.sim.true_state.position_m, self.home_m):
             self.fence_breached = True
             self._enter_failsafe(FailsafeState.FAILSAFE_RTL, "geofence breach")
 
@@ -432,7 +438,7 @@ class Autopilot:
             self.set_mode(FlightMode.RTL)
             return
         item = self.mission[self._mission_index]
-        position = self.sim.body.state.position_m
+        position = self.sim.true_state.position_m
         distance = float(np.linalg.norm(position - item.position_m))
         self.sim.goto(item.position_m)
         if distance < self.WAYPOINT_RADIUS_M:
@@ -444,12 +450,12 @@ class Autopilot:
                 self._log(f"waypoint {self._mission_index} reached")
 
     def _send_state_report(self) -> None:
-        state = self.sim.body.state
+        state = self.sim.true_state
         self.downlink.send(
             MessageType.STATE_REPORT,
             tuple(state.position_m)
             + tuple(state.velocity_m_s)
-            + (self.sim.battery.state_of_charge,),
+            + (self.sim.state_of_charge,),
         )
 
     def _log(self, event: str) -> None:

@@ -10,7 +10,7 @@ module mirrors that API surface over our autopilot: ``connect`` returns a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class Vehicle:
 
     @property
     def location(self) -> LocationLocal:
-        position = self._autopilot.sim.body.state.position_m
+        position = self._autopilot.sim.true_state.position_m
         return LocationLocal(
             north=float(position[1]), east=float(position[0]),
             down=-float(position[2]),
@@ -75,7 +75,10 @@ class Vehicle:
 
     @property
     def battery(self) -> BatteryInfo:
-        battery = self._autopilot.sim.battery
+        sim = self._autopilot.sim
+        if not isinstance(sim, FlightSimulator):
+            raise TypeError("the battery voltage is read from a FlightSimulator")
+        battery = sim.battery
         return BatteryInfo(
             voltage=battery.terminal_voltage_v(0.0),
             level=battery.state_of_charge,
@@ -83,7 +86,7 @@ class Vehicle:
 
     @property
     def groundspeed(self) -> float:
-        velocity = self._autopilot.sim.body.state.velocity_m_s
+        velocity = self._autopilot.sim.true_state.velocity_m_s
         return float(np.linalg.norm(velocity[0:2]))
 
     # -- commands ----------------------------------------------------------------
@@ -233,7 +236,9 @@ class ReliableCommander:
         return None
 
 
-def connect(model: DroneModel = None, physics_rate_hz: float = 400.0) -> Vehicle:
+def connect(
+    model: Optional[DroneModel] = None, physics_rate_hz: float = 400.0
+) -> Vehicle:
     """Create a simulated vehicle — the ``dronekit.connect`` analogue.
 
     >>> vehicle = connect()

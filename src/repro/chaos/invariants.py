@@ -127,7 +127,7 @@ class Invariant:
 
 
 def _check_tilt(monitor: "SafetyMonitor") -> Optional[str]:
-    state = monitor.autopilot.sim.body.state
+    state = monitor.autopilot.sim.true_state
     tilt_rad = float(np.linalg.norm(state.euler_rad[0:2]))
     if tilt_rad > monitor.envelope.tilt_limit_rad:
         return (
@@ -145,7 +145,7 @@ def _check_ground_impact(monitor: "SafetyMonitor") -> Optional[str]:
 
 
 def _check_hard_landing(monitor: "SafetyMonitor") -> Optional[str]:
-    state = monitor.autopilot.sim.body.state
+    state = monitor.autopilot.sim.true_state
     descent_m_s = float(state.velocity_m_s[2])
     if (
         monitor.altitude_m < monitor.envelope.touchdown_altitude_m
@@ -164,7 +164,7 @@ def _check_depletion(monitor: "SafetyMonitor") -> Optional[str]:
 
 def _check_geofence_box(monitor: "SafetyMonitor") -> Optional[str]:
     offset = (
-        monitor.autopilot.sim.body.state.position_m - monitor.autopilot.home_m
+        monitor.autopilot.sim.true_state.position_m - monitor.autopilot.home_m
     )
     limits = monitor.limits
     if (
@@ -196,7 +196,7 @@ def _check_altitude_floor(monitor: "SafetyMonitor") -> Optional[str]:
 
 
 def _check_battery_reserve(monitor: "SafetyMonitor") -> Optional[str]:
-    soc = monitor.autopilot.sim.battery.state_of_charge
+    soc = monitor.autopilot.sim.state_of_charge
     if monitor.airborne and soc < monitor.limits.battery_reserve_soc:
         return (
             f"SoC {soc:.1%} below the "
@@ -321,7 +321,7 @@ class SafetyMonitor:
 
     @property
     def altitude_m(self) -> float:
-        return float(self.autopilot.sim.body.state.position_m[2])
+        return float(self.autopilot.sim.true_state.position_m[2])
 
     @hot_path_safe
     def active_fault_names(self) -> Tuple[str, ...]:

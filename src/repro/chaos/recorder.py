@@ -90,7 +90,7 @@ class FlightRecorder:
         active_faults: Tuple[str, ...] = (),
     ) -> TickRecord:
         """Snapshot the stack's current state into the ring buffer."""
-        state = autopilot.sim.body.state
+        state = autopilot.sim.true_state
         # euler_rad converts the quaternion on every read: read it once.
         roll, pitch, yaw = state.euler_rad.tolist()
         tick = TickRecord(
@@ -106,7 +106,7 @@ class FlightRecorder:
                 float(state.velocity_m_s[2]),
             ),
             euler_rad=(roll, pitch, yaw),
-            battery_soc=autopilot.sim.battery.state_of_charge,
+            battery_soc=autopilot.sim.state_of_charge,
             failsafe=autopilot.failsafe.name,
             mode=autopilot.mode.value,
             active_faults=active_faults,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union, cast
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from repro.exec.policy import ExecutionPolicy
 from repro.exec.report import ExecutionReport, QuarantineRecord
 from repro.faults.injectors import FaultInjector
 from repro.faults.schedule import FaultSchedule
-from repro.sim.ensemble import LaneSim
-from repro.sim.simulator import DroneModel, FlightSimulator
+from repro.sim.simulator import DroneModel, FlightSimulator, FlightVehicle
 
 #: Trial verdicts, ordered by severity.
 VERDICT_SAFE = "safe"
@@ -123,30 +122,27 @@ class TrialResult:
 
 
 class LaneHarness:
-    """One trial's control-flow state around the simulator that flies it.
+    """One trial's control-flow state around the vehicle that flies it.
 
-    The simulator is a scalar :class:`~repro.sim.simulator.FlightSimulator`
-    when :func:`run_trial` flies the trial alone, or one
-    :class:`~repro.sim.ensemble.LaneSim` of a group when
-    :func:`repro.chaos.ensemble.run_trials_ensemble` flies it; ``lane``
-    names it either way.  :func:`fly` calls :meth:`pre` and :meth:`post`
-    around each physics burst and :meth:`judge` at the end.
+    The vehicle is a :class:`~repro.sim.simulator.FlightVehicle`: a scalar
+    :class:`~repro.sim.simulator.FlightSimulator` when :func:`run_trial`
+    flies the trial alone, or one :class:`~repro.sim.ensemble.LaneSim` of a
+    group when :func:`repro.chaos.ensemble.run_trials_ensemble` flies it;
+    ``lane`` names it either way.  :func:`fly` calls :meth:`pre` and
+    :meth:`post` around each physics burst and :meth:`judge` at the end.
     """
 
     def __init__(
         self,
         spec: TrialSpec,
         config: CampaignConfig,
-        lane: FlightSimulator | LaneSim,
+        lane: FlightVehicle,
     ):
         self.spec = spec
         self.config = config
         self.lane = lane
-        # A lane facade exposes the full FlightSimulator surface the
-        # autopilot/injector/monitor stack reads and writes.
-        sim = cast(FlightSimulator, lane)
         self.link = Link(seed=spec.link_seed)
-        self.autopilot = Autopilot(sim, link=self.link)
+        self.autopilot = Autopilot(lane, link=self.link)
         if spec.offload:
             self.autopilot.pose_watchdog = PoseStalenessWatchdog()
         self.injector = FaultInjector(self.autopilot, spec.schedule)
@@ -157,7 +153,7 @@ class LaneHarness:
             envelope=config.envelope,
         )
         self.recorder = FlightRecorder(maxlen=config.recorder_maxlen)
-        self.min_soc = sim.battery.state_of_charge
+        self.min_soc = lane.state_of_charge
         self.next_heartbeat_s = 0.0
         self.alive = True
 
@@ -177,7 +173,7 @@ class LaneHarness:
         """The control tick's work after the physics burst."""
         sim = self.autopilot.sim
         self.autopilot._update_post()
-        self.min_soc = min(self.min_soc, sim.battery.state_of_charge)
+        self.min_soc = min(self.min_soc, sim.state_of_charge)
         self.monitor.check(sim.time_s)
         self.recorder.record(self.autopilot, self.monitor.active_fault_names())
         self.alive = not self.monitor.crashed
@@ -193,7 +189,7 @@ class LaneHarness:
             verdict = VERDICT_VIOLATION
         else:
             verdict = VERDICT_SAFE
-        altitude_m = float(autopilot.sim.body.state.position_m[2])
+        altitude_m = float(autopilot.sim.true_state.position_m[2])
         trace: Optional[BlackBoxTrace] = None
         if verdict != VERDICT_SAFE:
             trace = BlackBoxTrace(

@@ -156,11 +156,17 @@ class MotorMixer:
 
     def set_motor_health(self, motor_index: int, factor: float) -> None:
         """Derate (or restore) one rotor's thrust ceiling."""
-        if not 0 <= motor_index < 4:
-            raise ValueError(f"motor index must be 0-3, got {motor_index}")
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError(f"health factor must be in [0, 1], got {factor}")
+        check_motor_health(motor_index, factor)
         self.motor_health[motor_index] = factor
+
+
+def check_motor_health(motor_index: int, factor: float) -> None:
+    """Raise ValueError unless ``motor_index`` names one of the four rotors
+    and ``factor`` is a health factor in [0, 1]."""
+    if not 0 <= motor_index < 4:
+        raise ValueError(f"motor index must be 0-3, got {motor_index}")
+    if not 0.0 <= factor <= 1.0:
+        raise ValueError(f"health factor must be in [0, 1], got {factor}")
 
 
 def mix_rows(

@@ -73,85 +73,78 @@ class FaultInjector:
         return handler(event.param_dict)
 
     def _gps_loss(self, params: Dict[str, float]) -> Callable[[], None]:
-        gps = self.autopilot.sim.sensors.gps
-        previous = gps.available
-        gps.available = False
+        sim = self.autopilot.sim
+        previous = sim.gps_available
+        sim.gps_available = False
 
         def restore() -> None:
-            gps.available = previous
+            sim.gps_available = previous
 
         return restore
 
     def _imu_bias(self, params: Dict[str, float]) -> Callable[[], None]:
-        imu = self.autopilot.sim.sensors.imu
-        previous = (imu.accel_bias_m_s2, imu.gyro_bias_rad_s)
+        sim = self.autopilot.sim
+        previous = sim.imu_bias()
         accel = params.get("accel_bias_m_s2", 1.5)
         gyro = params.get("gyro_bias_rad_s", 0.05)
-        imu.accel_bias_m_s2 = (accel, accel, 0.0)
-        imu.gyro_bias_rad_s = (gyro, 0.0, 0.0)
+        sim.set_imu_bias((accel, accel, 0.0), (gyro, 0.0, 0.0))
 
         def restore() -> None:
-            imu.accel_bias_m_s2, imu.gyro_bias_rad_s = previous
+            sim.set_imu_bias(*previous)
 
         return restore
 
     def _baro_freeze(self, params: Dict[str, float]) -> Callable[[], None]:
-        barometer = self.autopilot.sim.sensors.barometer
-        barometer.frozen = True
+        sim = self.autopilot.sim
+        sim.set_baro_frozen(True)
 
         def restore() -> None:
-            barometer.frozen = False
+            sim.set_baro_frozen(False)
 
         return restore
 
     def _battery_sag(self, params: Dict[str, float]) -> Callable[[], None]:
-        battery = self.autopilot.sim.battery
-        previous = battery.fault_resistance_ohm
-        battery.fault_resistance_ohm = previous + params.get(
-            "resistance_ohm", 0.05
-        )
+        sim = self.autopilot.sim
+        previous = sim.fault_resistance_ohm
+        sim.fault_resistance_ohm = previous + params.get("resistance_ohm", 0.05)
 
         def restore() -> None:
-            battery.fault_resistance_ohm = previous
+            sim.fault_resistance_ohm = previous
 
         return restore
 
     def _battery_drain(self, params: Dict[str, float]) -> Callable[[], None]:
         """One-shot capacity dump at window start (a cell going bad)."""
-        battery = self.autopilot.sim.battery
+        sim = self.autopilot.sim
         if "fraction" in params:
-            drain_mah = battery.capacity_mah * params["fraction"]
+            drain_mah = sim.model.battery_capacity_mah * params["fraction"]
         else:
             drain_mah = params.get("drain_mah", 0.0)
-        battery.inject_drain(drain_mah)
+        sim.inject_drain(drain_mah)
         return lambda: None  # lost capacity does not come back
 
-    def _mixer(self):
-        return self.autopilot.sim.controller.thrust_controller.mixer
-
     def _motor_degradation(self, params: Dict[str, float]) -> Callable[[], None]:
-        mixer = self._mixer()
+        sim = self.autopilot.sim
         index = int(params.get("motor_index", 0))
-        previous = float(mixer.motor_health[index])
-        mixer.set_motor_health(index, params.get("health", 0.5))
+        previous = float(sim.motor_health[index])
+        sim.set_motor_health(index, params.get("health", 0.5))
 
         def restore() -> None:
-            mixer.set_motor_health(index, previous)
+            sim.set_motor_health(index, previous)
 
         return restore
 
     def _esc_thermal(self, params: Dict[str, float]) -> Callable[[], None]:
         """Uniform derating of all four rotors from the ESC temperature."""
-        mixer = self._mixer()
-        previous = mixer.motor_health.copy()
+        sim = self.autopilot.sim
+        previous = sim.motor_health.tolist()
         derate = thermal_derate_fraction(params.get("temperature_c", 110.0))
-        for index in range(4):
-            mixer.set_motor_health(
-                index, min(float(previous[index]), derate)
-            )
+        for index, health in enumerate(previous):
+            sim.set_motor_health(index, min(health, derate))
 
         def restore() -> None:
-            mixer.motor_health[:] = previous
+            for index, health in enumerate(previous):
+                sim.set_motor_health(index, health)
 
         return restore
 

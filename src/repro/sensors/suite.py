@@ -219,9 +219,6 @@ class SensorRows:
         self.imu_has_last = False
         self.accel_bias = np.zeros((n, 3))
         self.gyro_bias = np.zeros((n, 3))
-        #: The bias tuples as set, so a fault's read-swap-restore is exact.
-        self.accel_bias_obj: List[object] = [(0.0, 0.0, 0.0)] * n
-        self.gyro_bias_obj: List[object] = [(0.0, 0.0, 0.0)] * n
         self.baro_samples = np.zeros(n, dtype=np.int64)
         self.baro_last_alt = np.zeros(n)
         self.baro_frozen = np.zeros(n, dtype=bool)

@@ -27,7 +27,7 @@ from repro.sim.ensemble import (
     LaneSim,
     hover_gust_monte_carlo,
 )
-from repro.sim.simulator import DroneModel, FlightSimulator, SimSample
+from repro.sim.simulator import DroneModel, FlightSimulator, FlightVehicle, SimSample
 from repro.sim.telemetry import TelemetryLog, TelemetryRecord
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "DroneModel",
     "EnsembleFlightSimulator",
     "FlightSimulator",
+    "FlightVehicle",
     "LaneSim",
     "SimSample",
     "hover_gust_monte_carlo",

@@ -4,13 +4,15 @@ A chaos campaign (or a gust Monte Carlo) is many *independent* closed-loop
 flights of one airframe.  :class:`EnsembleFlightSimulator` holds N trials'
 state as rows and advances every *live* lane with masked NumPy kernels,
 while per-trial control flow (failsafe ladders, fault windows, mission
-phases) runs over the mask through per-lane facades.
+phases) runs over the mask through one :class:`LaneSim` per lane, which
+implements the :class:`~repro.sim.simulator.FlightVehicle` protocol over
+the lane's rows.
 
 Each layer's batched kernel sits beside its scalar twin and reads that
 twin's constants, matrices and schedule from the ensemble's template
 :class:`FlightSimulator` (DESIGN.md lists where each lives).  This module
 keeps the lane masks and the masked commit, the lockstep order of one
-tick, lane bookkeeping and the ``Lane*`` facades.
+tick, lane bookkeeping and :class:`LaneSim`.
 
 The contract is **bit-for-bit** per lane against the scalar oracle
 (DESIGN.md §Performance), noise streams included: lane *i* owns the sensor
@@ -31,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.control.cascade import CascadeRows, ControlRates, TargetMode
+from repro.control.mixer import check_motor_health
 from repro.control.estimation import EkfRows
 from repro.physics.battery_model import (
     draw_rows, ocv_rows, soc_rows, terminal_voltage_rows,
@@ -41,8 +44,8 @@ from repro.physics.rigid_body import (
 )
 from repro.sensors.suite import RowReadings, SensorRows
 from repro.sim.simulator import (
-    DroneModel, FlightSimulator, SimSample, bus_current_rows, electrical_power_rows,
-    mean_power_w, rms_position_error_m, thrust_ceiling_rows,
+    Bias3, DroneModel, FlightSimulator, SimSample, bus_current_rows,
+    electrical_power_rows, rms_position_error_m, thrust_ceiling_rows,
 )
 
 __all__ = ["EnsembleFlightSimulator", "LaneSim", "hover_gust_monte_carlo"]
@@ -153,9 +156,8 @@ class EnsembleFlightSimulator:
     def _commit(self, dst: np.ndarray, src: np.ndarray, mask: np.ndarray) -> None:
         """Write ``src`` into ``dst`` on masked rows, in place.
 
-        In-place (``np.copyto``) so the row views held by lane facades and
-        fault-injector closures stay valid; frozen lanes' rows are never
-        touched.
+        In-place (``np.copyto``) so the row views a :class:`LaneSim` holds
+        stay valid; frozen lanes' rows are never touched.
         """
         if mask is self._full:
             np.copyto(dst, src)
@@ -336,16 +338,16 @@ class EnsembleFlightSimulator:
         self._cascade.target_yaw[index] = yaw_rad
 
     def lane(self, index: int) -> "LaneSim":
-        """Persistent scalar-simulator facade over one lane.
+        """One lane as a :class:`~repro.sim.simulator.FlightVehicle`.
 
         The same object is returned for repeated calls.
         """
         self._check_lane(index)
-        facade = self._lanes[index]
-        if facade is None:
-            facade = LaneSim(self, index)
-            self._lanes[index] = facade
-        return facade
+        lane = self._lanes[index]
+        if lane is None:
+            lane = LaneSim(self, index)
+            self._lanes[index] = lane
+        return lane
 
     def _check_lane(self, index: int) -> None:
         if not 0 <= index < self.n_lanes:
@@ -454,8 +456,7 @@ class EnsembleFlightSimulator:
         suite._imu_elapsed_s = schedule._imu_elapsed_s
         imu = suite.imu
         imu.samples = int(rows.imu_samples[index])
-        imu.accel_bias_m_s2 = rows.accel_bias_obj[index]
-        imu.gyro_bias_rad_s = rows.gyro_bias_obj[index]
+        imu.accel_bias_m_s2, imu.gyro_bias_rad_s = self.lane(index).imu_bias()
         imu._last_velocity = (
             rows.imu_last_vel[index].tolist() if rows.imu_has_last else None
         )
@@ -475,213 +476,35 @@ class EnsembleFlightSimulator:
         return sim
 
 
-# ---------------------------------------------------------------------------
-# Lane facades: the scalar FlightSimulator surface over one ensemble lane
-# ---------------------------------------------------------------------------
+class LaneSim:
+    """One ensemble lane as a :class:`~repro.sim.simulator.FlightVehicle`.
 
-
-class LaneGps:
-    """Facade over one lane's GPS availability flag."""
-
-    def __init__(self, lane: "LaneSim"):
-        self._lane = lane
-
-    @property
-    def available(self) -> bool:
-        lane = self._lane
-        return bool(lane._ens._sensors.gps_available[lane._index])
-
-    @available.setter
-    def available(self, value: bool) -> None:
-        lane = self._lane
-        lane._ens._sensors.gps_available[lane._index] = bool(value)
-
-
-class LaneImu:
-    """Facade over one lane's IMU bias tuples.
-
-    The injector framework reads the current tuples, swaps in biased ones,
-    and restores the originals — the facade keeps the tuple *objects* so
-    that round-trip is exact, while mirroring the values into the batch
-    bias arrays the vector kernels read.
+    The autopilot, fault injector, safety monitor and flight recorder drive
+    a trial through this object; its reads and writes go to the ensemble's
+    rows.  The lane is stepped only by :meth:`EnsembleFlightSimulator.run_for`.
     """
 
-    def __init__(self, lane: "LaneSim"):
-        self._lane = lane
-
-    @property
-    def accel_bias_m_s2(self) -> Tuple[float, float, float]:
-        lane = self._lane
-        return lane._ens._sensors.accel_bias_obj[lane._index]
-
-    @accel_bias_m_s2.setter
-    def accel_bias_m_s2(self, value) -> None:
-        lane = self._lane
-        lane._ens._sensors.accel_bias_obj[lane._index] = value
-        lane._ens._sensors.accel_bias[lane._index] = np.asarray(value)
-
-    @property
-    def gyro_bias_rad_s(self) -> Tuple[float, float, float]:
-        lane = self._lane
-        return lane._ens._sensors.gyro_bias_obj[lane._index]
-
-    @gyro_bias_rad_s.setter
-    def gyro_bias_rad_s(self, value) -> None:
-        lane = self._lane
-        lane._ens._sensors.gyro_bias_obj[lane._index] = value
-        lane._ens._sensors.gyro_bias[lane._index] = np.asarray(value)
-
-
-class LaneBarometer:
-    """Facade over one lane's barometer freeze flag."""
-
-    def __init__(self, lane: "LaneSim"):
-        self._lane = lane
-
-    @property
-    def frozen(self) -> bool:
-        lane = self._lane
-        return bool(lane._ens._sensors.baro_frozen[lane._index])
-
-    @frozen.setter
-    def frozen(self, value: bool) -> None:
-        lane = self._lane
-        lane._ens._sensors.baro_frozen[lane._index] = bool(value)
-
-
-class LaneSensors:
-    """Facade over one lane's sensor suite."""
-
-    def __init__(self, lane: "LaneSim"):
-        self._lane = lane
-        self.gps = LaneGps(lane)
-        self.imu = LaneImu(lane)
-        self.barometer = LaneBarometer(lane)
-
-    def gps_fix_age_s(self) -> float:
-        lane = self._lane
-        rows = lane._ens._sensors
-        return float(rows.suite._time_s - rows.last_gps_fix[lane._index])
-
-
-class LaneBattery:
-    """Facade over one lane's battery state and fault hooks."""
-
-    def __init__(self, lane: "LaneSim"):
-        self._lane = lane
-        self.capacity_mah = lane._ens._template.battery.capacity_mah
-
-    @property
-    def state_of_charge(self) -> float:
-        lane = self._lane
-        used = float(lane._ens._used_mah[lane._index])
-        return max(0.0, 1.0 - used / self.capacity_mah)
-
-    @property
-    def fault_resistance_ohm(self) -> float:
-        lane = self._lane
-        return float(lane._ens._fault_res[lane._index])
-
-    @fault_resistance_ohm.setter
-    def fault_resistance_ohm(self, value: float) -> None:
-        lane = self._lane
-        lane._ens._fault_res[lane._index] = value
-
-    def inject_drain(self, drain_mah: float) -> None:
-        if drain_mah < 0:
-            raise ValueError(f"drain cannot be negative, got {drain_mah}")
-        lane = self._lane
-        used = float(lane._ens._used_mah[lane._index])
-        lane._ens._used_mah[lane._index] = min(self.capacity_mah, used + drain_mah)
-
-
-class LaneMixer:
-    """Facade over one lane's mixer statistics and motor-health row.
-
-    ``motor_health`` is the lane's row *view* into the ensemble array, so
-    injector restores that write it in place reach the mixer kernel.
-    """
-
-    def __init__(self, lane: "LaneSim"):
-        self._lane = lane
-        self.motor_health = lane._ens._cascade.motor_health[lane._index]
-
-    @property
-    def mixes(self) -> int:
-        lane = self._lane
-        return int(lane._ens._cascade.mixes[lane._index])
-
-    @property
-    def saturations(self) -> int:
-        lane = self._lane
-        return int(lane._ens._cascade.saturations[lane._index])
-
-    def set_motor_health(self, motor_index: int, factor: float) -> None:
-        if not 0 <= motor_index < 4:
-            raise ValueError(f"motor index must be 0-3, got {motor_index}")
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError(f"health factor must be in [0, 1], got {factor}")
-        self.motor_health[motor_index] = factor
-
-
-class LaneThrustController:
-    """Facade over one lane's thrust level (exposes the mixer)."""
-
-    def __init__(self, lane: "LaneSim"):
-        self.mixer = LaneMixer(lane)
-
-
-class LaneController:
-    """Facade over one lane's controller cascade."""
-
-    def __init__(self, lane: "LaneSim"):
-        self.thrust_controller = LaneThrustController(lane)
-
-
-class LaneBody:
-    """Facade over one lane's rigid-body state: row views, not copies."""
-
-    def __init__(self, lane: "LaneSim"):
-        body, index = lane._ens._body, lane._index
-        self.state = QuadcopterState(
+    def __init__(self, ensemble: EnsembleFlightSimulator, index: int):
+        self._ens = ensemble
+        self._index = index
+        body = ensemble._body
+        # Row views, not copies: the state reads what the last step wrote.
+        self._state = QuadcopterState(
             position_m=body.pos[index],
             velocity_m_s=body.vel[index],
             quaternion=body.quat[index],
             angular_velocity_rad_s=body.omega[index],
         )
 
-
-class LaneSim:
-    """One ensemble lane presented through the ``FlightSimulator`` surface.
-
-    The autopilot, fault injectors, and safety monitor all drive a trial
-    through this object; its reads and writes go to the ensemble's arrays.
-    The lane is stepped only by :meth:`EnsembleFlightSimulator.run_for`.
-    """
-
-    def __init__(self, ensemble: EnsembleFlightSimulator, index: int):
-        self._ens = ensemble
-        self._index = index
-        self.sensors = LaneSensors(self)
-        self.battery = LaneBattery(self)
-        self.controller = LaneController(self)
-        self.body = LaneBody(self)
-
-    # -- identity ------------------------------------------------------------
+    # -- state ---------------------------------------------------------------
 
     @property
     def model(self) -> DroneModel:
         return self._ens.model
 
     @property
-    def physics_rate_hz(self) -> float:
-        return self._ens.physics_rate_hz
-
-    @property
     def use_ekf(self) -> bool:
         return bool(self._ens.ekf_lanes[self._index])
-
-    # -- state ---------------------------------------------------------------
 
     @property
     def time_s(self) -> float:
@@ -692,6 +515,20 @@ class LaneSim:
         return bool(self._ens.depleted[self._index])
 
     @property
+    def true_state(self) -> QuadcopterState:
+        return self._state
+
+    @property
+    def state_of_charge(self) -> float:
+        """Mirrors :attr:`~repro.physics.battery_model.LipoBattery.state_of_charge`."""
+        used = float(self._ens._used_mah[self._index])
+        return max(0.0, 1.0 - used / self._ens._template.battery.capacity_mah)
+
+    @property
+    def motor_health(self) -> np.ndarray:
+        return self._ens._cascade.motor_health[self._index]
+
+    @property
     def ekf_resets(self) -> int:
         return int(self._ens._ekf.resets[self._index])
 
@@ -699,20 +536,64 @@ class LaneSim:
     def samples(self) -> List[SimSample]:
         return self._ens._samples()[self._index]
 
-    # -- commands ------------------------------------------------------------
+    def gps_fix_age_s(self) -> float:
+        rows = self._ens._sensors
+        return float(rows.suite._time_s - rows.last_gps_fix[self._index])
 
-    def goto(self, position_m, yaw_rad: float = 0.0) -> None:
-        self._ens.set_lane_target(self._index, position_m, yaw_rad)
-
-    # -- derived metrics ------------------------------------------------------
-
-    def average_power_w(self, since_s: float = 0.0) -> float:
-        """Mean recorded electrical power after ``since_s``."""
-        return mean_power_w(self.samples, since_s)
+    def mix_counts(self) -> Tuple[int, int]:
+        cascade = self._ens._cascade
+        return int(cascade.mixes[self._index]), int(cascade.saturations[self._index])
 
     def hover_position_error_m(self, target_m, since_s: float) -> float:
         """RMS position error against ``target_m`` after ``since_s``."""
         return rms_position_error_m(self.samples, target_m, since_s)
+
+    # -- command and fault knobs ---------------------------------------------
+
+    def goto(self, position_m, yaw_rad: float = 0.0) -> None:
+        self._ens.set_lane_target(self._index, position_m, yaw_rad)
+
+    @property
+    def gps_available(self) -> bool:
+        return bool(self._ens._sensors.gps_available[self._index])
+
+    @gps_available.setter
+    def gps_available(self, value: bool) -> None:
+        self._ens._sensors.gps_available[self._index] = bool(value)
+
+    @property
+    def fault_resistance_ohm(self) -> float:
+        return float(self._ens._fault_res[self._index])
+
+    @fault_resistance_ohm.setter
+    def fault_resistance_ohm(self, value: float) -> None:
+        self._ens._fault_res[self._index] = value
+
+    def imu_bias(self) -> Tuple[Bias3, Bias3]:
+        rows, index = self._ens._sensors, self._index
+        ax, ay, az = rows.accel_bias[index].tolist()
+        gx, gy, gz = rows.gyro_bias[index].tolist()
+        return (ax, ay, az), (gx, gy, gz)
+
+    def set_imu_bias(self, accel_m_s2: Bias3, gyro_rad_s: Bias3) -> None:
+        rows, index = self._ens._sensors, self._index
+        rows.accel_bias[index] = accel_m_s2
+        rows.gyro_bias[index] = gyro_rad_s
+
+    def set_baro_frozen(self, frozen: bool) -> None:
+        self._ens._sensors.baro_frozen[self._index] = bool(frozen)
+
+    def inject_drain(self, drain_mah: float) -> None:
+        """Mirrors :meth:`~repro.physics.battery_model.LipoBattery.inject_drain`."""
+        if drain_mah < 0:
+            raise ValueError(f"drain cannot be negative, got {drain_mah}")
+        used = float(self._ens._used_mah[self._index])
+        capacity_mah = self._ens._template.battery.capacity_mah
+        self._ens._used_mah[self._index] = min(capacity_mah, used + drain_mah)
+
+    def set_motor_health(self, motor_index: int, factor: float) -> None:
+        check_motor_health(motor_index, factor)
+        self._ens._cascade.motor_health[self._index, motor_index] = factor
 
 
 # ---------------------------------------------------------------------------

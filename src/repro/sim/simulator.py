@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,53 @@ class SimSample:
     electrical_power_w: float
     battery_voltage_v: float
     battery_soc: float
+
+
+#: An IMU bias vector: three floats, in the IMU's body axes.
+Bias3 = Tuple[float, float, float]
+
+
+class FlightVehicle(Protocol):
+    """What the autopilot and the chaos stack read from and write to a vehicle.
+
+    The autopilot, the fault injector, the safety monitor, the flight
+    recorder and the trial harness go through these members only, so one
+    trial flies the same over a scalar :class:`FlightSimulator` and over one
+    lane of an ensemble (:class:`repro.sim.ensemble.LaneSim`).  Stepping is
+    not a member: a lane is stepped only by its ensemble.
+
+    The first group is read only: ``true_state`` is the rigid body's true
+    state, what the judge sees, and ``mix_counts`` the mixer's (mixes,
+    saturations) so far.  The second group is one write path per fault
+    knob; ``imu_bias`` reads the (accelerometer, gyro) biases back, and
+    ``motor_health`` changes only through ``set_motor_health``.
+    """
+
+    @property
+    def model(self) -> DroneModel: ...
+    @property
+    def use_ekf(self) -> bool: ...
+    @property
+    def time_s(self) -> float: ...
+    @property
+    def depleted(self) -> bool: ...
+    @property
+    def true_state(self) -> QuadcopterState: ...
+    @property
+    def state_of_charge(self) -> float: ...
+    @property
+    def motor_health(self) -> np.ndarray: ...
+    def gps_fix_age_s(self) -> float: ...
+    def mix_counts(self) -> Tuple[int, int]: ...
+    def goto(self, position_m, yaw_rad: float = 0.0) -> None: ...
+
+    gps_available: bool
+    fault_resistance_ohm: float
+    def imu_bias(self) -> Tuple[Bias3, Bias3]: ...
+    def set_imu_bias(self, accel_m_s2: Bias3, gyro_rad_s: Bias3) -> None: ...
+    def set_baro_frozen(self, frozen: bool) -> None: ...
+    def inject_drain(self, drain_mah: float) -> None: ...
+    def set_motor_health(self, motor_index: int, factor: float) -> None: ...
 
 
 class FlightSimulator:
@@ -183,6 +230,61 @@ class FlightSimulator:
             self.ekf.update_gps(np.asarray(position_m, dtype=float))
         finally:
             self.ekf.gps_noise_m = original
+
+    # -- the FlightVehicle surface: delegates to the sensors, battery, mixer --
+
+    @property
+    def true_state(self) -> QuadcopterState:
+        return self.body.state
+
+    @property
+    def state_of_charge(self) -> float:
+        return self.battery.state_of_charge
+
+    @property
+    def motor_health(self) -> np.ndarray:
+        return self.controller.thrust_controller.mixer.motor_health
+
+    @property
+    def gps_available(self) -> bool:
+        return self.sensors.gps.available
+
+    @gps_available.setter
+    def gps_available(self, value: bool) -> None:
+        self.sensors.gps.available = value
+
+    @property
+    def fault_resistance_ohm(self) -> float:
+        return self.battery.fault_resistance_ohm
+
+    @fault_resistance_ohm.setter
+    def fault_resistance_ohm(self, value: float) -> None:
+        self.battery.fault_resistance_ohm = value
+
+    def gps_fix_age_s(self) -> float:
+        return self.sensors.gps_fix_age_s()
+
+    def mix_counts(self) -> Tuple[int, int]:
+        mixer = self.controller.thrust_controller.mixer
+        return mixer.mixes, mixer.saturations
+
+    def imu_bias(self) -> Tuple[Bias3, Bias3]:
+        imu = self.sensors.imu
+        return imu.accel_bias_m_s2, imu.gyro_bias_rad_s
+
+    def set_imu_bias(self, accel_m_s2: Bias3, gyro_rad_s: Bias3) -> None:
+        imu = self.sensors.imu
+        imu.accel_bias_m_s2 = accel_m_s2
+        imu.gyro_bias_rad_s = gyro_rad_s
+
+    def set_baro_frozen(self, frozen: bool) -> None:
+        self.sensors.barometer.frozen = frozen
+
+    def inject_drain(self, drain_mah: float) -> None:
+        self.battery.inject_drain(drain_mah)
+
+    def set_motor_health(self, motor_index: int, factor: float) -> None:
+        self.controller.thrust_controller.mixer.set_motor_health(motor_index, factor)
 
     # -- stepping -----------------------------------------------------------------
 

@@ -7,6 +7,7 @@ paths, the autopilot's graceful-degradation state machine, and the reliable
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.faults import (
     PerceptionFaultInjector,
     perception_scenarios,
 )
+from repro.sim.ensemble import EnsembleFlightSimulator
 from repro.sim.simulator import DroneModel, FlightSimulator
 from repro.slam.dataset import load_sequence
 
@@ -691,6 +693,27 @@ class TestMixerHealth:
             mixer.set_motor_health(4, 0.5)
         with pytest.raises(ValueError):
             mixer.set_motor_health(0, 1.5)
+        # The motor-health and drain knobs reject out-of-range values with
+        # the same ValueError on a scalar simulator and on an ensemble lane,
+        # and a rejected call changes nothing.
+        vehicles = (
+            autopilot.sim,
+            EnsembleFlightSimulator(autopilot.sim.model, n_lanes=2).lane(1),
+        )
+        motor = "set_motor_health"
+        for knob, args, message in (
+            (motor, (4, 0.5), "motor index must be 0-3, got 4"),
+            (motor, (-1, 0.5), "motor index must be 0-3, got -1"),
+            (motor, (0, 1.5), "health factor must be in [0, 1], got 1.5"),
+            (motor, (0, -0.1), "health factor must be in [0, 1], got -0.1"),
+            ("inject_drain", (-1.0,), "drain cannot be negative, got -1.0"),
+        ):
+            for vehicle in vehicles:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    getattr(vehicle, knob)(*args)
+        for vehicle in vehicles:
+            assert vehicle.motor_health.tolist() == [1.0] * 4
+            assert vehicle.state_of_charge == 1.0
 
 
 # -- reliable command channel --------------------------------------------------------

@@ -9,9 +9,13 @@ campaign fingerprints including black-box crash traces.  Every assertion
 here is exact equality, never ``allclose``.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.autopilot.arducopter import Autopilot
+from repro.autopilot.dronekit import Vehicle
 from repro.chaos import (
     CampaignConfig,
     generate_campaign,
@@ -30,7 +34,7 @@ from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.physics.environment import Wind
 from repro.sim import ensemble as sim_ensemble
 from repro.sim.ensemble import EnsembleFlightSimulator, hover_gust_monte_carlo
-from repro.sim.simulator import DroneModel, FlightSimulator
+from repro.sim.simulator import DroneModel, FlightSimulator, FlightVehicle
 from tests.equivalence import BLAS, LIBM, golden
 
 #: Keep the raw-stepping tests at the campaign default rate — cheap, and
@@ -94,8 +98,8 @@ def _assert_ekf_equal(ekf, ref) -> None:
 
 
 def _assert_lane_matches(lane, sim) -> None:
-    _assert_state_equal(lane.body.state, sim.body.state)
-    assert lane.battery.state_of_charge == sim.battery.state_of_charge
+    _assert_state_equal(lane.true_state, sim.true_state)
+    assert lane.state_of_charge == sim.state_of_charge
     assert lane.depleted == sim.depleted
     assert lane.ekf_resets == sim.ekf_resets
     assert lane.use_ekf is sim.use_ekf
@@ -104,10 +108,7 @@ def _assert_lane_matches(lane, sim) -> None:
         # A truth-state lane never runs its EKF, inside a mixed group too.
         _assert_ekf_equal(_lane_ekf(lane), InsEkf())
         assert lane.ekf_resets == 0
-    mixer = lane.controller.thrust_controller.mixer
-    ref_mixer = sim.controller.thrust_controller.mixer
-    assert mixer.mixes == ref_mixer.mixes
-    assert mixer.saturations == ref_mixer.saturations
+    assert lane.mix_counts() == sim.mix_counts()
     _assert_samples_equal(lane.samples, sim.samples)
 
 
@@ -184,7 +185,7 @@ class TestLockstepEquivalence:
 
 class TestFaultFacades:
     def test_sensor_and_actuator_faults_desync_and_restore(self):
-        """Fault-facade writes mid-run stay bitwise equal to scalar writes.
+        """Fault-knob writes mid-run stay bitwise equal to scalar writes.
 
         GPS denial and a barometer freeze make the affected EKF lanes skip
         draws the other lanes make; each lane's own generators must stay
@@ -216,33 +217,30 @@ class TestFaultFacades:
 
         lanes = [ens.lane(index) for index in range(3)]
         for target in (lanes[0], scalars[0]):
-            target.sensors.gps.available = False
-            target.sensors.imu.accel_bias_m_s2 = (0.3, -0.1, 0.05)
+            target.gps_available = False
+            target.set_imu_bias((0.3, -0.1, 0.05), (0.0, 0.0, 0.0))
         for target in (lanes[1], scalars[1]):
-            target.sensors.barometer.frozen = True
-            target.controller.thrust_controller.mixer.set_motor_health(2, 0.7)
-            target.battery.inject_drain(200.0)
-            target.battery.fault_resistance_ohm = 0.05
+            target.set_baro_frozen(True)
+            target.set_motor_health(2, 0.7)
+            target.inject_drain(200.0)
+            target.fault_resistance_ohm = 0.05
         ens.run_for(1.0)
         for sim in scalars:
             sim.run_for(1.0)
 
         for target in (lanes[0], scalars[0]):
-            target.sensors.gps.available = True
-            target.sensors.imu.accel_bias_m_s2 = (0.0, 0.0, 0.0)
+            target.gps_available = True
+            target.set_imu_bias((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
         for target in (lanes[1], scalars[1]):
-            target.sensors.barometer.frozen = False
-            target.controller.thrust_controller.mixer.set_motor_health(2, 1.0)
+            target.set_baro_frozen(False)
+            target.set_motor_health(2, 1.0)
         ens.run_for(1.0)
         for sim in scalars:
             sim.run_for(1.0)
 
         for index, sim in enumerate(scalars):
             _assert_lane_matches(lanes[index], sim)
-            assert (
-                lanes[index].sensors.gps_fix_age_s()
-                == sim.sensors.gps_fix_age_s()
-            )
+            assert lanes[index].gps_fix_age_s() == sim.gps_fix_age_s()
 
 
 class TestMaterializedCopy:
@@ -289,10 +287,7 @@ class TestMaterializedCopy:
         assert ens.live.all()
         assert copy.use_ekf is flags[1]
         assert copy.sensor_seed == SENSOR_SEEDS[1]
-        assert not np.shares_memory(
-            copy.controller.thrust_controller.mixer.motor_health,
-            ens.lane(1).controller.thrust_controller.mixer.motor_health,
-        )
+        assert not np.shares_memory(copy.motor_health, ens.lane(1).motor_health)
         for chunk_s in (1.0, 0.5):
             ens.run_for(chunk_s)
             copy.run_for(chunk_s)
@@ -502,27 +497,43 @@ class TestEnsembleApi:
             ens.freeze_lane(index)
         assert ens.live.tolist() == [True, True, True]
 
-    def test_lane_surface_exists_on_the_scalar_simulator(self):
-        """``LaneHarness`` casts a lane to ``FlightSimulator``: every public
-        name of ``LaneSim`` and of its ``Lane*`` sub-facades must exist on
-        the matching scalar object."""
+    def test_vehicles_implement_every_flight_vehicle_member(self):
+        """``LaneHarness`` flies a ``FlightSimulator`` or a ``LaneSim``
+        through the ``FlightVehicle`` protocol: both implement every member,
+        every method is callable and the two fault-knob attributes are
+        settable."""
+        declared = {name for name in vars(FlightVehicle) if not name.startswith("_")}
+        settable = set(FlightVehicle.__annotations__)
+        assert declared | settable == {
+            "model", "use_ekf", "time_s", "depleted", "true_state",
+            "state_of_charge", "gps_fix_age_s", "mix_counts", "motor_health",
+            "goto", "gps_available", "imu_bias", "set_imu_bias",
+            "set_baro_frozen", "fault_resistance_ohm", "inject_drain",
+            "set_motor_health",
+        }
         ens = EnsembleFlightSimulator(_model(), n_lanes=1, physics_rate_hz=RATE_HZ)
-        sim = FlightSimulator(_model(), physics_rate_hz=RATE_HZ)
-        missing = []
+        vehicles = (FlightSimulator(_model(), physics_rate_hz=RATE_HZ), ens.lane(0))
+        for vehicle in vehicles:
+            kind = type(vehicle).__name__
+            for name in sorted(declared):
+                value = getattr(vehicle, name)
+                if inspect.isfunction(inspect.getattr_static(FlightVehicle, name)):
+                    assert callable(value), f"{kind}.{name} is not callable"
+            for name, new in (("gps_available", False), ("fault_resistance_ohm", 0.25)):
+                setattr(vehicle, name, new)
+                assert getattr(vehicle, name) == new, f"{kind}.{name} is not settable"
 
-        def walk(facade, scalar, path):
-            for name in dir(facade):
-                if name.startswith("_"):
-                    continue
-                if not hasattr(scalar, name):
-                    missing.append(f"{path}.{name}")
-                    continue
-                value = getattr(facade, name)
-                if type(value).__module__ == EnsembleFlightSimulator.__module__:
-                    walk(value, getattr(scalar, name), f"{path}.{name}")
-
-        walk(ens.lane(0), sim, "lane")
-        assert missing == []
+    def test_a_lane_is_stepped_and_read_only_through_the_protocol(self):
+        """Stepping and the battery voltage are not protocol members: over a
+        lane, ``Autopilot.update`` and the DroneKit battery read refuse with
+        a ``TypeError`` instead of reaching for a scalar attribute."""
+        ens = EnsembleFlightSimulator(_model(), n_lanes=1, physics_rate_hz=RATE_HZ)
+        autopilot = Autopilot(ens.lane(0))
+        with pytest.raises(TypeError, match="EnsembleFlightSimulator.run_for"):
+            autopilot.update(0.1)
+        with pytest.raises(TypeError, match="FlightSimulator"):
+            Vehicle(autopilot).battery
+        assert ens.time_s == 0.0
 
     def test_use_ekf_sequence_length_must_match_lanes(self):
         with pytest.raises(ValueError, match="use_ekf"):
