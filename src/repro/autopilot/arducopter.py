@@ -151,14 +151,6 @@ class Autopilot:
         self._last_mix_counts = (0, 0)
         self._saturated_since_s: Optional[float] = None
 
-    @property
-    def failsafe_triggered(self) -> bool:
-        """True once a hard failsafe (RTL/LAND) has latched."""
-        return self.failsafe in (
-            FailsafeState.FAILSAFE_RTL,
-            FailsafeState.FAILSAFE_LAND,
-        )
-
     # -- arming -----------------------------------------------------------------
 
     def arm(self) -> None:

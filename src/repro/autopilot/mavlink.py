@@ -25,8 +25,6 @@ class MessageType(enum.IntEnum):
     SET_POSITION_TARGET = 84
     COMMAND_LONG = 76
     STATE_REPORT = 30
-    BATTERY_STATUS = 147
-    MISSION_ITEM = 39
     ACK = 77
 
 
@@ -138,15 +136,6 @@ class GilbertElliott:
         loss = self.loss_bad if self.in_bad else self.loss_good
         return bool(rng.random() < loss)
 
-    @property
-    def steady_state_loss(self) -> float:
-        """Long-run average loss rate of the channel."""
-        total = self.p_good_to_bad + self.p_bad_to_good
-        if total == 0.0:
-            return self.loss_bad if self.in_bad else self.loss_good
-        bad_fraction = self.p_good_to_bad / total
-        return bad_fraction * self.loss_bad + (1.0 - bad_fraction) * self.loss_good
-
 
 @dataclass
 class Link:
@@ -183,11 +172,6 @@ class Link:
             raise ValueError("latency and jitter cannot be negative")
         if self._rng is None:
             self._rng = np.random.default_rng(self.seed)
-
-    @property
-    def next_sequence(self) -> int:
-        """Sequence number the next ``send`` will stamp (for ACK matching)."""
-        return self._sequence
 
     def advance_to(self, time_s: float) -> None:
         """Move the link clock forward (never backward)."""

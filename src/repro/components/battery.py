@@ -72,12 +72,6 @@ class BatterySpec(Component):
         """I = capacity(Ah) * C (Table 3, 'Discharge Rate')."""
         return self.capacity_mah / 1000.0 * self.c_rating
 
-    @property
-    def energy_density_wh_per_kg(self) -> float:
-        if self.weight_g == 0:
-            raise ValueError("battery weight is zero; energy density undefined")
-        return self.stored_energy_wh / (self.weight_g / 1000.0)
-
 
 def battery_weight_g(cells: int, capacity_mah: float) -> float:
     """Closed-form pack weight from the Figure 7 fits.

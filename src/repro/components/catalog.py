@@ -56,26 +56,6 @@ class ComponentCatalog:
             len(self.batteries) + len(self.escs) + len(self.frames) + len(self.motors)
         )
 
-    def batteries_by_cells(self) -> Dict[int, List[BatterySpec]]:
-        grouped: Dict[int, List[BatterySpec]] = {}
-        for battery in self.batteries:
-            grouped.setdefault(battery.cells, []).append(battery)
-        return grouped
-
-    def escs_by_class(self) -> Dict[EscClass, List[EscSpec]]:
-        grouped: Dict[EscClass, List[EscSpec]] = {}
-        for esc in self.escs:
-            grouped.setdefault(esc.esc_class, []).append(esc)
-        return grouped
-
-    def manufacturer_census(self) -> Dict[str, int]:
-        """Histogram of manufacturers across every family."""
-        histogram: Dict[str, int] = {}
-        for family in (self.batteries, self.escs, self.frames, self.motors):
-            for item in family:
-                histogram[item.manufacturer] = histogram.get(item.manufacturer, 0) + 1
-        return histogram
-
 
 def generate_batteries(
     count: int = BATTERY_COUNT, seed: int = DEFAULT_SEED

@@ -25,7 +25,6 @@ class CommercialDrone:
     battery_cells: int
     battery_mah: float
     flight_time_min: float
-    size_class: str  # "nano", "small", "medium", "large"
 
     def __post_init__(self) -> None:
         if self.weight_g <= 0:
@@ -79,15 +78,15 @@ class CommercialDrone:
 
 #: Drones plotted as validation diamonds in Figure 10 and bars in Figure 11.
 COMMERCIAL_DRONES: List[CommercialDrone] = [
-    CommercialDrone("Parrot Mambo", 63.0, 180.0, 1, 660.0, 9.0, "nano"),
-    CommercialDrone("Parrot Anafi", 320.0, 240.0, 2, 2700.0, 25.0, "small"),
-    CommercialDrone("DJI Spark", 300.0, 170.0, 3, 1480.0, 16.0, "small"),
-    CommercialDrone("DJI Mavic Air", 430.0, 213.0, 3, 2375.0, 21.0, "small"),
-    CommercialDrone("Parrot Bebop 2", 500.0, 328.0, 3, 2700.0, 25.0, "small"),
-    CommercialDrone("Skydio 2", 775.0, 350.0, 4, 4280.0, 23.0, "small"),
-    CommercialDrone("DJI Mavic", 734.0, 335.0, 3, 3830.0, 27.0, "medium"),
-    CommercialDrone("DJI Phantom 4", 1380.0, 350.0, 4, 5350.0, 28.0, "medium"),
-    CommercialDrone("DJI Matrice 100", 2355.0, 650.0, 6, 4500.0, 22.0, "large"),
+    CommercialDrone("Parrot Mambo", 63.0, 180.0, 1, 660.0, 9.0),
+    CommercialDrone("Parrot Anafi", 320.0, 240.0, 2, 2700.0, 25.0),
+    CommercialDrone("DJI Spark", 300.0, 170.0, 3, 1480.0, 16.0),
+    CommercialDrone("DJI Mavic Air", 430.0, 213.0, 3, 2375.0, 21.0),
+    CommercialDrone("Parrot Bebop 2", 500.0, 328.0, 3, 2700.0, 25.0),
+    CommercialDrone("Skydio 2", 775.0, 350.0, 4, 4280.0, 23.0),
+    CommercialDrone("DJI Mavic", 734.0, 335.0, 3, 3830.0, 27.0),
+    CommercialDrone("DJI Phantom 4", 1380.0, 350.0, 4, 5350.0, 28.0),
+    CommercialDrone("DJI Matrice 100", 2355.0, 650.0, 6, 4500.0, 22.0),
 ]
 
 #: The drones in Figure 11's small-drone study, in the paper's plot order.

@@ -29,10 +29,6 @@ FIG8A_WEIGHT_FITS = {
     EscClass.SHORT_FLIGHT: LinearFit(slope=1.2269, intercept=11.816),
 }
 
-#: ESC switching frequency is ~6 electrical transitions per rotor revolution.
-SWITCHING_EVENTS_PER_REV = 6
-
-
 @dataclass(frozen=True)
 class EscSpec(Component):
     """One commercial ESC (weight is for a single unit)."""
@@ -50,16 +46,6 @@ class EscSpec(Component):
             )
         if self.burst_current_a and self.burst_current_a < self.max_continuous_current_a:
             raise ValueError("burst current cannot be below continuous current")
-
-    @property
-    def sustains_long_flight(self) -> bool:
-        return self.esc_class is EscClass.LONG_FLIGHT
-
-    def switching_frequency_hz(self, rotor_rpm: float) -> float:
-        """Commutation frequency at ``rotor_rpm`` (paper: 6 x RPM)."""
-        if rotor_rpm < 0:
-            raise ValueError(f"RPM must be non-negative, got {rotor_rpm}")
-        return SWITCHING_EVENTS_PER_REV * rotor_rpm / 60.0
 
 
 @pure

@@ -51,11 +51,6 @@ class FrameSpec(Component):
         """Motor-to-center distance (m): half the diagonal wheelbase."""
         return self.wheelbase_mm / 1000.0 / 2.0
 
-    @property
-    def is_indoor(self) -> bool:
-        """Indoor drones have wheelbases under 100 mm (Table 3)."""
-        return self.wheelbase_mm < 100.0
-
 
 def frame_weight_g(wheelbase_mm: float) -> float:
     """Frame weight (g) from the Figure 8b piecewise fit."""

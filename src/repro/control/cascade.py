@@ -14,8 +14,8 @@ Thrust     1 kHz           ~50 ms
 :class:`HierarchicalController` runs each level only when it is due, so a
 single 1 kHz tick stream exercises the whole cascade at the right relative
 rates.  The outer loop interacts exclusively through :class:`StateTargets`
-(position / velocity / attitude targets) — the separation the paper insists
-on: autonomy never touches actuators directly.
+(position or velocity targets) — the separation the paper insists on:
+autonomy never touches actuators directly.
 """
 
 from __future__ import annotations
@@ -46,17 +46,15 @@ class TargetMode(enum.Enum):
 
     POSITION = "position"
     VELOCITY = "velocity"
-    ATTITUDE = "attitude"
 
 
 @dataclass
 class StateTargets:
-    """Outer-loop set points: position, velocity, and attitude targets."""
+    """Outer-loop set points: position and velocity targets."""
 
     mode: TargetMode = TargetMode.POSITION
     position_m: np.ndarray = field(default_factory=lambda: np.zeros(3))
     velocity_m_s: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    attitude_rad: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw_rad: float = 0.0
 
 
@@ -120,16 +118,6 @@ class HierarchicalController:
         self.targets.velocity_m_s = np.asarray(velocity_m_s, dtype=float)
         self.targets.yaw_rad = yaw_rad
 
-    def set_attitude_target(
-        self, attitude_rad: np.ndarray, collective_thrust_n: float
-    ) -> None:
-        """Direct attitude control, for applications that need it (Figure 6)."""
-        if collective_thrust_n < 0:
-            raise ValueError("collective thrust cannot be negative")
-        self.targets.mode = TargetMode.ATTITUDE
-        self.targets.attitude_rad = np.asarray(attitude_rad, dtype=float)
-        self._collective_thrust_n = collective_thrust_n
-
     # -- inner loop ------------------------------------------------------------
 
     @hot_path
@@ -144,10 +132,7 @@ class HierarchicalController:
             raise ValueError(f"dt must be positive, got {dt}")
         self._time_s += dt
 
-        if (
-            self.targets.mode in (TargetMode.POSITION, TargetMode.VELOCITY)
-            and self._time_s + 1e-12 >= self._next_position_update
-        ):
+        if self._time_s + 1e-12 >= self._next_position_update:
             position_dt = 1.0 / self.rates.position_hz
             self._next_position_update = max(
                 self._next_position_update + position_dt, self._time_s
@@ -169,9 +154,6 @@ class HierarchicalController:
                     acceleration, self.targets.yaw_rad, self.mass_kg
                 )
             )
-
-        if self.targets.mode is TargetMode.ATTITUDE:
-            self._attitude_target = self.targets.attitude_rad
 
         if self._time_s + 1e-12 >= self._next_attitude_update:
             attitude_dt = 1.0 / self.rates.attitude_hz

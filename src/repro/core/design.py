@@ -211,14 +211,6 @@ class DroneDesign:
             gained_flight_time_min=gained,
         )
 
-    def is_feasible(self) -> bool:
-        """Whether the configuration closes with buildable components."""
-        try:
-            self.evaluate()
-        except equations.InfeasibleDesignError:
-            return False
-        return True
-
     def to_dict(self) -> dict:
         """Serialize the design *choices* (JSON-friendly).
 

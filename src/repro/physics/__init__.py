@@ -15,8 +15,6 @@ from repro.physics.thermal import (
 )
 from repro.physics.motor import (
     BldcMotor,
-    MotorOperatingPoint,
-    MotorSaturationError,
     kt_from_kv,
     motor_mass_g_for,
     required_kv_for,
@@ -47,8 +45,6 @@ __all__ = [
     "esc_dissipation_w",
     "esc_thermal_model",
     "BldcMotor",
-    "MotorOperatingPoint",
-    "MotorSaturationError",
     "kt_from_kv",
     "motor_mass_g_for",
     "required_kv_for",

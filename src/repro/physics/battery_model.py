@@ -124,9 +124,7 @@ class LipoBattery:
         """Deterministically consume capacity (fault injection: a cell going
         bad, a miscalibrated fuel gauge).  Clamped at full capacity so the
         model stays consistent; the drain-limit failsafe sees the loss."""
-        if drain_mah < 0:
-            raise ValueError(f"drain cannot be negative, got {drain_mah}")
-        self.used_mah = min(self.capacity_mah, self.used_mah + drain_mah)
+        self.used_mah = drained_mah(self, self.used_mah, drain_mah)
 
     @hot_path
     def draw(self, current_a: float, duration_s: float) -> float:
@@ -153,18 +151,20 @@ class LipoBattery:
         self.used_mah += drawn_mah
         return voltage * current_a * duration_s
 
-    def endurance_s(self, average_current_a: float) -> float:
-        """Remaining flight endurance (s) at a constant average current."""
-        if average_current_a <= 0:
-            raise ValueError(
-                f"average current must be positive, got {average_current_a}"
-            )
-        return self.remaining_mah * 3.6 / average_current_a
-
     def reset(self) -> None:
         """Recharge the pack to full (and clear injected faults)."""
         self.used_mah = 0.0
         self.fault_resistance_ohm = 0.0
+
+
+def drained_mah(battery: LipoBattery, used_mah: float, drain_mah: float) -> float:
+    """``used_mah`` of a ``battery`` pack after an injected drain of
+    ``drain_mah``, clamped at full capacity; raises ValueError on a negative
+    drain.  Shared by :meth:`LipoBattery.inject_drain` and the ensemble's
+    lanes."""
+    if drain_mah < 0:
+        raise ValueError(f"drain cannot be negative, got {drain_mah}")
+    return min(battery.capacity_mah, used_mah + drain_mah)
 
 
 # -- row kernels: the batched twins of LipoBattery's arithmetic over the

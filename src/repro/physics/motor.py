@@ -82,54 +82,6 @@ class BldcMotor:
         voltage = self.voltage_for_operating_point(rev_per_s, current)
         return voltage * current
 
-    def operating_point(
-        self, propeller: PropellerModel, thrust_n: float, supply_v: float
-    ) -> "MotorOperatingPoint":
-        """Solve the steady-state point where the propeller produces ``thrust_n``.
-
-        Raises :class:`MotorSaturationError` when the supply voltage cannot
-        reach the required speed or the current exceeds the motor limit.
-        """
-        rev_per_s = propeller.rev_per_s_for_thrust(thrust_n)
-        torque = propeller.torque_nm(rev_per_s)
-        current = self.current_for_torque_a(torque)
-        voltage = self.voltage_for_operating_point(rev_per_s, current)
-        if voltage > supply_v * 1.0001:
-            raise MotorSaturationError(
-                f"needs {voltage:.1f} V but supply is {supply_v:.1f} V "
-                f"(Kv={self.kv_rpm_per_v:.0f}, thrust={thrust_n:.1f} N)"
-            )
-        if current > self.max_current_a:
-            raise MotorSaturationError(
-                f"needs {current:.1f} A but motor limit is {self.max_current_a:.1f} A"
-            )
-        return MotorOperatingPoint(
-            rev_per_s=rev_per_s,
-            torque_nm=torque,
-            current_a=current,
-            voltage_v=voltage,
-            electrical_power_w=voltage * current,
-        )
-
-
-class MotorSaturationError(RuntimeError):
-    """Raised when a motor cannot reach the requested operating point."""
-
-
-@dataclass(frozen=True)
-class MotorOperatingPoint:
-    """Solved steady state of a motor-propeller pair."""
-
-    rev_per_s: float
-    torque_nm: float
-    current_a: float
-    voltage_v: float
-    electrical_power_w: float
-
-    @property
-    def rpm(self) -> float:
-        return self.rev_per_s * 60.0
-
 
 @pure
 @hot_path

@@ -154,14 +154,6 @@ class PropellerModel:
         """RPM needed to lift ``thrust_g`` grams — the unit used in catalogs."""
         return self.rev_per_s_for_thrust(constants.grams_to_newtons(thrust_g)) * 60.0
 
-    def shaft_power_w(
-        self,
-        rev_per_s: float,
-        air_density: float = constants.AIR_DENSITY_SEA_LEVEL_KG_M3,
-    ) -> float:
-        """Mechanical shaft power (W) absorbed at ``rev_per_s``."""
-        return self.torque_nm(rev_per_s, air_density) * 2.0 * math.pi * rev_per_s
-
 
 @pure
 @hot_path

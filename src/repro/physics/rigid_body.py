@@ -160,11 +160,6 @@ class QuadcopterBody:
         self._spin = ROTOR_SPIN.tolist()
         self._gravity_z = -self.mass_kg * constants.GRAVITY_M_S2
 
-    @property
-    def hover_thrust_per_motor_n(self) -> float:
-        """Per-motor thrust (N) that exactly balances gravity."""
-        return self.mass_kg * constants.GRAVITY_M_S2 / 4.0
-
     @hot_path
     def _wrench(
         self, thrusts_n: np.ndarray, torque_thrust_ratio_m: float

@@ -41,12 +41,6 @@ class AcceleratorBlock:
         """Sustained operations per second."""
         return self.lanes * self.clock_hz * self.efficiency
 
-    def time_for(self, operations: int) -> float:
-        """Seconds to stream ``operations`` through this block."""
-        if operations < 0:
-            raise ValueError("operation count cannot be negative")
-        return operations / self.throughput_ops_s
-
 
 @dataclass(frozen=True)
 class AcceleratorDesign:
@@ -66,20 +60,6 @@ class AcceleratorDesign:
     @property
     def total_power_w(self) -> float:
         return self.static_power_w + self.dynamic_power_w
-
-    def utilization_report(self) -> Dict[str, Dict[str, float]]:
-        """Per-block resources — the post-implementation summary analogue."""
-        return {
-            name: {
-                "dsp_slices": block.dsp_slices,
-                "bram_kb": block.bram_kb,
-                "throughput_gops": block.throughput_ops_s / 1e9,
-            }
-            for name, block in self.blocks.items()
-        }
-
-    def dsp_total(self) -> int:
-        return sum(block.dsp_slices for block in self.blocks.values())
 
 
 def zynq_ba_accelerator() -> AcceleratorDesign:

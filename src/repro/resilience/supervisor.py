@@ -70,6 +70,8 @@ class OffloadSupervisor:
     staleness_limit_s: float = 0.5
     ack_timeout_s: float = 1.5
     step_up_hold_s: float = 2.0
+    #: Whether onboard SLAM holds frame rate; while False the chain steps
+    #: down past ONBOARD_REDUCED to DEAD_RECKONING.
     onboard_healthy: bool = True
     tier: NavTier = NavTier.OFFBOARD
     last_capture_s: float = 0.0
@@ -89,10 +91,6 @@ class OffloadSupervisor:
         """Record one delivered off-board pose (doubles as link ACK)."""
         self.last_capture_s = max(self.last_capture_s, capture_s)
         self.last_delivery_s = max(self.last_delivery_s, delivery_s)
-
-    def note_onboard_health(self, healthy: bool) -> None:
-        """Report whether onboard SLAM currently holds frame rate."""
-        self.onboard_healthy = healthy
 
     def stale(self, now_s: float) -> bool:
         return now_s - self.last_capture_s > self.staleness_limit_s
@@ -159,8 +157,9 @@ def onboard_reduced_deadlines(
 ) -> DeadlineReport:
     """Deadline check of the ONBOARD_REDUCED tier on ``platform``.
 
-    The onboard tier amortizes local BA over twice the keyframe interval;
-    whether that fits the frame period decides ``onboard_healthy``.
+    The onboard tier amortizes local BA over twice the keyframe interval.
+    ``resilience.study`` prices the tier's deadline-miss rate with this
+    report; nothing sets :attr:`OffloadSupervisor.onboard_healthy` from it.
     """
     return slam_frame_deadlines(
         result,

@@ -48,11 +48,6 @@ class Magnetometer:
         self.samples += 1
         return (measured + math.pi) % (2.0 * math.pi) - math.pi
 
-    def field_vector(self, state: QuadcopterState) -> np.ndarray:
-        """Body-frame unit field vector — the raw quantity a magnetometer reads."""
-        yaw = self.sample(state)
-        return np.array([math.cos(yaw), -math.sin(yaw), 0.0])
-
     def reset(self) -> None:
         self._rng = np.random.default_rng(self.seed)
         self.samples = 0

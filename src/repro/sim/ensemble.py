@@ -36,7 +36,7 @@ from repro.control.cascade import CascadeRows, ControlRates, TargetMode
 from repro.control.mixer import check_motor_health
 from repro.control.estimation import EkfRows
 from repro.physics.battery_model import (
-    draw_rows, ocv_rows, soc_rows, terminal_voltage_rows,
+    draw_rows, drained_mah, ocv_rows, soc_rows, terminal_voltage_rows,
 )
 from repro.physics.environment import Wind, WindRows
 from repro.physics.rigid_body import (
@@ -520,9 +520,8 @@ class LaneSim:
 
     @property
     def state_of_charge(self) -> float:
-        """Mirrors :attr:`~repro.physics.battery_model.LipoBattery.state_of_charge`."""
-        used = float(self._ens._used_mah[self._index])
-        return max(0.0, 1.0 - used / self._ens._template.battery.capacity_mah)
+        ens = self._ens
+        return float(soc_rows(ens._template.battery, ens._used_mah[self._index]))
 
     @property
     def motor_health(self) -> np.ndarray:
@@ -584,12 +583,9 @@ class LaneSim:
         self._ens._sensors.baro_frozen[self._index] = bool(frozen)
 
     def inject_drain(self, drain_mah: float) -> None:
-        """Mirrors :meth:`~repro.physics.battery_model.LipoBattery.inject_drain`."""
-        if drain_mah < 0:
-            raise ValueError(f"drain cannot be negative, got {drain_mah}")
-        used = float(self._ens._used_mah[self._index])
-        capacity_mah = self._ens._template.battery.capacity_mah
-        self._ens._used_mah[self._index] = min(capacity_mah, used + drain_mah)
+        ens = self._ens
+        ens._used_mah[self._index] = drained_mah(
+            ens._template.battery, float(ens._used_mah[self._index]), drain_mah)
 
     def set_motor_health(self, motor_index: int, factor: float) -> None:
         check_motor_health(motor_index, factor)

@@ -79,11 +79,6 @@ class PowerTrace:
         end = self.phase_boundaries_s[index + 1]
         return self.mean_power_w(start, end - 1e-9)
 
-    def energy_j(self) -> float:
-        """Integrated energy of the whole trace (J)."""
-        integrate = getattr(np, "trapezoid", None) or np.trapz
-        return float(integrate(self.powers_w, self.times_s))
-
 
 def synthesize_phased_trace(
     phases: Sequence[PowerPhase],

@@ -130,26 +130,6 @@ class SlamMap:
         descriptors = np.stack([self.points[i].descriptor for i in ids])
         return descriptors, np.asarray(ids, dtype=np.int64)
 
-    def covisibility_edges(self, min_shared: int = 10) -> List[Tuple[int, int, int]]:
-        """Keyframe pairs sharing at least ``min_shared`` map points.
-
-        Returns (kf_a, kf_b, shared_count) tuples — the covisibility graph
-        ORB-SLAM uses to scope local BA and loop closing.
-        """
-        if min_shared <= 0:
-            raise ValueError(f"min_shared must be positive, got {min_shared}")
-        edges = []
-        ids = sorted(self.keyframes)
-        observation_sets = {
-            i: set(self.keyframes[i].observations.keys()) for i in ids
-        }
-        for position, kf_a in enumerate(ids):
-            for kf_b in ids[position + 1:]:
-                shared = len(observation_sets[kf_a] & observation_sets[kf_b])
-                if shared >= min_shared:
-                    edges.append((kf_a, kf_b, shared))
-        return edges
-
     def trajectory(self) -> np.ndarray:
         """Estimated keyframe positions in id order, shape (K, 3)."""
         ids = sorted(self.keyframes)

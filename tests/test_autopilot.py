@@ -6,11 +6,14 @@ import pytest
 from repro.autopilot.arducopter import (
     ArmingError,
     Autopilot,
+    FailsafeState,
     FlightMode,
     MissionItem,
 )
 from repro.autopilot.dronekit import connect
 from repro.autopilot.mavlink import (
+    ACK_ACCEPTED,
+    ACK_FAILED,
     Command,
     FrameError,
     Link,
@@ -79,10 +82,10 @@ class TestMavlink:
     def test_link_delivery(self):
         link = Link()
         link.send(MessageType.HEARTBEAT)
-        link.send(MessageType.BATTERY_STATUS, (0.9,))
+        link.send(MessageType.STATE_REPORT, (0.9,))
         messages = link.drain()
         assert [m.message_type for m in messages] == [
-            MessageType.HEARTBEAT, MessageType.BATTERY_STATUS,
+            MessageType.HEARTBEAT, MessageType.STATE_REPORT,
         ]
         assert link.receive() is None
 
@@ -178,7 +181,9 @@ class TestAutopilot:
             1.0 - Autopilot.LOW_BATTERY_SOC
         ) + 1.0
         autopilot.update(0.1)
-        assert autopilot.failsafe_triggered
+        assert autopilot.failsafe in (
+            FailsafeState.FAILSAFE_RTL, FailsafeState.FAILSAFE_LAND,
+        )
         assert autopilot.mode in (FlightMode.RTL, FlightMode.LAND)
 
     def test_mission_execution(self):
@@ -238,6 +243,32 @@ class TestAutopilot:
             autopilot.update(0.1)
         assert autopilot.sim.body.state.position_m[2] > 2.0
 
+    @staticmethod
+    def arm_over_link(autopilot: Autopilot) -> list:
+        """Send ARM as a COMMAND_LONG; return the ACK payloads downlinked."""
+        autopilot.link.send(
+            MessageType.COMMAND_LONG, (float(Command.ARM_DISARM), 1.0)
+        )
+        autopilot.update(0.1)
+        return [m.payload for m in autopilot.link.drain()
+                if m.message_type is MessageType.ACK]
+
+    def test_command_acked_on_clean_link(self):
+        autopilot = make_autopilot()
+        assert self.arm_over_link(autopilot) == [
+            (float(Command.ARM_DISARM), ACK_ACCEPTED, 0.0)]
+        assert autopilot.armed
+
+    def test_rejected_command_acks_failed(self):
+        # Arming on a drained battery is refused by the pre-arm checks: the
+        # ground station gets ACK_FAILED rather than silence.
+        autopilot = make_autopilot()
+        battery = autopilot.sim.battery
+        battery.inject_drain(battery.capacity_mah * 0.8)
+        assert self.arm_over_link(autopilot) == [
+            (float(Command.ARM_DISARM), ACK_FAILED, 0.0)]
+        assert not autopilot.armed
+
     def test_state_reports_downlinked(self):
         autopilot = make_autopilot()
         autopilot.update(0.1)
@@ -276,7 +307,7 @@ class TestDroneKit:
         vehicle.armed = True
         vehicle.simple_takeoff(4.0, wait_s=6.0)
         vehicle.upload_mission([[2.0, 0.0, 4.0]])
-        vehicle.start_mission()
+        vehicle.mode = "AUTO"
         vehicle.wait(12.0)
         # The mission completes and the autopilot returns to launch.
         assert vehicle._autopilot.mission_complete

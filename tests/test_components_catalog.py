@@ -1,5 +1,7 @@
 """Unit tests: the synthetic census generator and the commercial-drone DB."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -83,15 +85,14 @@ class TestCensusGeneration:
         ]
 
     def test_all_cell_counts_present(self, catalog):
-        grouped = catalog.batteries_by_cells()
-        assert set(grouped) == {1, 2, 3, 4, 5, 6}
-        for group in grouped.values():
-            assert len(group) >= 10
+        per_cells = Counter(battery.cells for battery in catalog.batteries)
+        assert set(per_cells) == {1, 2, 3, 4, 5, 6}
+        assert min(per_cells.values()) >= 10
 
     def test_both_esc_classes_present(self, catalog):
-        grouped = catalog.escs_by_class()
-        assert len(grouped) == 2
-        assert all(len(group) >= 8 for group in grouped.values())
+        per_class = Counter(esc.esc_class for esc in catalog.escs)
+        assert len(per_class) == 2
+        assert min(per_class.values()) >= 8
 
     def test_battery_weights_positive_and_plausible(self, catalog):
         for battery in catalog.batteries:
@@ -109,7 +110,13 @@ class TestCensusGeneration:
         assert {1, 2, 3, 4, 5, 6} <= cells
 
     def test_manufacturer_census_uses_many_makers(self, catalog):
-        assert len(catalog.manufacturer_census()) >= 50
+        makers = {
+            item.manufacturer
+            for family in (catalog.batteries, catalog.escs, catalog.frames,
+                           catalog.motors)
+            for item in family
+        }
+        assert len(makers) >= 50
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
@@ -150,6 +157,6 @@ class TestCommercialDrones:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            CommercialDrone("x", -5.0, 100.0, 3, 1000.0, 10.0, "small")
+            CommercialDrone("x", -5.0, 100.0, 3, 1000.0, 10.0)
         with pytest.raises(ValueError):
-            CommercialDrone("x", 500.0, 100.0, 3, 1000.0, -1.0, "small")
+            CommercialDrone("x", 500.0, 100.0, 3, 1000.0, -1.0)

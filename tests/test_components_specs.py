@@ -66,7 +66,8 @@ class TestBatterySpecs:
     def test_energy_density_realistic(self):
         """Real LiPo packs land around 120-200 Wh/kg."""
         battery = make_battery(4, 5000.0)
-        assert 80.0 < battery.energy_density_wh_per_kg < 250.0
+        energy_density = battery.stored_energy_wh / (battery.weight_g / 1000.0)
+        assert 80.0 < energy_density < 250.0
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -91,11 +92,6 @@ class TestEscSpecs:
             esc_set_weight_g(30.0) / 4.0
         )
 
-    def test_switching_frequency(self):
-        esc = make_esc(30.0)
-        # 6 commutation events per revolution.
-        assert esc.switching_frequency_hz(10_000.0) == pytest.approx(1000.0)
-
     def test_burst_exceeds_continuous(self):
         esc = make_esc(25.0)
         assert esc.burst_current_a > esc.max_continuous_current_a
@@ -118,10 +114,6 @@ class TestFrameSpecs:
         below = frame_weight_g(199.99)
         above = frame_weight_g(200.01)
         assert abs(above - below) < 1.0
-
-    def test_indoor_classification(self):
-        assert make_frame(90.0).is_indoor
-        assert not make_frame(450.0).is_indoor
 
     def test_arm_length(self):
         assert make_frame(450.0).arm_length_m == pytest.approx(0.225)

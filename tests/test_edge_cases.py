@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autopilot.arducopter import Autopilot, FlightMode
+from repro.autopilot.arducopter import Autopilot, FailsafeState, FlightMode
 from repro.autopilot.mavlink import Command, Link, MessageType
 from repro.autopilot.offload import evaluate_offload
 from repro.components.base import Component
@@ -39,7 +39,9 @@ class TestBatteryDepletionInFlight:
         battery.used_mah = battery.usable_mah - 1.0  # one mAh left
         for _ in range(30):
             autopilot.update(0.1)
-        assert autopilot.failsafe_triggered
+        assert autopilot.failsafe in (
+            FailsafeState.FAILSAFE_RTL, FailsafeState.FAILSAFE_LAND,
+        )
         assert autopilot.mode is FlightMode.LAND
         # And the simulator flags depletion rather than crashing.
         for _ in range(40):

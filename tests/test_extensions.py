@@ -19,6 +19,7 @@ from repro.platforms.deadlines import (
     slam_frame_deadlines,
 )
 from repro.platforms.profiles import fpga_profile, rpi4_profile, tx2_profile
+from repro.physics import constants
 from repro.physics.environment import Wind
 from repro.physics.rigid_body import QuadcopterBody
 
@@ -33,7 +34,7 @@ def _gust_rejection_rms(rate_hz: float, duration_s: float = 4.0) -> float:
     gust_torque = 0.0
     pid = AttitudeController(inertia_kg_m2=inertia)
     rolls = []
-    hover = body.hover_thrust_per_motor_n
+    hover = body.mass_kg * constants.GRAVITY_M_S2 / 4.0
     mixer = MotorMixer(arm_length_m=0.225, max_thrust_per_motor_n=hover * 4)
     steps = int(duration_s * rate_hz)
     for _ in range(steps):
@@ -138,7 +139,8 @@ class TestCRatingFeasibility:
             wheelbase_mm=450.0, battery_cells=3, battery_capacity_mah=300.0,
             payload_g=1500.0,
         )
-        assert not design.is_feasible()
+        with pytest.raises(equations.InfeasibleDesignError):
+            design.evaluate()
 
     def test_validation(self):
         with pytest.raises(ValueError):

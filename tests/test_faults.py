@@ -13,11 +13,8 @@ import numpy as np
 import pytest
 
 from repro.autopilot.arducopter import Autopilot, FailsafeState, FlightMode
-from repro.autopilot.dronekit import ReliableCommander, Vehicle, connect
 from repro.autopilot.mavlink import (
-    ACK_ACCEPTED,
     MAGIC,
-    Command,
     FrameError,
     GilbertElliott,
     Link,
@@ -204,7 +201,6 @@ class TestGilbertElliott:
         rng = np.random.default_rng(3)
         losses = sum(channel.step(rng) for _ in range(4000)) / 4000
         assert losses == pytest.approx(0.3, abs=0.05)
-        assert channel.steady_state_loss == pytest.approx(0.3)
 
     def test_losses_are_bursty(self):
         """BAD-state dwelling makes consecutive losses far likelier than i.i.d."""
@@ -217,9 +213,6 @@ class TestGilbertElliott:
         pairs = sum(1 for a, b in zip(drops, drops[1:]) if a and b)
         conditional = pairs / max(1, sum(drops[:-1]))
         assert conditional > 2.0 * loss_rate  # bursts, not coin flips
-        assert channel.steady_state_loss == pytest.approx(
-            0.02 / (0.02 + 0.2), rel=1e-6
-        )
 
     def test_deterministic_for_seed(self):
         def run():
@@ -520,7 +513,6 @@ class TestFailsafeStateMachine:
         autopilot.update(0.1)
         assert autopilot.failsafe is FailsafeState.FAILSAFE_RTL
         assert autopilot.mode is FlightMode.RTL
-        assert autopilot.failsafe_triggered
 
     def test_critical_battery_escalates_to_land(self):
         autopilot = make_autopilot()
@@ -714,71 +706,12 @@ class TestMixerHealth:
         for vehicle in vehicles:
             assert vehicle.motor_health.tolist() == [1.0] * 4
             assert vehicle.state_of_charge == 1.0
-
-
-# -- reliable command channel --------------------------------------------------------
-
-
-class TestReliableCommander:
-    def test_command_acked_on_clean_link(self):
-        vehicle = connect()
-        commander = vehicle.commander()
-        outcome = commander.send_command(Command.ARM_DISARM, (1.0,))
-        assert outcome.acked and outcome.accepted
-        assert outcome.attempts == 1
-        assert vehicle.armed
-
-    def test_rejected_command_acks_failed(self):
-        vehicle = connect()
-        commander = vehicle.commander()
-        # Arming on a drained battery is refused by pre-arm checks: the GCS
-        # must get an ACK_FAILED rather than silence.
-        battery = vehicle._autopilot.sim.battery
-        battery.inject_drain(battery.capacity_mah * 0.8)
-        outcome = commander.send_command(Command.ARM_DISARM, (1.0,))
-        assert outcome.acked and not outcome.accepted
-        assert not vehicle.armed
-
-    def test_retries_through_lossy_link(self):
-        model = DroneModel(
-            mass_kg=1.071, wheelbase_mm=450.0, battery_cells=3,
-            battery_capacity_mah=3000.0,
-        )
-        sim = FlightSimulator(model, physics_rate_hz=400.0)
-        autopilot = Autopilot(sim, link=Link(loss_probability=0.7, seed=4))
-        commander = ReliableCommander(autopilot, timeout_s=0.3, max_retries=8)
-        outcome = commander.send_command(Command.ARM_DISARM, (1.0,))
-        assert outcome.acked and outcome.accepted
-        assert outcome.attempts > 1
-        assert autopilot.armed
-
-    def test_gives_up_during_blackout(self):
-        vehicle = connect()
-        vehicle._autopilot.link.blackout = True
-        commander = ReliableCommander(
-            vehicle._autopilot, timeout_s=0.2, max_retries=2
-        )
-        outcome = commander.send_command(Command.ARM_DISARM, (1.0,))
-        assert not outcome.acked
-        assert outcome.attempts == 3
-        assert not vehicle.armed
-
-    def test_backoff_caps(self):
-        vehicle = connect()
-        commander = ReliableCommander(
-            vehicle._autopilot,
-            timeout_s=1.0, max_retries=3, backoff_factor=4.0, max_backoff_s=2.0,
-        )
-        vehicle._autopilot.link.blackout = True
-        outcome = commander.send_command(Command.LAND)
-        # 1.0 + 2.0 + 2.0 + 2.0 of simulated waiting (cap at 2 s per retry).
-        assert outcome.elapsed_s == pytest.approx(7.0, abs=0.5)
-
-    def test_validation(self):
-        vehicle = connect()
-        with pytest.raises(ValueError):
-            ReliableCommander(vehicle._autopilot, timeout_s=0.0)
-        with pytest.raises(ValueError):
-            ReliableCommander(vehicle._autopilot, max_retries=-1)
-        with pytest.raises(ValueError):
-            ReliableCommander(vehicle._autopilot, backoff_factor=0.5)
+        # A drain reads back as the same state of charge on both vehicles,
+        # and a drain past capacity clamps at an empty pack on both.
+        capacity_mah = autopilot.sim.battery.capacity_mah
+        for vehicle in vehicles:
+            vehicle.inject_drain(0.3 * capacity_mah)
+        assert vehicles[0].state_of_charge == vehicles[1].state_of_charge
+        for vehicle in vehicles:
+            vehicle.inject_drain(2.0 * capacity_mah)
+            assert vehicle.state_of_charge == 0.0

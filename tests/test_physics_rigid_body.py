@@ -38,6 +38,11 @@ class TestQuaternions:
         assert np.allclose(quaternion_to_rotation(composed), expected, atol=1e-9)
 
 
+def hover_thrust_n(body: QuadcopterBody) -> float:
+    """Per-motor thrust (N) that exactly balances gravity."""
+    return body.mass_kg * constants.GRAVITY_M_S2 / 4.0
+
+
 def make_body(**kwargs) -> QuadcopterBody:
     defaults = dict(mass_kg=1.0, arm_length_m=0.225)
     defaults.update(kwargs)
@@ -47,7 +52,7 @@ def make_body(**kwargs) -> QuadcopterBody:
 class TestQuadcopterBody:
     def test_hover_thrust_balances_gravity(self):
         body = make_body()
-        hover = body.hover_thrust_per_motor_n
+        hover = hover_thrust_n(body)
         for _ in range(500):
             body.step(np.full(4, hover), 1e-3)
         assert np.allclose(body.state.velocity_m_s, 0.0, atol=1e-6)
@@ -55,7 +60,7 @@ class TestQuadcopterBody:
 
     def test_excess_thrust_climbs(self):
         body = make_body()
-        thrust = body.hover_thrust_per_motor_n * 1.2
+        thrust = hover_thrust_n(body) * 1.2
         for _ in range(500):
             body.step(np.full(4, thrust), 1e-3)
         assert body.state.position_m[2] > 0.1
@@ -70,7 +75,7 @@ class TestQuadcopterBody:
 
     def test_differential_thrust_rolls(self):
         body = make_body()
-        hover = body.hover_thrust_per_motor_n
+        hover = hover_thrust_n(body)
         # Rotors at +y get more thrust -> negative roll torque... sign aside,
         # the body must start rotating about x or y.
         thrusts = np.array([hover * 1.1, hover * 0.9, hover * 1.1, hover * 0.9])
@@ -80,7 +85,7 @@ class TestQuadcopterBody:
 
     def test_yaw_from_spin_imbalance(self):
         body = make_body()
-        hover = body.hover_thrust_per_motor_n
+        hover = hover_thrust_n(body)
         # CCW pair (rotors 0,1) stronger -> net yaw torque.
         thrusts = np.array([hover * 1.1, hover * 1.1, hover * 0.9, hover * 0.9])
         for _ in range(200):
@@ -89,7 +94,7 @@ class TestQuadcopterBody:
 
     def test_quaternion_stays_normalized(self):
         body = make_body()
-        hover = body.hover_thrust_per_motor_n
+        hover = hover_thrust_n(body)
         thrusts = np.array([hover * 1.2, hover * 0.8, hover * 1.05, hover * 0.95])
         for _ in range(2000):
             body.step(thrusts, 1e-3)
@@ -98,7 +103,7 @@ class TestQuadcopterBody:
     def test_tilt_produces_horizontal_motion(self):
         body = make_body()
         body.state.quaternion = quaternion_from_euler(0.0, 0.3, 0.0)
-        thrust = body.hover_thrust_per_motor_n / np.cos(0.3)
+        thrust = hover_thrust_n(body) / np.cos(0.3)
         for _ in range(500):
             body.step(np.full(4, thrust), 1e-3)
         assert abs(body.state.position_m[0]) > 0.05

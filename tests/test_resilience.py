@@ -304,7 +304,7 @@ class TestOffloadSupervisor:
         supervisor = OffloadSupervisor(onboard_healthy=False)
         supervisor.update(1.0)
         assert supervisor.tier is NavTier.DEAD_RECKONING
-        supervisor.note_onboard_health(True)
+        supervisor.onboard_healthy = True
         transition = supervisor.update(1.1)
         assert transition is not None
         assert transition.cause == "onboard recovered"

@@ -99,11 +99,6 @@ class TestMagnetometer:
         measured = mag.sample(state)
         assert -np.pi < measured <= np.pi
 
-    def test_field_vector_unit_norm(self):
-        mag = Magnetometer(noise_rad=0.0)
-        vector = mag.field_vector(static_state())
-        assert np.linalg.norm(vector) == pytest.approx(1.0)
-
 
 class TestSensorSuite:
     def test_rates_match_table2a(self):

@@ -162,10 +162,6 @@ class TestPowerTraces:
         trace = figure16a_trace()
         assert trace.phase_mean_w("disconnected") == pytest.approx(0.0, abs=0.02)
 
-    def test_trace_energy_positive(self):
-        trace = figure16a_trace()
-        assert trace.energy_j() > 0.0
-
     def test_unknown_phase_raises(self):
         trace = figure16a_trace()
         with pytest.raises(KeyError):

@@ -50,17 +50,6 @@ class TestSlamMap:
         recent = slam_map.recent_keyframes(3)
         assert [k.keyframe_id for k in recent] == [5, 6, 7]
 
-    def test_covisibility_edges(self):
-        slam_map = SlamMap()
-        for point_id in range(12):
-            slam_map.add_point(point_id, np.zeros(3), np.zeros(32, np.uint8))
-        shared = {i: (0.0, 0.0) for i in range(12)}
-        slam_map.add_keyframe(np.zeros(3), 0.0, shared)
-        slam_map.add_keyframe(np.ones(3), 0.0, shared)
-        slam_map.add_keyframe(np.ones(3) * 2, 0.0, {0: (0.0, 0.0)})
-        edges = slam_map.covisibility_edges(min_shared=10)
-        assert edges == [(0, 1, 12)]
-
     def test_pose_params_roundtrip(self):
         keyframe = Keyframe(0, np.array([1.0, 2.0, 3.0]), 0.5)
         params = keyframe.pose_params
